@@ -10,14 +10,8 @@ intermediate claims are re-verified as they run.
 from .carrier import (
     Carrier,
     ElemSet,
-    Relation,
-    class_count,
-    class_roots,
     empty_set,
     full_set,
-    image,
-    preimage,
-    root,
     set_of,
     singleton,
 )
@@ -27,7 +21,6 @@ from .group import (
     build,
     check_identities,
     from_cayley_table,
-    latin_square_check,
     symmetric_elements,
 )
 from .subgroup import (
@@ -36,11 +29,9 @@ from .subgroup import (
     is_subgroup,
     lagrange_check,
     left_coset,
-    left_coset_relation,
     left_index,
     product_subgroup_checks,
     right_coset,
-    right_coset_relation,
     right_index,
     set_product,
     subgroup_sample,

@@ -34,7 +34,7 @@ from .errors import (
     PointOutOfRange,
 )
 from .group import Group
-from .numutil import is_prime
+from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import SubgroupSet, left_coset_roots, left_index, subgroup_set
 
@@ -156,10 +156,7 @@ def mod_p_fixed_point_check(act: Action, p: int) -> Check:
     modulo p.  Both counts are computed outright."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    m = act.acting.card
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    if act.acting.card != p ** padic_val(p, act.acting.card):
         raise NotPPower(f"acting order {act.acting.card} is not a power of {p}")
     s = act.points.size
     s0 = fixed_points(act).card

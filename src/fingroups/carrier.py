@@ -10,7 +10,7 @@ set equality is plain indicator equality.  Everything here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -139,60 +139,3 @@ def set_of(carrier: Carrier, points: Iterable[int]) -> ElemSet:
         carrier.check_point(i)
         bits |= 1 << i
     return ElemSet(carrier, bits)
-
-
-def image(f: Callable[[int], int], a: ElemSet, target: Carrier) -> ElemSet:
-    """Direct image of a under f, landing in target."""
-    bits = 0
-    for x in a:
-        y = f(x)
-        if not 0 <= y < target.size:
-            raise PointOutOfRange(f"f({x}) = {y} outside carrier of size {target.size}")
-        bits |= 1 << y
-    return ElemSet(target, bits)
-
-
-def preimage(f: Callable[[int], int], b: ElemSet, source: Carrier) -> ElemSet:
-    """Full preimage of b under f, as a subset of source."""
-    bits = 0
-    for x in source.points():
-        y = f(x)
-        if not 0 <= y < b.carrier.size:
-            raise PointOutOfRange(f"f({x}) = {y} outside carrier of size {b.carrier.size}")
-        if y in b:
-            bits |= 1 << x
-    return ElemSet(source, bits)
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Binary relation on a carrier, given as a membership test rel(x, y):
-    for fixed x, the set of y related to x."""
-
-    carrier: Carrier
-    rel: Callable[[int, int], bool]
-
-    def __call__(self, x: int, y: int) -> bool:
-        return bool(self.rel(x, y))
-
-
-def root(rel: Relation, x: int) -> int:
-    """Canonical representative of x's class: the smallest index y related
-    to x.  Scans the enumeration from 0."""
-    for y in rel.carrier.points():
-        if rel(x, y):
-            return y
-    raise ValueError(f"point {x} is related to nothing")
-
-
-def class_roots(rel: Relation, domain: ElemSet) -> ElemSet:
-    """The set of distinct class roots hit by domain members."""
-    bits = 0
-    for x in domain:
-        bits |= 1 << root(rel, x)
-    return ElemSet(rel.carrier, bits)
-
-
-def class_count(rel: Relation, domain: ElemSet) -> int:
-    """Number of distinct class roots among domain members."""
-    return class_roots(rel, domain).card

@@ -30,7 +30,7 @@ from .action import (
     orbit_stabilizer_check,
 )
 from .carrier import ElemSet
-from .conjnormal import conjugate_set, quotient_group, quotient_morphism_check
+from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_check
 from .cyclic import order
 from .errors import GroupTheoryError, InternalInvariant, ParseError
 from .group import Group, GroupSpec, build, from_cayley_table
@@ -54,8 +54,14 @@ from .sylow import (
 def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
     """Read a Cayley-table file; returns (n, rows).  Raises ParseError with
     1-based line and column on the first offending token."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        data = e.object  # the whole file: read() decodes it in one call
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise ParseError(line, col, "file is not UTF-8 text") from None
 
     lines: list[tuple[int, list[tuple[int, str]]]] = []
     last_line = 1
@@ -168,18 +174,21 @@ def _parse_points(g: Group, csv: str) -> list[int]:
 # commands
 
 
-def _emit(rep: Report, as_json: bool) -> int:
+def _emit(rep: Report, as_json: bool, extra_lines: list[str]) -> int:
+    """Print the report (text gets extra_lines after it); 0 iff all checks passed."""
     if as_json:
         print(rep.to_json())
     else:
         print(rep.render_text())
+        for line in extra_lines:
+            print(line)
     return 0 if rep.ok else 1
 
 
 def cmd_verify(args) -> int:
     label, g = resolve_group(args.group)
     rep = verify_group(g, label)
-    return _emit(rep, args.json)
+    return _emit(rep, args.json, [])
 
 
 def cmd_sylow(args) -> int:
@@ -220,14 +229,11 @@ def cmd_sylow(args) -> int:
         c.ms = (time.perf_counter() - t0) * 1000.0
         rep.checks.append(c)
 
-    if args.json:
-        print(rep.to_json())
-    else:
-        print(rep.render_text())
-        count = len(family)
-        print(f"  {count} Sylow {p}-subgroup(s); {count} ≡ {count % p} (mod {p}); "
-              f"{count} | {g.order}")
-    return 0 if rep.ok else 1
+    count = len(family)
+    return _emit(rep, args.json, [
+        f"  {count} Sylow {p}-subgroup(s); {count} ≡ {count % p} (mod {p}); "
+        f"{count} | {g.order}"
+    ])
 
 
 def cmd_cauchy(args) -> int:
@@ -244,12 +250,7 @@ def cmd_cauchy(args) -> int:
     rep.certificates.append(
         {"kind": "cauchy", "p": p, "n": 1, "elements": [int(a)], "trace": list(trace)}
     )
-    if args.json:
-        print(rep.to_json())
-    else:
-        print(rep.render_text())
-        print(f"  element {a} has order {p}")
-    return 0 if rep.ok else 1
+    return _emit(rep, args.json, [f"  element {a} has order {p}"])
 
 
 def cmd_orbits(args) -> int:
@@ -268,10 +269,8 @@ def cmd_orbits(args) -> int:
         if not args.gens:
             raise GroupTheoryError("subset orbits need --gens for the base subgroup")
         base = closure(g, _parse_points(g, args.gens))
-        family = sorted({conjugate_set(g, base, x).bits for x in g.elements()})
-        family_sets = [ElemSet(g.carrier, b) for b in family]
-        family_sets.sort(key=lambda s: s.indices())
-        act = conjugation_action_on_subsets(g, acting, family_sets)
+        family = conjugacy_family(g, g.full_set(), base)
+        act = conjugation_action_on_subsets(g, acting, family)
 
     rep = Report(group=label, order=g.order)
     seen: set[int] = set()
@@ -291,17 +290,14 @@ def cmd_orbits(args) -> int:
     c.ms = (time.perf_counter() - t0) * 1000.0
     rep.checks.append(c)
 
-    if args.json:
-        print(rep.to_json())
-    else:
-        print(rep.render_text())
-        for i, orb in enumerate(orbits):
-            if act.point_labels is not None:
-                names = [repr(act.point_labels[z]) for z in orb]
-                print(f"  orbit {i}: points {orb} = {names}")
-            else:
-                print(f"  orbit {i}: {orb}")
-    return 0 if rep.ok else 1
+    lines = []
+    for i, orb in enumerate(orbits):
+        if act.point_labels is not None:
+            names = [repr(act.point_labels[z]) for z in orb]
+            lines.append(f"  orbit {i}: points {orb} = {names}")
+        else:
+            lines.append(f"  orbit {i}: {orb}")
+    return _emit(rep, args.json, lines)
 
 
 def cmd_quotient(args) -> int:
@@ -317,14 +313,10 @@ def cmd_quotient(args) -> int:
     )
     for c in quotient_morphism_check(quot):
         rep.checks.append(c)
-    if args.json:
-        print(rep.to_json())
-    else:
-        print(rep.render_text())
-        print(f"  quotient order {quot.group.order}, coset roots {list(quot.roots)}")
-        for row in table:
-            print("  " + " ".join(f"{v:3d}" for v in row))
-    return 0 if rep.ok else 1
+    return _emit(rep, args.json, [
+        f"  quotient order {quot.group.order}, coset roots {list(quot.roots)}",
+        *("  " + " ".join(f"{v:3d}" for v in row) for row in table),
+    ])
 
 
 def cmd_catalog(args) -> int:

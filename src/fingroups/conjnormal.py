@@ -27,6 +27,7 @@ from .subgroup import (
     is_subgroup,
     left_coset_roots,
     left_index,
+    require_nested_subgroups,
     subgroup_set,
 )
 
@@ -47,6 +48,16 @@ def conjugate_set(g: Group, h: ElemSet, x: int) -> ElemSet:
     return ElemSet(h.carrier, bits)
 
 
+def conjugacy_family(g: Group, k: ElemSet, base: ElemSet) -> list[ElemSet]:
+    """The distinct conjugates x B x^-1 for x in K, ordered by membership
+    list."""
+    seen: dict[int, ElemSet] = {}
+    for x in k:
+        c = conjugate_set(g, base, x)
+        seen.setdefault(c.bits, c)
+    return sorted(seen.values(), key=lambda s: s.indices())
+
+
 def is_normal(g: Group, h: ElemSet, k: ElemSet) -> bool:
     """H contained in x H x^-1 for every x in K.  Containment one way is
     enough: conjugation is a bijection, so the cardinalities match."""
@@ -64,12 +75,7 @@ def normalizer(g: Group, h: ElemSet, k: ElemSet) -> ElemSet:
     """The x in K for which x H x^-1 agrees with H at every point of K.
     The agreement test is quantified over K, matching the containment
     context in which the normalizer gets used."""
-    if not is_subgroup(g, h):
-        raise InvalidSubgroup("h must be a subgroup")
-    if not is_subgroup(g, k):
-        raise InvalidSubgroup("k must be a subgroup")
-    if not h.issubset(k):
-        raise InvalidSubgroup("h must be contained in k")
+    require_nested_subgroups(g, h, k)
     km = k.as_array()
     hmask = h.mask()
     h_on_k = hmask[km]

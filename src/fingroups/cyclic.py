@@ -6,6 +6,7 @@ from math import gcd
 
 from .carrier import ElemSet
 from .group import Group
+from .numutil import is_prime
 from .report import Check
 
 
@@ -75,7 +76,7 @@ def phi_theorem_checks(bound: int) -> list[Check]:
     pp_witness = None
     p = 2
     while p <= bound:
-        if all(p % d for d in range(2, p)):
+        if is_prime(p):
             q = p * p
             k = 0
             while q <= bound:

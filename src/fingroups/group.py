@@ -142,7 +142,6 @@ class GroupSpec:
     kind: str
     n: int = 0
     parts: tuple["GroupSpec", ...] = ()
-    path: str = ""
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupSpec":
@@ -164,15 +163,9 @@ class GroupSpec:
     def product(cls, a: "GroupSpec", b: "GroupSpec") -> "GroupSpec":
         return cls("product", parts=(a, b))
 
-    @classmethod
-    def from_file(cls, path: str) -> "GroupSpec":
-        return cls("file", path=path)
-
     def describe(self) -> str:
         if self.kind == "product":
             return f"product:({self.parts[0].describe()},{self.parts[1].describe()})"
-        if self.kind == "file":
-            return self.path
         if self.kind == "q8":
             return "q8"
         return f"{self.kind}:{self.n}"
@@ -284,11 +277,6 @@ def build(spec: GroupSpec) -> Group:
         a, b = spec.parts
         g1, g2 = build(a), build(b)
         return from_cayley_table(g1.order * g2.order, _product_table(g1, g2))
-    if spec.kind == "file":
-        from .cli import parse_cayley_file  # deferred: cli owns the parser
-
-        n, table = parse_cayley_file(spec.path)
-        return from_cayley_table(n, table)
     raise UnsupportedSpec(f"unknown group kind {spec.kind!r}")
 
 
@@ -329,12 +317,3 @@ def check_identities(g: Group) -> list[Check]:
     law("solve_right_inverse", t[t[:, inv].T, idx[:, None]] == idx[None, :])
     law("solve_right_multiply", t[t.T, inv[:, None]] == idx[None, :])
     return checks
-
-
-def latin_square_check(g: Group) -> Check:
-    """Every row and column of the table is a permutation of the carrier."""
-    n = g.order
-    idx = np.arange(n, dtype=TABLE_DTYPE)
-    rows_ok = bool((np.sort(g.mul, axis=1) == idx[None, :]).all())
-    cols_ok = bool((np.sort(g.mul, axis=0) == idx[:, None]).all())
-    return Check("latin_square", rows_ok and cols_ok, int(rows_ok), int(cols_ok))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import BadArg, BadBase
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test. Group orders here are small, so this
@@ -29,3 +31,16 @@ def prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def padic_val(p: int, u: int) -> int:
+    """Largest e with p^e dividing u, by repeated division."""
+    if p < 2:
+        raise BadBase(f"base must be at least 2, got {p}")
+    if u < 1:
+        raise BadArg(f"argument must be at least 1, got {u}")
+    e = 0
+    while u % p == 0:
+        u //= p
+        e += 1
+    return e

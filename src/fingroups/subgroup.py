@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carrier import ElemSet, Relation, set_of
+from .carrier import ElemSet
 from .errors import CarrierMismatch, InvalidSubgroup
 from .group import Group
 from .report import Check
@@ -98,18 +98,6 @@ def right_coset(g: Group, h: ElemSet, a: int) -> ElemSet:
     return ElemSet(g.carrier, bits)
 
 
-def left_coset_relation(g: Group, h: ElemSet) -> Relation:
-    """rel(x, y) holds when y lies in xH."""
-    _require_same_carrier(g, h)
-    return Relation(g.carrier, lambda x, y: g.op(g.invert(x), y) in h)
-
-
-def right_coset_relation(g: Group, h: ElemSet) -> Relation:
-    """rel(x, y) holds when y lies in Hx."""
-    _require_same_carrier(g, h)
-    return Relation(g.carrier, lambda x, y: g.op(y, g.invert(x)) in h)
-
-
 def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
     """Minimum-index representative of xH for each x in the domain, -1
     elsewhere.  Requires h to be a subgroup and the domain to be a union of
@@ -123,27 +111,27 @@ def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
     return table
 
 
-def left_index(g: Group, h: ElemSet, k: ElemSet) -> int:
-    """Number of distinct left cosets of h meeting k, counted by collecting
-    minimum-index representatives inside k."""
+def require_nested_subgroups(g: Group, h: ElemSet, k: ElemSet) -> None:
+    """Raise InvalidSubgroup unless h and k are subgroups with h inside k."""
     if not is_subgroup(g, h):
         raise InvalidSubgroup("h must be a subgroup")
     if not is_subgroup(g, k):
         raise InvalidSubgroup("k must be a subgroup")
     if not h.issubset(k):
         raise InvalidSubgroup("h must be contained in k")
+
+
+def left_index(g: Group, h: ElemSet, k: ElemSet) -> int:
+    """Number of distinct left cosets of h meeting k, counted by collecting
+    minimum-index representatives inside k."""
+    require_nested_subgroups(g, h, k)
     roots = left_coset_roots(g, h, k)
     return int(np.count_nonzero(np.unique(roots) >= 0))
 
 
 def right_index(g: Group, h: ElemSet, k: ElemSet) -> int:
     """Right-coset count, computed independently of left_index."""
-    if not is_subgroup(g, h):
-        raise InvalidSubgroup("h must be a subgroup")
-    if not is_subgroup(g, k):
-        raise InvalidSubgroup("k must be a subgroup")
-    if not h.issubset(k):
-        raise InvalidSubgroup("h must be contained in k")
+    require_nested_subgroups(g, h, k)
     m = h.as_array()
     seen = np.zeros(g.order, dtype=bool)
     count = 0
@@ -210,7 +198,3 @@ def subgroup_sample(g: Group) -> list[ElemSet]:
             add(closure(g, [x, y]))
     add(g.full_set())
     return sorted(seen.values(), key=lambda s: (s.card, s.indices()))
-
-
-def members_named(g: Group, names) -> ElemSet:
-    return set_of(g.carrier, names)

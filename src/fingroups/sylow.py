@@ -41,6 +41,7 @@ from .action import (
 )
 from .carrier import Carrier, ElemSet
 from .conjnormal import (
+    conjugacy_family,
     conjugate_set,
     is_normal,
     normalizer,
@@ -49,17 +50,16 @@ from .conjnormal import (
 )
 from .cyclic import cyclic, order, power
 from .errors import (
-    BadArg,
-    BadBase,
     DoesNotDivide,
     InternalInvariant,
     InvalidSubgroup,
     NotPPower,
     NotPrime,
     PDoesNotDivide,
+    UnsupportedSpec,
 )
 from .group import Group, GroupSpec, build
-from .numutil import is_prime
+from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import is_subgroup, left_index, subgroup_set
 
@@ -69,22 +69,13 @@ DEFAULT_TUPLE_CAP = 10**6
 
 def tuple_cap() -> int:
     """Size bound for materializing the product-one tuple family;
-    overridable through the environment."""
+    overridable through the environment with a positive integer."""
     raw = os.environ.get(TUPLE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_TUPLE_CAP
-
-
-def padic_val(p: int, u: int) -> int:
-    """Largest e with p^e dividing u, by repeated division."""
-    if p < 2:
-        raise BadBase(f"base must be at least 2, got {p}")
-    if u < 1:
-        raise BadArg(f"argument must be at least 1, got {u}")
-    e = 0
-    while u % p == 0:
-        u //= p
-        e += 1
-    return e
+    if raw is None:
+        return DEFAULT_TUPLE_CAP
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _note(trace: list[str] | None, line: str) -> None:
@@ -107,35 +98,6 @@ class TupleCarrier:
     length: int
     tuples: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
-
-    @property
-    def base_card(self) -> int:
-        return len(self.members)
-
-    @property
-    def power_size(self) -> int:
-        return len(self.members) ** self.length
-
-    def rank(self, t: tuple[int, ...]) -> int:
-        """Mixed-radix rank of a tuple within the full power H^p."""
-        pos = {m: i for i, m in enumerate(self.members)}
-        r = 0
-        for c in t:
-            r = r * len(self.members) + pos[c]
-        return r
-
-    def in_power(self, t: tuple[int, ...]) -> bool:
-        memb = set(self.members)
-        return len(t) == self.length and all(c in memb for c in t)
-
-    def in_product_one(self, t: tuple[int, ...]) -> bool:
-        if not self.in_power(t):
-            return False
-        rows = self.group.rows()
-        x = self.group.unit
-        for c in t:
-            x = rows[x][c]
-        return x == self.group.unit
 
 
 def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
@@ -338,10 +300,7 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     subgroup_set(g, k)
     if not is_subgroup(g, h) or not h.issubset(k):
         raise InvalidSubgroup("h must be a subgroup of k")
-    rest = h.card
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    if h.card != p ** padic_val(p, h.card):
         raise NotPPower(f"h has order {h.card}, not a power of {p}")
     if not is_sylow(g, k, p, l):
         raise InvalidSubgroup("l must be a Sylow subgroup of k")
@@ -360,21 +319,13 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     return int(x)
 
 
-def _conjugacy_family(g: Group, k: ElemSet, base: ElemSet) -> list[ElemSet]:
-    seen: dict[int, ElemSet] = {}
-    for x in k:
-        c = conjugate_set(g, base, x)
-        seen.setdefault(c.bits, c)
-    return sorted(seen.values(), key=lambda s: s.indices())
-
-
 def sylow_family(g: Group, k: ElemSet, p: int, cert: SylowCertificate | None = None) -> list[ElemSet]:
     """All Sylow p-subgroups of K, as the conjugation orbit of the
     constructed one, deduplicated by indicator and deterministically
     ordered by membership list."""
     if cert is None:
         cert = sylow_subgroup(g, k, p)
-    return _conjugacy_family(g, k, cert.subgroup)
+    return conjugacy_family(g, k, cert.subgroup)
 
 
 def sylow_count_divides_check(

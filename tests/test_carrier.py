@@ -4,14 +4,8 @@ from hypothesis import given, strategies as st
 from fingroups import (
     Carrier,
     ElemSet,
-    Relation,
-    class_count,
-    class_roots,
     empty_set,
     full_set,
-    image,
-    preimage,
-    root,
     set_of,
     singleton,
 )
@@ -93,67 +87,3 @@ def test_iteration_sorted_and_consistent(x):
     assert pts == sorted(pts)
     assert all(p in a for p in pts)
     assert len(pts) == a.card
-
-
-# -- image / preimage ---------------------------------------------------
-
-
-def test_image_identity():
-    a = bitset([0, 1, 2])
-    assert image(lambda x: x, a, C6).indices() == (0, 1, 2)
-
-
-def test_image_shift():
-    a = bitset([0, 3])
-    assert image(lambda x: (x + 1) % 6, a, C6).indices() == (1, 4)
-
-
-def test_image_constant_collapses():
-    a = bitset([1, 3, 5])
-    assert image(lambda x: 2, a, C6).indices() == (2,)
-
-
-def test_image_range_checked():
-    with pytest.raises(PointOutOfRange):
-        image(lambda x: x + 10, bitset([0]), C6)
-
-
-def test_preimage_full_and_empty():
-    assert preimage(lambda x: x, full_set(C6), C6).card == 6
-    assert preimage(lambda x: x, empty_set(C6), C6).card == 0
-
-
-def test_preimage_mod_map():
-    # f: Z6 -> Z3, x mod 3; the fibre over 0 is {0, 3}
-    c3 = Carrier(3)
-    assert preimage(lambda x: x % 3, singleton(c3, 0), C6).indices() == (0, 3)
-
-
-# -- canonical representatives ------------------------------------------
-
-
-def test_single_class():
-    rel = Relation(C6, lambda x, y: True)
-    assert root(rel, 4) == 0
-    assert class_count(rel, full_set(C6)) == 1
-
-
-def test_mod3_classes():
-    rel = Relation(C6, lambda x, y: x % 3 == y % 3)
-    assert [root(rel, x) for x in range(6)] == [0, 1, 2, 0, 1, 2]
-    assert class_roots(rel, full_set(C6)).indices() == (0, 1, 2)
-    assert class_count(rel, full_set(C6)) == 3
-
-
-def test_root_is_class_minimum():
-    rel = Relation(C6, lambda x, y: x % 2 == y % 2)
-    for x in range(6):
-        members = [y for y in range(6) if rel(x, y)]
-        assert root(rel, x) == min(members)
-
-
-def test_roots_restricted_to_domain():
-    rel = Relation(C6, lambda x, y: x % 3 == y % 3)
-    dom = bitset([2, 4, 5])
-    # 4 and 2 sit alone in their classes within the domain, 5 joins 2
-    assert class_count(rel, dom) == 2

@@ -12,7 +12,7 @@ from fingroups.cli import (
 )
 from fingroups.errors import GroupTheoryError, InternalInvariant, ParseError
 from fingroups.suite import catalog_specs, verify_group
-from fingroups import build
+from fingroups.sylow import TUPLE_CAP_ENV
 
 
 # -- Cayley file parsing -------------------------------------------------
@@ -32,8 +32,8 @@ def test_parse_trivial_file(tmp_path):
 def test_parse_z3_file(tmp_path):
     path = write(tmp_path, "3\n0 1 2\n1 2 0\n2 0 1\n")
     n, rows = parse_cayley_file(path)
-    g = build(GroupSpec.from_file(path))
-    assert n == 3
+    label, g = resolve_group(path)
+    assert n == 3 and label == path
     assert g.order == 3 and g.unit == 0
 
 
@@ -74,6 +74,17 @@ def test_parse_trailing_rows(tmp_path):
 def test_parse_bad_header(tmp_path):
     with pytest.raises(ParseError):
         parse_cayley_file(write(tmp_path, "one\n0\n"))
+
+
+def test_parse_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cayley"
+    path.write_bytes(b"1\n0 # caf\xe9\n")
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(str(path))
+    assert (exc.value.line, exc.value.col) == (2, 8)
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert "UTF-8" in err
 
 
 # -- group references ----------------------------------------------------
@@ -233,6 +244,14 @@ def test_cauchy_z6(capsys):
 def test_cauchy_invalid_prime(capsys):
     code, _, err = run_cli(capsys, "cauchy", "z6", "-p", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+def test_bad_tuple_cap_is_input_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv(TUPLE_CAP_ENV, cap)
+    code, out, err = run_cli(capsys, "cauchy", "z6", "-p", "3")
+    assert code == 2 and out == ""
+    assert f"{TUPLE_CAP_ENV} must be a positive integer" in err
 
 
 def test_orbits_conjugation(capsys):

@@ -9,7 +9,6 @@ from fingroups import (
     build,
     check_identities,
     from_cayley_table,
-    latin_square_check,
     symmetric_elements,
 )
 from fingroups.errors import (
@@ -20,6 +19,7 @@ from fingroups.errors import (
     NonAssociative,
     UnsupportedSpec,
 )
+from fingroups.suite import verify_group
 
 import oracles
 
@@ -221,7 +221,9 @@ def test_identity_laws(spec):
 
 
 def test_latin_square(s4):
-    assert latin_square_check(s4).ok
+    rep = verify_group(s4, "symmetric:4")
+    c = next(c for c in rep.checks if c.name == "latin_square")
+    assert c.ok and (c.lhs, c.rhs) == (1, 1)
 
 
 @given(st.sampled_from([3, 4, 5, 8]), st.data())

@@ -6,7 +6,6 @@ from fingroups import (
     is_subgroup,
     lagrange_check,
     left_coset,
-    left_coset_relation,
     left_index,
     product_subgroup_checks,
     right_coset,
@@ -121,15 +120,6 @@ def test_right_coset_differs_in_s3(s3):
         left_coset(s3, h, a).bits != right_coset(s3, h, a).bits
         for a in s3.elements()
     )
-
-
-def test_coset_relation_consistent(s3):
-    h = members(s3, A3)
-    rel = left_coset_relation(s3, h)
-    for x in s3.elements():
-        for y in s3.elements():
-            same = left_coset(s3, h, x).bits == left_coset(s3, h, y).bits
-            assert rel(x, y) == same
 
 
 def test_coset_roots_are_minima(s4):
