@@ -24,7 +24,6 @@ from .group import (
     symmetric_elements,
 )
 from .subgroup import (
-    SubgroupSet,
     closure,
     is_subgroup,
     lagrange_check,

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, ElemSet
+from .carrier import Carrier, ElemSet, set_of
 from .conjnormal import conjugate_set
 from .errors import (
     FamilyNotClosed,
@@ -36,7 +36,7 @@ from .errors import (
 from .group import Group
 from .numutil import is_prime, padic_val
 from .report import Check
-from .subgroup import SubgroupSet, left_coset_roots, left_index, subgroup_set
+from .subgroup import left_coset_numbering, left_index, subgroup_set
 
 
 @dataclass(eq=False)
@@ -46,7 +46,7 @@ class Action:
     says what each point stands for (a coset root, a subgroup, ...)."""
 
     group: Group
-    acting: SubgroupSet
+    acting: ElemSet
     points: Carrier
     table: np.ndarray
     point_labels: tuple | None = None
@@ -57,7 +57,7 @@ class Action:
 
 def make_action(
     g: Group,
-    acting: ElemSet | SubgroupSet,
+    acting: ElemSet,
     points: Carrier,
     to: Callable[[int, int], int] | np.ndarray,
     point_labels: tuple | None = None,
@@ -69,7 +69,7 @@ def make_action(
     the composition law to(x*y, z) == to(x, to(y, z)) breaks on the acting
     subgroup.
     """
-    hs = acting if isinstance(acting, SubgroupSet) else subgroup_set(g, acting)
+    m = subgroup_set(g, acting).as_array()
     s = points.size
     if isinstance(to, np.ndarray):
         table = to.astype(np.int64, copy=True)
@@ -84,7 +84,6 @@ def make_action(
     if s and table.size and (table.min() < 0 or table.max() >= s):
         raise PointOutOfRange("action table leaves the point carrier")
 
-    m = hs.members.as_array()
     pts = np.arange(s, dtype=np.int64)
     for x in m:
         if not np.array_equal(np.sort(table[int(x)]), pts):
@@ -102,39 +101,27 @@ def make_action(
         raise InternalInvariant("unit fails to act as the identity")
 
     table.setflags(write=False)
-    return Action(g, hs, points, table, point_labels)
+    return Action(g, acting, points, table, point_labels)
 
 
 def orbit(act: Action, a: int) -> ElemSet:
     """Image of the point under every acting element (a direct image, not
     a reachability search: the acting set is closed anyway)."""
     act.points.check_point(a)
-    bits = 0
-    for z in np.unique(act.table[act.acting.members.as_array(), a]):
-        bits |= 1 << int(z)
-    return ElemSet(act.points, bits)
+    return set_of(act.points, np.unique(act.table[act.acting.as_array(), a]).tolist())
 
 
 def stabilizer(act: Action, a: int) -> ElemSet:
     """The acting elements fixing the point; always a subgroup."""
     act.points.check_point(a)
-    m = act.acting.members.as_array()
-    keep = m[act.table[m, a] == a]
-    bits = 0
-    for x in keep:
-        bits |= 1 << int(x)
-    return ElemSet(act.group.carrier, bits)
+    m = act.acting.as_array()
+    return set_of(act.group.carrier, m[act.table[m, a] == a].tolist())
 
 
 def fixed_points(act: Action) -> ElemSet:
     """Points fixed by the entire acting subgroup."""
-    m = act.acting.members.as_array()
-    s = act.points.size
-    grid = act.table[m] == np.arange(s, dtype=np.int64)[None, :]
-    bits = 0
-    for z in np.nonzero(grid.all(axis=0))[0]:
-        bits |= 1 << int(z)
-    return ElemSet(act.points, bits)
+    grid = act.table[act.acting.as_array()] == np.arange(act.points.size)
+    return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
 
 
 def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
@@ -142,7 +129,7 @@ def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
     subgroup, hence divides its order."""
     orb = orbit(act, a)
     stab = stabilizer(act, a)
-    idx = left_index(act.group, stab, act.acting.members)
+    idx = left_index(act.group, stab, act.acting)
     return [
         Check("orbit_stabilizer", orb.card == idx, orb.card, idx,
               {"point": a, "stabilizer_order": stab.card}),
@@ -174,40 +161,28 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
     for name, s in (("h", h), ("l", l), ("k", k)):
         if not s.issubset(k):
             raise InvalidSubgroup(f"{name} must be contained in k")
-    hs = subgroup_set(g, h)
+    subgroup_set(g, h)
     subgroup_set(g, l)
     subgroup_set(g, k)
 
-    root_of = left_coset_roots(g, l, k)
-    roots = sorted({int(root_of[x]) for x in k})
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[roots] = np.arange(len(roots))
-    roots_arr = np.asarray(roots, dtype=np.int64)
-
-    table = np.empty((g.order, len(roots)), dtype=np.int64)
-    ident = np.arange(len(roots), dtype=np.int64)
-    kmask = k.mask()
-    for x in g.elements():
-        if kmask[x]:
-            table[x] = pos[root_of[g.mul[x, roots_arr]]]
-        else:
-            table[x] = ident
-    return make_action(g, hs, Carrier(len(roots)), table, tuple(roots))
+    roots, coset = left_coset_numbering(g, l, k)
+    table = coset[g.mul[:, roots]]
+    table[~k.mask()] = np.arange(len(roots))
+    return make_action(g, h, Carrier(len(roots)), table, tuple(roots.tolist()))
 
 
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
     written with x^-1 on the left would compose contravariantly.)"""
-    hs = subgroup_set(g, h)
     idx = np.arange(g.order, dtype=np.int64)
     table = np.empty((g.order, g.order), dtype=np.int64)
     for x in g.elements():
         table[x] = g.mul[g.mul[x, idx], g.inv[x]]
-    return make_action(g, hs, g.carrier, table)
+    return make_action(g, h, g.carrier, table)
 
 
 def conjugation_action_on_subsets(
-    g: Group, acting: ElemSet | SubgroupSet, family: Sequence[ElemSet]
+    g: Group, acting: ElemSet, family: Sequence[ElemSet]
 ) -> Action:
     """H permuting an indexed family of subsets by L -> x L x^-1.
 
@@ -216,14 +191,13 @@ def conjugation_action_on_subsets(
     that fall outside the family are replaced by the identity so the table
     stays total.
     """
-    hs = acting if isinstance(acting, SubgroupSet) else subgroup_set(g, acting)
+    hmask = subgroup_set(g, acting).mask()
     index: dict[int, int] = {}
     for i, member in enumerate(family):
         if member.bits in index:
             raise ValueError("family members must be distinct")
         index[member.bits] = i
 
-    hmask = hs.members.mask()
     table = np.empty((g.order, len(family)), dtype=np.int64)
     for x in g.elements():
         for i, member in enumerate(family):
@@ -234,4 +208,4 @@ def conjugation_action_on_subsets(
                     raise FamilyNotClosed(x, i)
                 j = i
             table[x, i] = j
-    return make_action(g, hs, Carrier(len(family)), table, tuple(family))
+    return make_action(g, acting, Carrier(len(family)), table, tuple(family))

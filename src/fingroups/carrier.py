@@ -27,9 +27,6 @@ class Carrier:
         if self.size < 0:
             raise ValueError(f"carrier size must be nonnegative, got {self.size}")
 
-    def points(self) -> range:
-        return range(self.size)
-
     def check_point(self, i: int) -> None:
         if not 0 <= i < self.size:
             raise PointOutOfRange(f"point {i} outside carrier of size {self.size}")

@@ -55,7 +55,7 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
     """Read a Cayley-table file; returns (n, rows).  Raises ParseError with
     1-based line and column on the first offending token."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as e:
         data = e.object  # the whole file: read() decodes it in one call

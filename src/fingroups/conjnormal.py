@@ -18,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carrier import ElemSet
+from .carrier import ElemSet, set_of
 from .errors import InternalInvariant, InvalidSubgroup, NotNormal
 from .group import Group, from_cayley_table
 from .report import Check
 from .subgroup import (
-    SubgroupSet,
     is_subgroup,
-    left_coset_roots,
+    left_coset_numbering,
     left_index,
     require_nested_subgroups,
     subgroup_set,
@@ -40,12 +39,7 @@ def conjugate(g: Group, x: int, y: int) -> int:
 def conjugate_set(g: Group, h: ElemSet, x: int) -> ElemSet:
     """x H x^-1, equivalently the y with x^-1 * y * x in H."""
     g.carrier.check_point(x)
-    bits = 0
-    if h.bits:
-        m = h.as_array()
-        for z in g.mul[g.mul[x, m], g.inv[x]]:
-            bits |= 1 << int(z)
-    return ElemSet(h.carrier, bits)
+    return set_of(h.carrier, g.mul[g.mul[x, h.as_array()], g.inv[x]].tolist())
 
 
 def conjugacy_family(g: Group, k: ElemSet, base: ElemSet) -> list[ElemSet]:
@@ -79,12 +73,8 @@ def normalizer(g: Group, h: ElemSet, k: ElemSet) -> ElemSet:
     km = k.as_array()
     hmask = h.mask()
     h_on_k = hmask[km]
-    bits = 0
-    for x in k:
-        z = g.mul[g.mul[g.inv[x], km], x]
-        if np.array_equal(hmask[z], h_on_k):
-            bits |= 1 << x
-    return ElemSet(g.carrier, bits)
+    return set_of(g.carrier, (x for x in k if np.array_equal(
+        hmask[g.mul[g.mul[g.inv[x], km], x]], h_on_k)))
 
 
 @dataclass(eq=False)
@@ -97,8 +87,8 @@ class QuotientGroup:
     """
 
     base: Group
-    normal_sub: SubgroupSet
-    ambient: SubgroupSet
+    normal_sub: ElemSet
+    ambient: ElemSet
     roots: tuple[int, ...]
     group: Group
     proj_table: np.ndarray
@@ -117,40 +107,29 @@ class QuotientGroup:
 
 def quotient_group(g: Group, h: ElemSet, k: ElemSet) -> QuotientGroup:
     """Build K/H.  Raises NotNormal if H is not normal in K."""
-    hs = subgroup_set(g, h)
-    ks = subgroup_set(g, k)
+    subgroup_set(g, h)
+    subgroup_set(g, k)
     if not h.issubset(k):
         raise InvalidSubgroup("h must be contained in k")
     if not is_normal(g, h, k):
         raise NotNormal("subgroup is not normal in the ambient group")
 
-    root_of = left_coset_roots(g, h, k)
-    roots = tuple(sorted({int(root_of[x]) for x in k}))
-    pos = {r: i for i, r in enumerate(roots)}
-
-    m = len(roots)
-    table = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(roots):
-        prods = root_of[g.mul[a, np.asarray(roots)]]
-        table[i] = [pos[int(r)] for r in prods]
-    qgroup = from_cayley_table(m, table)
+    roots, proj = left_coset_numbering(g, h, k)
+    qgroup = from_cayley_table(len(roots), proj[g.mul[np.ix_(roots, roots)]])
 
     if qgroup.order != left_index(g, h, k):
         raise InternalInvariant("quotient order differs from the subgroup index")
 
-    proj = np.full(g.order, -1, dtype=np.int64)
-    for x in k:
-        proj[x] = pos[int(root_of[x])]
     proj.setflags(write=False)
-    return QuotientGroup(g, hs, ks, roots, qgroup, proj)
+    return QuotientGroup(g, h, k, tuple(roots.tolist()), qgroup, proj)
 
 
 def quotient_morphism_check(q: QuotientGroup) -> list[Check]:
     """The projection is a group morphism, kills exactly the kernel coset,
     and sends each element to a representative of its own coset."""
     g = q.base
-    k = q.ambient.members
-    h = q.normal_sub.members
+    k = q.ambient
+    h = q.normal_sub
     km = k.as_array()
     proj = q.proj_table
 
@@ -185,20 +164,14 @@ def image_subgroup(q: QuotientGroup, l: ElemSet) -> ElemSet:
     g = q.base
     if not is_subgroup(g, l):
         raise InvalidSubgroup("l must be a subgroup")
-    if not q.normal_sub.members.issubset(l) or not l.issubset(q.ambient.members):
+    if not q.normal_sub.issubset(l) or not l.issubset(q.ambient):
         raise InvalidSubgroup("l must sit between the kernel and the ambient group")
-    bits = 0
-    for x in l:
-        bits |= 1 << int(q.proj_table[x])
-    return ElemSet(q.group.carrier, bits)
+    return set_of(q.group.carrier, np.unique(q.proj_table[l.as_array()]).tolist())
 
 
 def preimage_subgroup(q: QuotientGroup, l1: ElemSet) -> ElemSet:
     """Pullback in K of a subgroup of the quotient."""
     if not is_subgroup(q.group, l1):
         raise InvalidSubgroup("l1 must be a subgroup of the quotient")
-    bits = 0
-    for x in q.ambient.members:
-        if int(q.proj_table[x]) in l1:
-            bits |= 1 << x
-    return ElemSet(q.base.carrier, bits)
+    km = q.ambient.as_array()
+    return set_of(q.base.carrier, km[l1.mask()[q.proj_table[km]]].tolist())

@@ -48,6 +48,8 @@ class Group:
         inv.setflags(write=False)
         mul.setflags(write=False)
         self._rows: list[list[int]] | None = None
+        # indicator bits of the sets subgroup.is_subgroup has proven
+        self._subgroup_bits: set[int] = set()
 
     @property
     def order(self) -> int:

@@ -9,11 +9,9 @@ a falsifiable statement rather than a restatement of its own definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .carrier import ElemSet
+from .carrier import ElemSet, set_of
 from .errors import CarrierMismatch, InvalidSubgroup
 from .group import Group
 from .report import Check
@@ -25,31 +23,27 @@ def _require_same_carrier(g: Group, s: ElemSet) -> None:
 
 
 def is_subgroup(g: Group, h: ElemSet) -> bool:
-    """Unit membership plus closure under y * x^-1 for members x, y."""
+    """Unit membership plus closure under y * x^-1 for members x, y.  A
+    proof is recorded on the group, so a set is checked only once there;
+    a refusal is not recorded."""
     _require_same_carrier(g, h)
+    if h.bits in g._subgroup_bits:
+        return True
     if g.unit not in h:
         return False
     m = h.as_array()
     prods = g.mul[np.ix_(m, g.inv[m])]
-    return bool(h.mask()[prods].all())
+    if not h.mask()[prods].all():
+        return False
+    g._subgroup_bits.add(h.bits)
+    return True
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
-    """An ElemSet validated to be a subgroup at construction time."""
-
-    group: Group
-    members: ElemSet
-
-    @property
-    def card(self) -> int:
-        return self.members.card
-
-
-def subgroup_set(g: Group, members: ElemSet) -> SubgroupSet:
+def subgroup_set(g: Group, members: ElemSet) -> ElemSet:
+    """The set itself, once it is proven to be a subgroup of g."""
     if not is_subgroup(g, members):
         raise InvalidSubgroup(f"{members!r} is not a subgroup")
-    return SubgroupSet(g, members)
+    return members
 
 
 def closure(g: Group, gens) -> ElemSet:
@@ -80,22 +74,16 @@ def left_coset(g: Group, h: ElemSet, a: int) -> ElemSet:
     """aH, i.e. the x with a^-1 * x in H."""
     _require_same_carrier(g, h)
     g.carrier.check_point(a)
-    bits = 0
     row = g.rows()[a]
-    for x in h:
-        bits |= 1 << row[x]
-    return ElemSet(g.carrier, bits)
+    return set_of(g.carrier, (row[x] for x in h))
 
 
 def right_coset(g: Group, h: ElemSet, a: int) -> ElemSet:
     """Ha, i.e. the x with x * a^-1 in H."""
     _require_same_carrier(g, h)
     g.carrier.check_point(a)
-    bits = 0
     rows = g.rows()
-    for x in h:
-        bits |= 1 << rows[x][a]
-    return ElemSet(g.carrier, bits)
+    return set_of(g.carrier, (rows[x][a] for x in h))
 
 
 def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
@@ -109,6 +97,18 @@ def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
         if table[x] == -1:
             table[g.mul[x, m]] = x
     return table
+
+
+def left_coset_numbering(g: Group, h: ElemSet, domain: ElemSet) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending coset roots of left_coset_roots, and for each point
+    the position of its coset's root among them (-1 outside the domain).
+    The roots are exactly the points that are their own root."""
+    root_of = left_coset_roots(g, h, domain)
+    roots = np.flatnonzero(root_of == np.arange(g.order))
+    number = np.full(g.order, -1, dtype=np.int64)
+    inside = root_of >= 0
+    number[inside] = np.searchsorted(roots, root_of[inside])
+    return roots, number
 
 
 def require_nested_subgroups(g: Group, h: ElemSet, k: ElemSet) -> None:
@@ -157,12 +157,8 @@ def set_product(g: Group, h: ElemSet, k: ElemSet) -> ElemSet:
     """HK = {x * y : x in H, y in K} for arbitrary sets."""
     _require_same_carrier(g, h)
     _require_same_carrier(g, k)
-    bits = 0
-    m = k.as_array()
-    for x in h:
-        for z in g.mul[x, m]:
-            bits |= 1 << int(z)
-    return ElemSet(g.carrier, bits)
+    prods = g.mul[np.ix_(h.as_array(), k.as_array())]
+    return set_of(g.carrier, np.unique(prods).tolist())
 
 
 def product_subgroup_checks(g: Group, h: ElemSet, k: ElemSet) -> list[Check]:

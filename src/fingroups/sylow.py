@@ -338,7 +338,7 @@ def sylow_count_divides_check(
         cert = sylow_subgroup(g, k, p)
     family = sylow_family(g, k, p, cert)
     count = len(family)
-    act = conjugation_action_on_subsets(g, subgroup_set(g, k), family)
+    act = conjugation_action_on_subsets(g, k, family)
     base_index = next(i for i, s in enumerate(family) if s == cert.subgroup)
     orb = orbit(act, base_index)
     checks = [
@@ -362,7 +362,7 @@ def sylow_count_mod_p_check(
     count = len(family)
     base_index = next(i for i, s in enumerate(family) if s == cert.subgroup)
 
-    act = conjugation_action_on_subsets(g, subgroup_set(g, cert.subgroup), family)
+    act = conjugation_action_on_subsets(g, cert.subgroup, family)
     s0 = fixed_points(act)
     congruence = mod_p_fixed_point_check(act, p)
 

@@ -19,10 +19,12 @@ from fingroups import (
     singleton,
     stabilizer,
     subgroup_sample,
+    subgroup_set,
     symmetric_elements,
 )
 from fingroups.errors import (
     FamilyNotClosed,
+    InvalidSubgroup,
     NotBijective,
     NotMorphism,
     NotPPower,
@@ -69,6 +71,13 @@ def test_validation_restricted_to_acting_subgroup(s3):
     table[0] = [0, 1, 2]
     act = make_action(s3, singleton(s3.carrier, s3.unit), Carrier(3), table)
     assert act.apply(0, 1) == 1
+
+
+def test_subgroup_of_another_group_is_revalidated(s3, z6):
+    # {0, 3} is a subgroup of Z6 but not of S3, on an equal carrier
+    h = subgroup_set(z6, members(z6, [0, 3]))
+    with pytest.raises(InvalidSubgroup):
+        make_action(s3, h, Carrier(1), np.zeros((6, 1), dtype=np.int64))
 
 
 def test_action_table_read_only(s3):

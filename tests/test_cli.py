@@ -87,6 +87,14 @@ def test_parse_non_utf8_file(tmp_path, capsys):
     assert "UTF-8" in err
 
 
+def test_parse_utf8_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.cayley"
+    path.write_bytes(b"\xef\xbb\xbf2\n0 1\n1 0\n")
+    assert parse_cayley_file(str(path)) == (2, [[0, 1], [1, 0]])
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 0 and err == ""
+
+
 # -- group references ----------------------------------------------------
 
 

@@ -25,6 +25,9 @@ CASES = {
                                "--gens", "4", "--acting-gens", "6"],
     "orbits_s3_subsets": ["orbits", "s3", "--action", "subsets", "--gens", "2"],
     "quotient_z12": ["quotient", "cyclic:12", "--gens", "4"],
+    "quotient_s4_v4": ["quotient", "s4", "--gens", "7,16"],
+    "orbits_d4_translation": ["orbits", "d4", "--action", "translation",
+                              "--gens", "4", "--acting-gens", "5"],
 }
 
 _MS = re.compile(r'"ms": [-+0-9.eE]+,')

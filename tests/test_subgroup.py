@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingroups import (
+    ElemSet,
+    GroupSpec,
+    build,
     closure,
     is_subgroup,
     lagrange_check,
@@ -62,6 +65,29 @@ def test_subgroup_set_validates(s3):
     with pytest.raises(InvalidSubgroup):
         subgroup_set(s3, members(s3, [0, 1, 2]))
     assert subgroup_set(s3, members(s3, A3)).card == 3
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(3), GroupSpec.cyclic(6),
+                                  GroupSpec.q8()], ids=["s3", "z6", "q8"])
+def test_recorded_proofs_agree_with_naive_on_every_subset(spec):
+    # a fresh group: the first pass proves, the second reads the record
+    g = build(spec)
+    rows = oracles.table_rows(g)
+    subsets = [ElemSet(g.carrier, bits) for bits in range(2 ** g.order)]
+    want = [oracles.naive_is_subgroup(rows, g.unit, frozenset(s.indices()))
+            for s in subsets]
+    for _ in range(2):
+        assert [is_subgroup(g, s) for s in subsets] == want
+    assert g._subgroup_bits == {s.bits for s, ok in zip(subsets, want) if ok}
+
+
+def test_proof_in_one_group_is_not_taken_by_another(z6, s3):
+    h = members(z6, [0, 3])
+    assert h.carrier == s3.carrier
+    assert is_subgroup(z6, h) and is_subgroup(z6, h)
+    assert not is_subgroup(s3, h)
+    with pytest.raises(InvalidSubgroup):
+        subgroup_set(s3, h)
 
 
 # -- closure -------------------------------------------------------------
