@@ -39,6 +39,7 @@ from .subgroup import closure
 from .suite import catalog_specs, verify_group
 from . import oracle as oracle_mod
 from .sylow import (
+    cauchy_certificate,
     cauchy_element,
     sylow_count_divides_check,
     sylow_count_mod_p_check,
@@ -247,9 +248,7 @@ def cmd_cauchy(args) -> int:
     c = Check(f"cauchy_order[p={p}]", got == p, got, p, {"element": int(a)})
     c.ms = (time.perf_counter() - t0) * 1000.0
     rep.checks.append(c)
-    rep.certificates.append(
-        {"kind": "cauchy", "p": p, "n": 1, "elements": [int(a)], "trace": list(trace)}
-    )
+    rep.certificates.append(cauchy_certificate(p, a, trace))
     return _emit(rep, args.json, [f"  element {a} has order {p}"])
 
 

@@ -32,6 +32,7 @@ from .numutil import prime_divisors
 from .report import Check, Report
 from .subgroup import lagrange_check, subgroup_sample
 from .sylow import (
+    cauchy_certificate,
     cauchy_element,
     sylow_count_divides_check,
     sylow_count_mod_p_check,
@@ -155,10 +156,7 @@ def verify_group(g: Group, label: str, phi_bound: int | None = None) -> Report:
         trace: list[str] = []
         a = cauchy_element(g, full, p, trace)
         add(Check(f"cauchy_order[p={p}]", order(g, a) == p, order(g, a), p), t0)
-        rep.certificates.append(
-            {"kind": "cauchy", "p": p, "n": 1, "elements": [int(a)],
-             "trace": list(trace)}
-        )
+        rep.certificates.append(cauchy_certificate(p, a, trace))
 
         t0 = time.perf_counter()
         cert = sylow_subgroup(g, full, p)

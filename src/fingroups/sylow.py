@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -85,51 +84,42 @@ def _note(trace: list[str] | None, line: str) -> None:
 
 @dataclass(eq=False)
 class TupleCarrier:
-    """Length-p tuples over a subgroup, restricted to product == unit.
+    """The length-p tuples over a subgroup whose product is the unit, one
+    row each (|H|^(p-1) rows): row r is the tuple whose trailing p-1
+    coordinates have mixed-radix rank r over the ascending members."""
 
-    Conceptually the points of H^p are ranked in mixed radix over the
-    subgroup's member list; only the product-one family is materialized
-    (its size is |H|^(p-1)), in ascending rank order of the trailing p-1
-    coordinates.
-    """
-
-    group: Group
     members: tuple[int, ...]
-    length: int
-    tuples: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
+    tuples: np.ndarray
 
 
 def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
     """Materialize the product-one tuple family over a subgroup.  Each of
     the |H|^(p-1) choices of trailing coordinates determines the head."""
-    members = h.indices()
-    rows = g.rows()
-    inv = g.inv
-    tuples: list[tuple[int, ...]] = []
-    for combo in iter_product(members, repeat=p - 1):
-        x = g.unit
-        for c in combo:
-            x = rows[x][c]
-        tuples.append((int(inv[x]), *combo))
-    index = {t: i for i, t in enumerate(tuples)}
-    return TupleCarrier(g, members, p, tuple(tuples), index)
+    digits = np.indices((h.card,) * (p - 1)).reshape(p - 1, -1).T
+    tails = h.as_array()[digits]
+    prod = np.full(len(tails), g.unit)
+    for c in tails.T:
+        prod = g.mul[prod, c]
+    return TupleCarrier(h.indices(), np.column_stack([g.inv[prod], tails]))
 
 
 def rotation_action(tc: TupleCarrier) -> Action:
     """The cyclic group of order p acting on the tuple family by index
-    rotation.  Rotating preserves the product-one condition."""
-    p = tc.length
+    rotation, which preserves the product-one condition.  Rotating row r
+    left by one moves its head to the end of the tail, so its image is row
+    (r mod m^(p-2))*m + pos(head), with m = |H|; shift k is its k-th power."""
+    n, p = tc.tuples.shape
+    m = len(tc.members)
+    # A head outside the members gets an in-range pos; the row check fails.
+    pos = np.minimum(np.searchsorted(tc.members, tc.tuples[:, 0]), m - 1)
+    sigma = np.arange(n) % m ** (p - 2) * m + pos
+    if not np.array_equal(tc.tuples[sigma], np.roll(tc.tuples, -1, axis=1)):
+        raise InternalInvariant("rotation left the product-one family")
+    table = [np.arange(n)]
+    while len(table) < p:
+        table.append(sigma[table[-1]])
     zp = build(GroupSpec.cyclic(p))
-    table = np.empty((p, len(tc.tuples)), dtype=np.int64)
-    for shift in range(p):
-        for i, t in enumerate(tc.tuples):
-            rotated = tuple(t[(j + shift) % p] for j in range(p))
-            j = tc.index.get(rotated)
-            if j is None:
-                raise InternalInvariant("rotation left the product-one family")
-            table[shift, i] = j
-    return make_action(zp, zp.full_set(), Carrier(len(tc.tuples)), table)
+    return make_action(zp, zp.full_set(), Carrier(n), np.array(table))
 
 
 def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None) -> int:
@@ -138,6 +128,8 @@ def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None)
     size cap and a direct ascending order scan otherwise; both choose the
     smallest-index qualifying element, so the answer does not depend on
     the route taken."""
+    if p > h.card:  # before the trial-division primality test
+        raise DoesNotDivide(f"{p} does not divide the subgroup order {h.card}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     subgroup_set(g, h)
@@ -155,14 +147,12 @@ def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None)
             raise InternalInvariant("fixed-point congruence failed on the tuple family")
         if s0.card % p != 0:
             raise InternalInvariant("fixed tuple count is not divisible by p")
-        diagonal = []
-        for i in s0:
-            t = tc.tuples[i]
-            if any(c != t[0] for c in t):
-                raise InternalInvariant("fixed tuple is not constant")
-            if power(g, t[0], p) != g.unit:
-                raise InternalInvariant("fixed tuple diagonal has wrong order")
-            diagonal.append(t[0])
+        fixed = tc.tuples[s0.as_array()]
+        if (fixed != fixed[:, :1]).any():
+            raise InternalInvariant("fixed tuple is not constant")
+        diagonal = fixed[:, 0].tolist()
+        if any(power(g, x, p) != g.unit for x in diagonal):
+            raise InternalInvariant("fixed tuple diagonal has wrong order")
         candidates = sorted(x for x in diagonal if x != g.unit)
         if not candidates:
             raise InternalInvariant("no nonunit fixed tuple despite the congruence")
@@ -193,6 +183,11 @@ def is_sylow(g: Group, k: ElemSet, p: int, h: ElemSet) -> bool:
         raise InvalidSubgroup("k must be a subgroup")
     n = padic_val(p, k.card)
     return is_subgroup(g, h) and h.issubset(k) and h.card == p**n
+
+
+def cauchy_certificate(p: int, a: int, trace: list[str]) -> dict:
+    """The report certificate of a Cauchy run that returned a."""
+    return {"kind": "cauchy", "p": p, "n": 1, "elements": [int(a)], "trace": list(trace)}
 
 
 @dataclass(frozen=True)
@@ -266,6 +261,8 @@ def extend_p_subgroup(
 
 def sylow_subgroup(g: Group, k: ElemSet, p: int) -> SylowCertificate:
     """Construct a Sylow p-subgroup of K with a step-by-step certificate."""
+    if p > k.card:  # before the trial-division primality test
+        raise PDoesNotDivide(f"{p} does not divide the group order {k.card}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     subgroup_set(g, k)

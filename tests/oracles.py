@@ -8,7 +8,7 @@ styles, to slip through a comparison.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def table_rows(g) -> list[list[int]]:
@@ -116,6 +116,24 @@ def closed_subsets_of_size(rows: list[list[int]], unit: int, k: int) -> set[froz
             if naive_is_subgroup(rows, unit, members):
                 out.add(members)
     return out
+
+
+def naive_rotation_table(
+    rows: list[list[int]], unit: int, members, p: int
+) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The product-one p-tuples over members, tails in itertools.product
+    order with the head solved for, and the table whose row k sends each
+    tuple's index to the index of its rotation left by k, found by looking
+    every rotated tuple up in a dict."""
+    inv = {x: naive_inverse(rows, unit, x) for x in members}
+    tuples = []
+    for tail in product(members, repeat=p - 1):
+        x = unit
+        for c in tail:
+            x = rows[x][c]
+        tuples.append((inv[x], *tail))
+    index = {t: i for i, t in enumerate(tuples)}
+    return tuples, [[index[t[k:] + t[:k]] for t in tuples] for k in range(p)]
 
 
 def phi_formula(n: int) -> int:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -252,6 +254,16 @@ def test_cauchy_z6(capsys):
 def test_cauchy_invalid_prime(capsys):
     code, _, err = run_cli(capsys, "cauchy", "z6", "-p", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("cmd", ["cauchy", "sylow"])
+def test_huge_prime_exits_2_at_once(cmd):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fingroups.cli", cmd, "z6", "-p", str(2**61 - 1)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "does not divide" in proc.stderr
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5"])

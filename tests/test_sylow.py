@@ -29,13 +29,16 @@ from fingroups.errors import (
     BadArg,
     BadBase,
     DoesNotDivide,
+    InternalInvariant,
     InvalidSubgroup,
     NotPPower,
     NotPrime,
     PDoesNotDivide,
     UnsupportedSpec,
 )
-from fingroups.sylow import TUPLE_CAP_ENV
+from fingroups.numutil import prime_divisors
+from fingroups.suite import catalog
+from fingroups.sylow import TUPLE_CAP_ENV, TupleCarrier
 
 import oracles
 
@@ -82,8 +85,7 @@ def test_tuple_head_is_determined(q8):
 def test_tuple_enumeration_order(z6):
     tc = product_one_tuples(z6, members(z6, [0, 2, 4]), 3)
     assert tc.members == (0, 2, 4) and len(tc.tuples) == 9
-    for i, t in enumerate(tc.tuples):
-        assert tc.index[t] == i
+    for t in tc.tuples:
         assert len(t) == 3 and all(c in tc.members for c in t)
         assert z6.op(z6.op(t[0], t[1]), t[2]) == z6.unit
     # the family is ascending in the mixed-radix rank of the tail
@@ -101,6 +103,43 @@ def test_rotation_action_orbits(z6):
     assert 9 % 3 == s0.card % 3
     for i in range(9):
         assert orbit(act, i).card in (1, 3)
+
+
+def assert_rotation_matches_naive(g, h, p):
+    tc = product_one_tuples(g, h, p)
+    act = rotation_action(tc)
+    tuples, table = oracles.naive_rotation_table(
+        oracles.table_rows(g), g.unit, list(h.indices()), p
+    )
+    assert tc.tuples.tolist() == [list(t) for t in tuples]
+    assert act.table.tolist() == table
+    n = len(tuples)
+    naive_fixed = tuple(i for i in range(n) if all(row[i] == i for row in table))
+    assert fixed_points(act).indices() == naive_fixed
+
+
+def test_rotation_action_matches_naive_on_the_catalog():
+    cases = 0
+    for _, g in catalog():
+        for p in prime_divisors(g.order):
+            if g.order ** (p - 1) <= 10**5:
+                assert_rotation_matches_naive(g, g.full_set(), p)
+                cases += 1
+    assert cases > 60  # 64 with the current catalog
+
+
+def test_rotation_action_matches_naive_on_a_proper_subgroup(z6):
+    assert_rotation_matches_naive(z6, members(z6, [0, 2, 4]), 3)
+
+
+@pytest.mark.parametrize("head", [1, 99, 4], ids=["non_member", "outside_group", "wrong_member"])
+def test_rotation_rejects_a_corrupted_head(z6, head):
+    tc = product_one_tuples(z6, members(z6, [0, 2, 4]), 3)
+    tuples = tc.tuples.copy()
+    assert tuples[5].tolist() == [0, 2, 4]
+    tuples[5, 0] = head
+    with pytest.raises(InternalInvariant, match="rotation left the product-one family"):
+        rotation_action(TupleCarrier(tc.members, tuples))
 
 
 # -- Cauchy --------------------------------------------------------------
@@ -131,6 +170,14 @@ def test_cauchy_validation(z6, s3):
         cauchy_element(z6, z6.full_set(), 5)
     with pytest.raises(InvalidSubgroup):
         cauchy_element(s3, members(s3, [0, 1, 2]), 2)
+
+
+def test_huge_prime_is_rejected_by_the_order_bound(z6):
+    huge = 2**61 - 1  # prime; trial division up to its root takes minutes
+    with pytest.raises(DoesNotDivide):
+        cauchy_element(z6, z6.full_set(), huge)
+    with pytest.raises(PDoesNotDivide):
+        sylow_subgroup(z6, z6.full_set(), huge)
 
 
 @pytest.mark.parametrize(
