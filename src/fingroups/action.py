@@ -138,15 +138,16 @@ def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
     ]
 
 
-def mod_p_fixed_point_check(act: Action, p: int) -> Check:
+def mod_p_fixed_point_check(act: Action, p: int, fixed: ElemSet | None = None) -> Check:
     """For a p-power acting order: |points| is congruent to |fixed points|
-    modulo p.  Both counts are computed outright."""
+    modulo p.  Both counts are computed outright; a caller that already
+    holds fixed_points(act) passes it as ``fixed``."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if act.acting.card != p ** padic_val(p, act.acting.card):
         raise NotPPower(f"acting order {act.acting.card} is not a power of {p}")
     s = act.points.size
-    s0 = fixed_points(act).card
+    s0 = (fixed_points(act) if fixed is None else fixed).card
     return Check("mod_p_fixed_points", s % p == s0 % p, s % p, s0 % p,
                  {"points": s, "fixed": s0, "p": p})
 

@@ -69,16 +69,25 @@ class ElemSet:
         """Members in ascending index order."""
         return tuple(self)
 
+    def _keep(self, name: str, view: np.ndarray) -> None:
+        # The set is immutable, so a view of it is computed once, kept
+        # beside the fields (not one of them) and made read-only.
+        view.setflags(write=False)
+        object.__setattr__(self, name, view)
+
     def as_array(self) -> np.ndarray:
-        """Members as an int64 numpy vector (ascending)."""
-        return np.fromiter(self, dtype=np.int64, count=self.card)
+        """Members as a read-only int64 numpy vector (ascending)."""
+        if "_array" not in self.__dict__:
+            self._keep("_array", np.fromiter(self, dtype=np.int64, count=self.card))
+        return self.__dict__["_array"]
 
     def mask(self) -> np.ndarray:
-        """Boolean membership vector over the whole carrier."""
-        out = np.zeros(self.carrier.size, dtype=bool)
-        if self.bits:
+        """Read-only boolean membership vector over the whole carrier."""
+        if "_mask" not in self.__dict__:
+            out = np.zeros(self.carrier.size, dtype=bool)
             out[self.as_array()] = True
-        return out
+            self._keep("_mask", out)
+        return self.__dict__["_mask"]
 
     def issubset(self, other: "ElemSet") -> bool:
         self._check(other)

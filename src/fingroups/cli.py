@@ -148,9 +148,10 @@ def resolve_group(ref: str) -> tuple[str, Group]:
     """Catalog grammar first, then the filesystem."""
     try:
         spec = parse_group_ref(ref)
-        return spec.describe(), build(spec)
     except ValueError:
-        pass
+        spec = None
+    if spec is not None:
+        return spec.describe(), build(spec)
     if os.path.exists(ref):
         n, rows = parse_cayley_file(ref)
         return ref, from_cayley_table(n, rows)

@@ -15,6 +15,7 @@ re-verified, not assumed, by check_identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -35,6 +36,11 @@ TABLE_DTYPE = np.int32
 # Permutation groups beyond this degree are out of scope (the carriers get
 # big and nothing downstream needs them).
 MAX_SYMMETRIC_DEGREE = 6
+
+# Catalog groups beyond this order are refused before any table is built:
+# the table alone takes order^2 entries (4 MiB here), and validating it
+# takes order^3 steps.
+MAX_GROUP_ORDER = 1024
 
 
 class Group:
@@ -253,17 +259,17 @@ def _product_table(g1: Group, g2: Group) -> np.ndarray:
     return t.reshape(g1.order * n2, g1.order * n2).astype(TABLE_DTYPE)
 
 
-def build(spec: GroupSpec) -> Group:
-    """Construct a catalog group.  Every table goes back through
-    from_cayley_table, so built groups are validated by construction."""
+def spec_order(spec: GroupSpec) -> int:
+    """The order of the group a spec describes, from the spec alone.
+    Raises UnsupportedSpec for a parameter outside the supported range."""
     if spec.kind == "cyclic":
         if spec.n < 1:
             raise UnsupportedSpec(f"cyclic order must be positive, got {spec.n}")
-        return from_cayley_table(spec.n, _cyclic_table(spec.n))
+        return spec.n
     if spec.kind == "dihedral":
         if spec.n < 1:
             raise UnsupportedSpec(f"dihedral parameter must be positive, got {spec.n}")
-        return from_cayley_table(2 * spec.n, _dihedral_table(spec.n))
+        return 2 * spec.n
     if spec.kind == "symmetric":
         if spec.n < 1:
             raise UnsupportedSpec(f"symmetric degree must be positive, got {spec.n}")
@@ -271,15 +277,32 @@ def build(spec: GroupSpec) -> Group:
             raise UnsupportedSpec(
                 f"symmetric degree capped at {MAX_SYMMETRIC_DEGREE}, got {spec.n}"
             )
-        t = _symmetric_table(spec.n)
-        return from_cayley_table(len(t), t)
+        return math.factorial(spec.n)
     if spec.kind == "q8":
-        return from_cayley_table(8, _quaternion_table())
+        return 8
     if spec.kind == "product":
         a, b = spec.parts
-        g1, g2 = build(a), build(b)
-        return from_cayley_table(g1.order * g2.order, _product_table(g1, g2))
+        return spec_order(a) * spec_order(b)
     raise UnsupportedSpec(f"unknown group kind {spec.kind!r}")
+
+
+def build(spec: GroupSpec) -> Group:
+    """Construct a catalog group.  Every table goes back through
+    from_cayley_table, so built groups are validated by construction.  The
+    order is bounded by MAX_GROUP_ORDER before anything is allocated."""
+    n = spec_order(spec)
+    if n > MAX_GROUP_ORDER:
+        raise UnsupportedSpec(f"group order {n} exceeds the maximum of {MAX_GROUP_ORDER}")
+    if spec.kind == "cyclic":
+        return from_cayley_table(n, _cyclic_table(spec.n))
+    if spec.kind == "dihedral":
+        return from_cayley_table(n, _dihedral_table(spec.n))
+    if spec.kind == "symmetric":
+        return from_cayley_table(n, _symmetric_table(spec.n))
+    if spec.kind == "q8":
+        return from_cayley_table(n, _quaternion_table())
+    a, b = spec.parts
+    return from_cayley_table(n, _product_table(build(a), build(b)))
 
 
 # ---------------------------------------------------------------------------

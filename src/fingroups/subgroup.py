@@ -88,14 +88,13 @@ def right_coset(g: Group, h: ElemSet, a: int) -> ElemSet:
 
 def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
     """Minimum-index representative of xH for each x in the domain, -1
-    elsewhere.  Requires h to be a subgroup and the domain to be a union of
-    left cosets (as any subgroup containing h is); then the first unseen
-    point in ascending order is the minimum of its own coset."""
+    elsewhere: the smallest of the products x*y over y in h.  Requires h
+    to be a subgroup and the domain to be a union of left cosets (as any
+    subgroup containing h is); then every root lies in the domain and the
+    gather is at most |G| by |G|, the size of the table."""
     table = np.full(g.order, -1, dtype=np.int64)
-    m = h.as_array()
-    for x in domain:
-        if table[x] == -1:
-            table[g.mul[x, m]] = x
+    d = domain.as_array()
+    table[d] = g.mul[d[:, None], h.as_array()].min(axis=1)
     return table
 
 
@@ -122,11 +121,11 @@ def require_nested_subgroups(g: Group, h: ElemSet, k: ElemSet) -> None:
 
 
 def left_index(g: Group, h: ElemSet, k: ElemSet) -> int:
-    """Number of distinct left cosets of h meeting k, counted by collecting
-    minimum-index representatives inside k."""
+    """Number of distinct left cosets of h meeting k, counted as the points
+    of k that are the minimum-index representative of their own coset."""
     require_nested_subgroups(g, h, k)
     roots = left_coset_roots(g, h, k)
-    return int(np.count_nonzero(np.unique(roots) >= 0))
+    return int(np.count_nonzero(roots == np.arange(g.order)))
 
 
 def right_index(g: Group, h: ElemSet, k: ElemSet) -> int:
@@ -180,17 +179,22 @@ def product_subgroup_checks(g: Group, h: ElemSet, k: ElemSet) -> list[Check]:
 
 def subgroup_sample(g: Group) -> list[ElemSet]:
     """Deduplicated closures of every singleton and every unordered pair,
-    plus the full group; ascending by (cardinality, membership)."""
+    plus the full group; ascending by (cardinality, membership).  Since
+    <x, y> = <<x>, <y>>, a pair is closed only through the smallest
+    generator of each of two distinct cyclic subgroups, and not at all when
+    one of them contains the other (its closure is then already in)."""
     seen: dict[int, ElemSet] = {}
-
-    def add(s: ElemSet):
-        seen.setdefault(s.bits, s)
-
-    n = g.order
-    for x in range(n):
-        add(closure(g, [x]))
-    for x in range(n):
-        for y in range(x + 1, n):
-            add(closure(g, [x, y]))
-    add(g.full_set())
+    gen_of: dict[int, int] = {}
+    for x in range(g.order):
+        c = closure(g, [x])
+        seen.setdefault(c.bits, c)
+        gen_of.setdefault(c.bits, x)
+    cyclics = list(gen_of.items())
+    for i, (cx, x) in enumerate(cyclics):
+        for cy, y in cyclics[i + 1:]:
+            if cx & ~cy and cy & ~cx:  # neither contains the other
+                c = closure(g, [x, y])
+                seen.setdefault(c.bits, c)
+    full = g.full_set()
+    seen.setdefault(full.bits, full)
     return sorted(seen.values(), key=lambda s: (s.card, s.indices()))

@@ -141,9 +141,8 @@ def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None)
     if family_size <= cap:
         tc = product_one_tuples(g, h, p)
         act = rotation_action(tc)
-        congruence = mod_p_fixed_point_check(act, p)
         s0 = fixed_points(act)
-        if not congruence.ok:
+        if not mod_p_fixed_point_check(act, p, s0).ok:
             raise InternalInvariant("fixed-point congruence failed on the tuple family")
         if s0.card % p != 0:
             raise InternalInvariant("fixed tuple count is not divisible by p")
@@ -236,7 +235,7 @@ def extend_p_subgroup(
     index_in_normalizer = left_index(g, hi, nrm)
     if s0.card != index_in_normalizer:
         raise InternalInvariant("fixed cosets do not match the normalizer index")
-    if not mod_p_fixed_point_check(act, p).ok:
+    if not mod_p_fixed_point_check(act, p, s0).ok:
         raise InternalInvariant("fixed-point congruence failed on coset translation")
     if index_in_normalizer % p != 0:
         raise InternalInvariant("p does not divide the normalizer index")
@@ -306,7 +305,7 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     if act.points.size % p == 0:
         raise InternalInvariant("coset count of a Sylow subgroup divisible by p")
     s0 = fixed_points(act)
-    if not mod_p_fixed_point_check(act, p).ok:
+    if not mod_p_fixed_point_check(act, p, s0).ok:
         raise InternalInvariant("fixed-point congruence failed on Sylow translation")
     if not s0:
         raise InternalInvariant("no fixed coset despite the congruence")
@@ -361,7 +360,7 @@ def sylow_count_mod_p_check(
 
     act = conjugation_action_on_subsets(g, cert.subgroup, family)
     s0 = fixed_points(act)
-    congruence = mod_p_fixed_point_check(act, p)
+    congruence = mod_p_fixed_point_check(act, p, s0)
 
     # Every fixed family member shares a normalizer in which both it and
     # the constructed subgroup are Sylow; that is what collapses the fixed

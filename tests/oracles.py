@@ -63,6 +63,16 @@ def naive_closure(rows: list[list[int]], unit: int, gens) -> frozenset[int]:
         got |= new
 
 
+def naive_subgroup_sample(rows: list[list[int]], unit: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The closures of every singleton and every unordered pair, plus the
+    whole group, deduplicated, as ascending (cardinality, members) keys."""
+    n = len(rows)
+    found = {naive_closure(rows, unit, [x]) for x in range(n)}
+    found |= {naive_closure(rows, unit, pair) for pair in combinations(range(n), 2)}
+    found.add(frozenset(range(n)))
+    return sorted((len(s), tuple(sorted(s))) for s in found)
+
+
 def left_cosets(rows: list[list[int]], members: frozenset[int], domain) -> set[frozenset[int]]:
     return {frozenset(rows[x][h] for h in members) for x in domain}
 

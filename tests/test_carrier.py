@@ -87,3 +87,13 @@ def test_iteration_sorted_and_consistent(x):
     assert pts == sorted(pts)
     assert all(p in a for p in pts)
     assert len(pts) == a.card
+
+
+def test_array_views_are_read_only():
+    a = bitset([1, 4])
+    with pytest.raises(ValueError):
+        a.as_array()[0] = 2
+    with pytest.raises(ValueError):
+        a.mask()[0] = True
+    assert a.as_array().tolist() == [1, 4]
+    assert a.mask().tolist() == [False, True, False, False, True, False]

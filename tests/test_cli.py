@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from fingroups import Check, GroupSpec, Report
+from fingroups import cli as cli_mod
 from fingroups.cli import (
     build_parser,
     main,
@@ -130,6 +131,25 @@ def test_resolve_prefers_grammar_then_file(tmp_path):
     assert g.order == 3 and label == path
     with pytest.raises(GroupTheoryError):
         resolve_group("no-such-thing")
+
+
+def test_resolve_does_not_hide_build_errors(monkeypatch):
+    def broken(spec):
+        raise ValueError("raised inside build")
+
+    monkeypatch.setattr(cli_mod, "build", broken)
+    with pytest.raises(ValueError, match="raised inside build"):
+        resolve_group("z4")
+
+
+def test_oversized_grammar_group_exits_2_at_once():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fingroups.cli", "verify", "cyclic:99999999999999999999"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "order 99999999999999999999 exceeds" in proc.stderr
+    assert "neither catalog grammar" not in proc.stderr
 
 
 def test_every_catalog_ref_resolves():

@@ -19,6 +19,8 @@ from fingroups.errors import (
     NonAssociative,
     UnsupportedSpec,
 )
+from fingroups import group as group_mod
+from fingroups.group import MAX_GROUP_ORDER, MAX_SYMMETRIC_DEGREE, spec_order
 from fingroups.suite import verify_group
 
 import oracles
@@ -171,6 +173,41 @@ def test_product_structure(s3):
 def test_product_of_abelian_is_abelian(klein):
     assert klein.is_abelian()
     assert klein.order == 4
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (GroupSpec.cyclic(100000), 100000),
+        (GroupSpec.dihedral(1000000), 2000000),
+        (GroupSpec.product(GroupSpec.cyclic(1000), GroupSpec.cyclic(1000)), 1000000),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else str(v),
+)
+def test_order_bound_refuses_before_any_table(monkeypatch, spec, order):
+    def no_table(*args):
+        raise AssertionError("a table was built past the order bound")
+
+    for name in ("_cyclic_table", "_dihedral_table", "_product_table", "from_cayley_table"):
+        monkeypatch.setattr(group_mod, name, no_table)
+    assert spec_order(spec) == order > MAX_GROUP_ORDER
+    with pytest.raises(UnsupportedSpec, match=f"order {order} exceeds"):
+        build(spec)
+
+
+def test_order_bound_admits_up_to_the_maximum(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Built
+
+    monkeypatch.setattr(group_mod, "_cyclic_table", sentinel)
+    with pytest.raises(Built):
+        build(GroupSpec.cyclic(MAX_GROUP_ORDER))
+    with pytest.raises(UnsupportedSpec):
+        build(GroupSpec.cyclic(MAX_GROUP_ORDER + 1))
+    assert spec_order(GroupSpec.symmetric(MAX_SYMMETRIC_DEGREE)) <= MAX_GROUP_ORDER
 
 
 def test_spec_validation():

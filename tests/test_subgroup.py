@@ -20,7 +20,9 @@ from fingroups import (
     subgroup_set,
 )
 from fingroups.errors import InvalidSubgroup
+from fingroups.group import spec_order
 from fingroups.subgroup import left_coset_roots
+from fingroups.suite import catalog_specs
 
 import oracles
 
@@ -246,3 +248,40 @@ def test_sample_contains_extremes(s4):
     assert any(h.card == 1 for h in sample)
     assert any(h.card == s4.order for h in sample)
     assert all(is_subgroup(s4, h) for h in sample)
+
+
+# -- differential: cyclic-generator sample and gathered coset roots -------
+
+SMALL_CATALOG = [s for s in catalog_specs() if spec_order(s) <= 24]
+D6_C2 = GroupSpec.product(GroupSpec.dihedral(6), GroupSpec.cyclic(2))
+
+
+@pytest.mark.parametrize("spec", SMALL_CATALOG + [D6_C2], ids=lambda s: s.describe())
+def test_sample_matches_naive_all_pairs(spec):
+    g = build(spec)
+    got = [(h.card, h.indices()) for h in subgroup_sample(g)]
+    assert got == oracles.naive_subgroup_sample(g.rows(), g.unit)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.symmetric(4), GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2)),
+     GroupSpec.dihedral(6)],
+    ids=lambda s: s.describe(),
+)
+def test_coset_roots_and_index_match_naive_cosets(spec):
+    g = build(spec)
+    rows = g.rows()
+    sample = subgroup_sample(g)
+    full = g.full_set()
+    for h in sample:
+        hm = frozenset(h.indices())
+        proper = [k for k in sample if h.issubset(k) and k != full]
+        # the full group, and the largest proper sample subgroup over h
+        for k in [full] + proper[-1:]:
+            cosets = oracles.left_cosets(rows, hm, k.indices())
+            roots = left_coset_roots(g, h, k)
+            for x in g.elements():
+                want = min(next(c for c in cosets if x in c)) if x in k else -1
+                assert roots[x] == want, (h.indices(), k.indices(), x)
+            assert left_index(g, h, k) == len(cosets)

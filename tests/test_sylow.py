@@ -24,7 +24,10 @@ from fingroups import (
     sylow_family,
     sylow_subgroup,
 )
+from fingroups import action as action_mod
 from fingroups import oracle as pkg_oracle
+from fingroups import sylow as sylow_mod
+from fingroups.action import mod_p_fixed_point_check
 from fingroups.errors import (
     BadArg,
     BadBase,
@@ -161,6 +164,29 @@ def test_cauchy_fallback_same_answer(z6, monkeypatch):
     a = cauchy_element(z6, z6.full_set(), 3, trace)
     assert a == 2
     assert any("fell back" in line for line in trace)
+
+
+def test_cauchy_scans_fixed_points_once(z6, monkeypatch):
+    scans, congruences = [], []
+
+    def counted_fixed_points(act):
+        scans.append(act)
+        return fixed_points(act)
+
+    def recorded_congruence(act, p, fixed=None):
+        check = mod_p_fixed_point_check(act, p, fixed)
+        congruences.append(check)
+        return check
+
+    monkeypatch.setattr(action_mod, "fixed_points", counted_fixed_points)
+    monkeypatch.setattr(sylow_mod, "fixed_points", counted_fixed_points)
+    monkeypatch.setattr(sylow_mod, "mod_p_fixed_point_check", recorded_congruence)
+    trace: list = []
+    assert cauchy_element(z6, z6.full_set(), 3, trace) == 2
+    assert len(scans) == 1
+    assert [c.ok for c in congruences] == [True]
+    assert congruences[0].witness == {"points": 36, "fixed": 3, "p": 3}
+    assert trace == ["cauchy p=3: 36 product-one tuples, 3 fixed, nonunit diagonal min 2"]
 
 
 def test_cauchy_validation(z6, s3):
