@@ -3,7 +3,8 @@
 every prime dividing its order, the subgroup order p^n, the family size,
 and the normalizer order of the constructed representative.  The census
 doubles as a quick empirical scan of the counting theorems: the last two
-columns must always read 0 and 1.
+columns must always read 0 and 1, and the exit status is 1 when any row
+does not.
 
 Usage:
     python scripts/sylow_census.py
@@ -29,6 +30,7 @@ def main() -> int:
         print(f"{'group':<40} {'|G|':>5} {'p':>2} {'p^n':>5} {'count':>5} "
               f"{'|N(P)|':>6} {'|G|%cnt':>7} {'cnt%p':>5}")
 
+    bad = 0
     for label, g in catalog():
         full = g.full_set()
         for p in prime_divisors(g.order):
@@ -37,12 +39,15 @@ def main() -> int:
             nrm = normalizer(g, cert.subgroup, full)
             row = (label, g.order, p, cert.n, cert.subgroup.card,
                    len(fam), nrm.card, g.order % len(fam), len(fam) % p)
+            bad += row[7:] != (0, 1)
             if args.csv:
                 print(",".join(str(v) for v in row))
             else:
                 print(f"{row[0]:<40} {row[1]:>5} {row[2]:>2} {row[4]:>5} "
                       f"{row[5]:>5} {row[6]:>6} {row[7]:>7} {row[8]:>5}")
-    return 0
+    if bad:
+        print(f"{bad} row(s) break a Sylow counting theorem", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ class Action:
     table: np.ndarray
     point_labels: tuple | None = None
 
-    def apply(self, x: int, z: int) -> int:
-        return int(self.table[x, z])
-
 
 def make_action(
     g: Group,
@@ -124,18 +121,36 @@ def fixed_points(act: Action) -> ElemSet:
     return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
 
 
+def orbit_stabilizer_checks(act: Action) -> list[list[Check]]:
+    """For every point, card(orbit) equals the index of the stabilizer in
+    the acting subgroup, hence divides its order.  Orbit sizes come from
+    one column sort, stabilizers from one comparison; equal stabilizers
+    share one left_index, which counts coset roots and proves a subgroup."""
+    m = act.acting.as_array()
+    rows = act.table[m]
+    cols = np.sort(rows, axis=0)
+    orbit_cards = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
+    index_of: dict[bytes, tuple[int, int]] = {}
+    out = []
+    for a, fixes in enumerate((rows == np.arange(act.points.size)).T):
+        key = fixes.tobytes()
+        if key not in index_of:
+            stab = set_of(act.group.carrier, m[fixes].tolist())
+            index_of[key] = stab.card, left_index(act.group, stab, act.acting)
+        stab_card, idx = index_of[key]
+        orb, h = int(orbit_cards[a]), act.acting.card
+        out.append([
+            Check("orbit_stabilizer", orb == idx, orb, idx,
+                  {"point": a, "stabilizer_order": stab_card}),
+            Check("orbit_divides", h % orb == 0, h % orb, 0, {"point": a}),
+        ])
+    return out
+
+
 def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
-    """card(orbit) equals the index of the stabilizer in the acting
-    subgroup, hence divides its order."""
-    orb = orbit(act, a)
-    stab = stabilizer(act, a)
-    idx = left_index(act.group, stab, act.acting)
-    return [
-        Check("orbit_stabilizer", orb.card == idx, orb.card, idx,
-              {"point": a, "stabilizer_order": stab.card}),
-        Check("orbit_divides", act.acting.card % orb.card == 0,
-              act.acting.card % orb.card, 0, {"point": a}),
-    ]
+    """One point's orbit_stabilizer_checks (every point is computed)."""
+    act.points.check_point(a)
+    return orbit_stabilizer_checks(act)[a]
 
 
 def mod_p_fixed_point_check(act: Action, p: int, fixed: ElemSet | None = None) -> Check:
@@ -175,11 +190,7 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
     written with x^-1 on the left would compose contravariantly.)"""
-    idx = np.arange(g.order, dtype=np.int64)
-    table = np.empty((g.order, g.order), dtype=np.int64)
-    for x in g.elements():
-        table[x] = g.mul[g.mul[x, idx], g.inv[x]]
-    return make_action(g, h, g.carrier, table)
+    return make_action(g, h, g.carrier, g.mul[g.mul, g.inv[:, None]])
 
 
 def conjugation_action_on_subsets(

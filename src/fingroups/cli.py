@@ -7,7 +7,8 @@ Group references are either catalog grammar
 with shorthands zN, dN, sN, or a path to a Cayley-table file.  The file
 format: first significant line holds the carrier size n, the next n lines
 hold n whitespace-separated indices each (row i, column j is i*j), with
-'#' starting a comment and blank lines ignored.
+'#' starting a comment and blank lines ignored.  Every number, in the
+grammar or in a file, is ASCII digits only.
 
 Exit codes: 0 when every check passes, 1 when a mathematical cross-check
 fails (that is a bug trap, not a user error), 2 for unusable input.
@@ -21,18 +22,19 @@ import os
 import re
 import sys
 import time
+from itertools import accumulate
 
 from .action import (
     conjugation_action,
     conjugation_action_on_subsets,
     left_translation_action,
     orbit,
-    orbit_stabilizer_check,
+    orbit_stabilizer_checks,
 )
 from .carrier import ElemSet
 from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_check
 from .cyclic import order
-from .errors import GroupTheoryError, InternalInvariant, ParseError
+from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
 from .group import Group, GroupSpec, build, from_cayley_table
 from .report import Check, Report
 from .subgroup import closure
@@ -56,8 +58,8 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
     """Read a Cayley-table file; returns (n, rows).  Raises ParseError with
     1-based line and column on the first offending token."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
     except UnicodeDecodeError as e:
         data = e.object  # the whole file: read() decodes it in one call
         line = data.count(b"\n", 0, e.start) + 1
@@ -75,9 +77,11 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
 
     def want_int(lineno: int, col: int, tok: str) -> int:
         try:
-            return int(tok, 10)
+            if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
+                return int(tok)  # ValueError past Python's digit limit
         except ValueError:
-            raise ParseError(lineno, col, f"expected an integer, got {tok!r}") from None
+            pass
+        raise ParseError(lineno, col, f"expected an integer, got {tok!r}")
 
     if not lines:
         raise ParseError(last_line, 1, "no table found")
@@ -114,6 +118,10 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
 
 _SHORTHAND = {"z": "cyclic", "d": "dihedral", "s": "symmetric"}
 
+# Products nest at most this deep, one level of parentheses each; the spec
+# walks recurse once per level.
+MAX_PRODUCT_DEPTH = 32
+
 
 def parse_group_ref(ref: str) -> GroupSpec:
     """Parse catalog grammar; raises ValueError when the text is not
@@ -121,14 +129,16 @@ def parse_group_ref(ref: str) -> GroupSpec:
     ref = ref.strip()
     if ref == "q8":
         return GroupSpec.q8()
-    m = re.fullmatch(r"([zds])(\d+)", ref)
+    m = re.fullmatch(r"([zds])([0-9]+)", ref)
     if m:
         return GroupSpec(_SHORTHAND[m.group(1)], n=int(m.group(2)))
-    m = re.fullmatch(r"(cyclic|dihedral|symmetric):(\d+)", ref)
+    m = re.fullmatch(r"(cyclic|dihedral|symmetric):([0-9]+)", ref)
     if m:
         return GroupSpec(m.group(1), n=int(m.group(2)))
     m = re.fullmatch(r"product:\((.*)\)", ref)
     if m:
+        if max(accumulate((ch == "(") - (ch == ")") for ch in ref)) > MAX_PRODUCT_DEPTH:
+            raise UnsupportedSpec(f"products nest at most {MAX_PRODUCT_DEPTH} levels deep")
         inner = m.group(1)
         depth = 0
         for i, ch in enumerate(inner):
@@ -275,16 +285,14 @@ def cmd_orbits(args) -> int:
     rep = Report(group=label, order=g.order)
     seen: set[int] = set()
     orbits: list[list[int]] = []
-    results = []
     t0 = time.perf_counter()
     for a in range(act.points.size):
         if a not in seen:
             orb = orbit(act, a)
             seen.update(orb)
             orbits.append(list(orb.indices()))
-        checks = orbit_stabilizer_check(act, a)
-        results.append((all(c.ok for c in checks), {"point": a}))
-    good = sum(1 for ok, _ in results if ok)
+    results = [all(c.ok for c in checks) for checks in orbit_stabilizer_checks(act)]
+    good = sum(results)
     c = Check("orbit_stabilizer", good == len(results), good, len(results),
               {"orbits": orbits})
     c.ms = (time.perf_counter() - t0) * 1000.0

@@ -67,15 +67,6 @@ class Group:
     def full_set(self) -> ElemSet:
         return full_set(self.carrier)
 
-    def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def invert(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
-
     def rows(self) -> list[list[int]]:
         """The multiplication table as plain lists; cached.  Handy for hot
         Python loops where numpy scalar indexing is too slow."""

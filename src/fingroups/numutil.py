@@ -33,6 +33,12 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+def prime_power_base(n: int) -> int | None:
+    """The prime p with n a power of p, if there is one (None for n = 1)."""
+    ps = prime_divisors(n)
+    return ps[0] if len(ps) == 1 else None
+
+
 def padic_val(p: int, u: int) -> int:
     """Largest e with p^e dividing u, by repeated division."""
     if p < 2:

@@ -2,10 +2,10 @@
 they second-guess.
 
 Nothing here reuses the certificate machinery: subgroups are enumerated by
-saturating closures of growing generator sets, orders by literal repeated
-multiplication.  The enumeration is complete (any subgroup is reached by
-adjoining its generators one at a time, and every intermediate closure is
-itself a subgroup) but exponentialish, so it is capped by group order.
+saturating closures of growing generator sets.  The enumeration is
+complete (any subgroup is reached by adjoining its generators one at a
+time, and every intermediate closure is itself a subgroup) but
+exponentialish, so it is capped by group order.
 """
 
 from __future__ import annotations
@@ -17,20 +17,6 @@ from .numutil import is_prime
 
 # Beyond this order the lattice enumeration stops being a sane cross-check.
 MAX_ORACLE_ORDER = 60
-
-
-def element_order_scan(g: Group, a: int) -> int:
-    """Order of a by multiplying until the unit reappears."""
-    g.carrier.check_point(a)
-    row = g.rows()[a]
-    x = row[g.unit]
-    n = 1
-    while x != g.unit:
-        x = row[x]
-        n += 1
-        if n > g.order:
-            raise AssertionError("order exceeded the group order; table is broken")
-    return n
 
 
 def _close(rows: list[list[int]], start: list[int]) -> int:

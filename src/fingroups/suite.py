@@ -17,7 +17,7 @@ from .action import (
     conjugation_action,
     left_translation_action,
     mod_p_fixed_point_check,
-    orbit_stabilizer_check,
+    orbit_stabilizer_checks,
 )
 from .cyclic import order, phi_theorem_checks
 from .errors import GroupTheoryError
@@ -28,7 +28,7 @@ from .group import (
     check_identities,
     from_cayley_table,
 )
-from .numutil import prime_divisors
+from .numutil import prime_divisors, prime_power_base
 from .report import Check, Report
 from .subgroup import lagrange_check, subgroup_sample
 from .sylow import (
@@ -76,12 +76,6 @@ def _aggregate(name: str, results: list[tuple[bool, object]]) -> Check:
     return Check(name, good == len(results), good, len(results), witness)
 
 
-def _is_prime_power(n: int) -> int | None:
-    """The prime p with n a power of p, if there is one (n > 1)."""
-    ps = prime_divisors(n)
-    return ps[0] if len(ps) == 1 else None
-
-
 def verify_group(g: Group, label: str, phi_bound: int | None = None) -> Report:
     rep = Report(group=label, order=g.order)
     full = g.full_set()
@@ -120,36 +114,37 @@ def verify_group(g: Group, label: str, phi_bound: int | None = None) -> Report:
 
     t0 = time.perf_counter()
     conj = conjugation_action(g, full)
-    os_results = []
-    for a in range(conj.points.size):
-        checks = orbit_stabilizer_check(conj, a)
-        os_results.append((all(c.ok for c in checks), {"point": a}))
+    os_results = [(all(c.ok for c in checks), {"point": a})
+                  for a, checks in enumerate(orbit_stabilizer_checks(conj))]
     add(_aggregate("orbit_stabilizer:conjugation", os_results), t0)
-    p_whole = _is_prime_power(g.order)
-    if p_whole is not None and g.order > 1:
+    p_whole = prime_power_base(g.order)
+    if p_whole is not None:
         t0 = time.perf_counter()
         c = mod_p_fixed_point_check(conj, p_whole)
         c.name = "mod_p_fixed_points:conjugation"
         add(c, t0)
 
-    t0 = time.perf_counter()
     trans_results = []
     congruence_results = []
+    trans_s = congruence_s = 0.0
     for h in sample:
+        t0 = time.perf_counter()
         act = left_translation_action(g, h, h, full)
-        for a in range(act.points.size):
-            checks = orbit_stabilizer_check(act, a)
-            trans_results.append(
-                (all(c.ok for c in checks),
-                 {"subgroup": list(h.indices()), "point": a})
-            )
-        p = _is_prime_power(h.card)
+        for a, checks in enumerate(orbit_stabilizer_checks(act)):
+            trans_results.append((all(c.ok for c in checks),
+                                  {"subgroup": list(h.indices()), "point": a}))
+        t1 = time.perf_counter()
+        p = prime_power_base(h.card)
         if p is not None:
             c = mod_p_fixed_point_check(act, p)
             congruence_results.append((c.ok, {"subgroup": list(h.indices())}))
-    add(_aggregate("orbit_stabilizer:translation", trans_results), t0)
-    t0 = time.perf_counter()
-    add(_aggregate("mod_p_fixed_points:translation", congruence_results), t0)
+        trans_s += t1 - t0
+        congruence_s += time.perf_counter() - t1
+    for c, secs in ((_aggregate("orbit_stabilizer:translation", trans_results), trans_s),
+                    (_aggregate("mod_p_fixed_points:translation", congruence_results),
+                     congruence_s)):
+        c.ms = secs * 1000.0
+        rep.checks.append(c)
 
     for p in prime_divisors(g.order):
         t0 = time.perf_counter()

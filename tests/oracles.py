@@ -30,6 +30,11 @@ def element_orders(rows: list[list[int]], unit: int) -> dict[int, int]:
     return {x: naive_order(rows, unit, x) for x in range(len(rows))}
 
 
+def naive_is_abelian(rows: list[list[int]]) -> bool:
+    n = len(rows)
+    return all(rows[a][b] == rows[b][a] for a in range(n) for b in range(n))
+
+
 def naive_inverse(rows: list[list[int]], unit: int, x: int) -> int:
     for y in range(len(rows)):
         if rows[x][y] == unit and rows[y][x] == unit:
@@ -75,6 +80,18 @@ def naive_subgroup_sample(rows: list[list[int]], unit: int) -> list[tuple[int, t
 
 def left_cosets(rows: list[list[int]], members: frozenset[int], domain) -> set[frozenset[int]]:
     return {frozenset(rows[x][h] for h in members) for x in domain}
+
+
+def naive_orbit_stabilizer(rows, table, acting, n_points: int) -> list[tuple[int, frozenset[int], int]]:
+    """Per point: the orbit size as the size of its image set, the
+    stabilizer as the acting elements that fix it, and the stabilizer's
+    index as the number of its left cosets met by the acting elements."""
+    out = []
+    for a in range(n_points):
+        orbit = {table[x][a] for x in acting}
+        stab = frozenset(x for x in acting if table[x][a] == a)
+        out.append((len(orbit), stab, len(left_cosets(rows, stab, acting))))
+    return out
 
 
 def right_cosets(rows: list[list[int]], members: frozenset[int], domain) -> set[frozenset[int]]:

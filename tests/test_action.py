@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingroups import (
+    Action,
     Carrier,
     ElemSet,
+    GroupSpec,
+    build,
     closure,
     conjugate_set,
     conjugation_action,
@@ -15,6 +18,7 @@ from fingroups import (
     mod_p_fixed_point_check,
     orbit,
     orbit_stabilizer_check,
+    orbit_stabilizer_checks,
     set_of,
     singleton,
     stabilizer,
@@ -22,6 +26,7 @@ from fingroups import (
     subgroup_set,
     symmetric_elements,
 )
+from fingroups.suite import catalog
 from fingroups.errors import (
     FamilyNotClosed,
     InvalidSubgroup,
@@ -29,7 +34,10 @@ from fingroups.errors import (
     NotMorphism,
     NotPPower,
     NotPrime,
+    PointOutOfRange,
 )
+
+import oracles
 
 
 def members(g, pts):
@@ -70,7 +78,7 @@ def test_validation_restricted_to_acting_subgroup(s3):
     table = np.zeros((6, 3), dtype=np.int64)
     table[0] = [0, 1, 2]
     act = make_action(s3, singleton(s3.carrier, s3.unit), Carrier(3), table)
-    assert act.apply(0, 1) == 1
+    assert act.table[0, 1] == 1
 
 
 def test_subgroup_of_another_group_is_revalidated(s3, z6):
@@ -129,6 +137,89 @@ def test_orbit_stabilizer_s4_three_cycle(s4):
     assert orbit(act, a).card == 8
     assert stabilizer(act, a).card == 3
     assert all(c.ok for c in orbit_stabilizer_check(act, a))
+
+
+def naive_checks(act):
+    """Every point's (name, ok, lhs, rhs, witness) tuples from the plain
+    per-point reference, or None when some stabilizer is not a subgroup."""
+    g = act.group
+    rows = oracles.table_rows(g)
+    acting = act.acting.indices()
+    out = []
+    per_point = oracles.naive_orbit_stabilizer(rows, act.table.tolist(), acting, act.points.size)
+    for a, (orb, stab, idx) in enumerate(per_point):
+        if not oracles.naive_is_subgroup(rows, g.unit, stab):
+            return None
+        out.append([
+            ("orbit_stabilizer", orb == idx, orb, idx, {"point": a, "stabilizer_order": len(stab)}),
+            ("orbit_divides", len(acting) % orb == 0, len(acting) % orb, 0, {"point": a}),
+        ])
+    return out
+
+
+def checks_as_tuples(act):
+    return [[(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in cs]
+            for cs in orbit_stabilizer_checks(act)]
+
+
+@pytest.fixture(scope="module")
+def small_catalog():
+    return [(label, g) for label, g in catalog() if g.order <= 24]
+
+
+def test_all_point_checks_match_naive_on_verify_actions(small_catalog):
+    # every action verify_group builds: conjugation by the whole group and
+    # each sample subgroup translating its own cosets
+    for label, g in small_catalog:
+        full = g.full_set()
+        acts = [conjugation_action(g, full)]
+        acts += [left_translation_action(g, h, h, full) for h in subgroup_sample(g)]
+        for act in acts:
+            got = checks_as_tuples(act)
+            assert got == naive_checks(act), (label, act.acting.indices())
+            assert all(type(v) is int for cs in got for c in cs for v in c[2:4])
+
+
+def test_single_point_check_rejects_a_point_outside_the_action(s4):
+    act = conjugation_action(s4, closure(s4, [1, 8]))
+    for a in (-1, act.points.size):
+        with pytest.raises(PointOutOfRange):
+            orbit_stabilizer_check(act, a)
+
+
+def unchecked_action(g, table):
+    """An Action that skips make_action, so its table need not be one."""
+    table = np.asarray(table, dtype=np.int64)
+    return Action(g, g.full_set(), Carrier(table.shape[1]), table)
+
+
+def test_all_point_checks_flag_what_naive_flags_on_a_non_action():
+    z3 = build(GroupSpec.cyclic(3))
+    # rows 1 and 2 act alike: every stabilizer is a subgroup, but points
+    # 0-2 have an orbit of 2 against an index of 3
+    act = unchecked_action(z3, [[0, 1, 2, 3], [1, 2, 0, 3], [1, 2, 0, 3]])
+    want = naive_checks(act)
+    assert checks_as_tuples(act) == want
+    flagged = [a for a, cs in enumerate(want) if not all(c[1] for c in cs)]
+    assert flagged == [0, 1, 2]
+
+
+def test_all_point_checks_refuse_a_stabilizer_that_is_no_subgroup():
+    z4 = build(GroupSpec.cyclic(4))
+    # point 0 is fixed by the subgroup {0, 2}; point 1 by {0, 1}, of the
+    # same order but no subgroup of Z4
+    act = unchecked_action(z4, [[0, 1, 2, 3], [2, 1, 0, 3], [0, 3, 2, 1], [2, 3, 0, 1]])
+    assert naive_checks(act) is None
+    with pytest.raises(InvalidSubgroup):
+        orbit_stabilizer_checks(act)
+
+
+def test_conjugation_table_matches_naive_on_the_catalog():
+    for label, g in catalog():
+        rows = oracles.table_rows(g)
+        inv = [oracles.naive_inverse(rows, g.unit, x) for x in range(g.order)]
+        want = [[rows[rows[x][z]][inv[x]] for z in range(g.order)] for x in range(g.order)]
+        assert conjugation_action(g, g.full_set()).table.tolist() == want, label
 
 
 def test_orbits_partition_the_points(s4):
@@ -198,7 +289,7 @@ def test_translation_action_z12(z12):
         z12, members(z12, [0, 6]), members(z12, [0, 4, 8]), z12.full_set()
     )
     assert act.point_labels == (0, 1, 2, 3)
-    assert [act.apply(6, i) for i in range(4)] == [2, 3, 0, 1]
+    assert act.table[6].tolist() == [2, 3, 0, 1]
     assert fixed_points(act).card == 0
 
 
@@ -218,7 +309,7 @@ def test_translation_matches_coset_arithmetic(s4):
     lset = frozenset(l.indices())
     for x in h:
         for i, r in enumerate(act.point_labels):
-            got = act.point_labels[act.apply(x, i)]
+            got = act.point_labels[act.table[x, i]]
             want = min(rows[rows[x][r]][m] for m in lset)
             assert got == want
 
@@ -252,4 +343,4 @@ def test_subset_action_matches_conjugate_set(s4):
     act = conjugation_action_on_subsets(s4, s4.full_set(), fam)
     for x in (0, 5, 17):
         for i, f in enumerate(fam):
-            assert fam[act.apply(x, i)].bits == conjugate_set(s4, f, x).bits
+            assert fam[act.table[x, i]].bits == conjugate_set(s4, f, x).bits

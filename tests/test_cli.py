@@ -98,6 +98,38 @@ def test_parse_utf8_file_with_byte_order_mark(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("entry", ["0_0", "\u0660", "+0", "\uff10"])
+def test_parse_accepts_only_ascii_digits(tmp_path, capsys, entry):
+    # int() would read each of these as 0
+    path = write(tmp_path, f"2\n0 1\n1 {entry}\n")
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(path)
+    assert (exc.value.line, exc.value.col) == (3, 3)
+    assert "expected an integer" in exc.value.detail
+    assert run_cli(capsys, "verify", path)[0] == 2
+
+
+@pytest.mark.parametrize("text,where", [
+    ("9" * 5000 + "\n", (1, 1)),                  # size line
+    ("2\n0 1\n1 " + "0" * 5000 + "\n", (3, 3)),  # table entry
+])
+def test_parse_refuses_numbers_past_the_int_digit_limit(tmp_path, capsys, text, where):
+    # int() raises ValueError on a decimal string of more than 4,300 digits
+    path = write(tmp_path, text)
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(path)
+    assert (exc.value.line, exc.value.col) == where
+    assert run_cli(capsys, "verify", path)[0] == 2
+
+
+def test_non_utf8_column_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "bom-latin1.cayley"
+    path.write_bytes(b"\xef\xbb\xbf1 \xe9\n0\n")  # the bad byte is the 6th
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(str(path))
+    assert (exc.value.line, exc.value.col) == (1, 6)
+
+
 # -- group references ----------------------------------------------------
 
 
@@ -121,6 +153,29 @@ def test_grammar_rejects_junk():
     for bad in ("cyclic", "cyclic:", "z", "product:(z2)", "sym:3", ""):
         with pytest.raises(ValueError):
             parse_group_ref(bad)
+
+
+@pytest.mark.parametrize("ref", ["z\u0663", "cyclic:\u0663", "s\uff13"])
+def test_grammar_accepts_only_ascii_digits(capsys, ref):
+    with pytest.raises(ValueError):
+        parse_group_ref(ref)
+    assert run_cli(capsys, "verify", ref)[0] == 2
+
+
+def nested_product(levels):
+    ref = "z1"
+    for _ in range(levels):
+        ref = f"product:({ref},z1)"
+    return ref
+
+
+def test_product_nesting_is_bounded(capsys):
+    code, out, err = run_cli(capsys, "verify", nested_product(32))
+    assert code == 0 and err == ""
+    for levels in (33, 1200):
+        code, out, err = run_cli(capsys, "verify", nested_product(levels))
+        assert code == 2 and out == ""
+        assert "nest at most 32 levels" in err
 
 
 def test_resolve_prefers_grammar_then_file(tmp_path):

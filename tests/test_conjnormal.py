@@ -41,20 +41,20 @@ def test_conjugate_definition(s4):
     rows = s4.rows()
     for x in (3, 7, 19):
         for y in (1, 10, 23):
-            want = rows[rows[s4.invert(x)][y]][x]
+            want = rows[rows[s4.inv[x]][y]][x]
             assert conjugate(s4, x, y) == want
 
 
 @given(st.integers(0, 23), st.integers(0, 23))
 def test_conjugation_is_invertible(s4, x, y):
-    assert conjugate(s4, s4.invert(x), conjugate(s4, x, y)) == y
+    assert conjugate(s4, s4.inv[x], conjugate(s4, x, y)) == y
 
 
 @given(st.integers(0, 23), st.integers(0, 23), st.integers(0, 23))
 @settings(max_examples=60)
 def test_conjugation_composes(s4, x, z, y):
     # conj by a product splits into successive conjugations
-    assert conjugate(s4, s4.op(x, z), y) == conjugate(s4, z, conjugate(s4, x, y))
+    assert conjugate(s4, s4.mul[x, z], y) == conjugate(s4, z, conjugate(s4, x, y))
 
 
 def test_conjugate_set_matches_naive(s4):

@@ -39,7 +39,7 @@ def test_negative_exponent_rejected(z6):
 @given(st.integers(0, 7), st.integers(0, 20), st.integers(0, 20))
 @settings(max_examples=60)
 def test_power_adds_exponents(q8, a, m, n):
-    assert q8.op(power(q8, a, m), power(q8, a, n)) == power(q8, a, m + n)
+    assert q8.mul[power(q8, a, m), power(q8, a, n)] == power(q8, a, m + n)
 
 
 # -- cyclic subgroups and element order ----------------------------------
