@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .carrier import Carrier, ElemSet, set_of
-from .conjnormal import conjugate_set
 from .errors import (
     FamilyNotClosed,
     InternalInvariant,
@@ -204,20 +203,18 @@ def conjugation_action_on_subsets(
     stays total.
     """
     hmask = subgroup_set(g, acting).mask()
-    index: dict[int, int] = {}
-    for i, member in enumerate(family):
-        if member.bits in index:
-            raise ValueError("family members must be distinct")
-        index[member.bits] = i
+    # a set is keyed by its ascending members, in the dtype of g.mul
+    index = {m.as_array().astype(g.mul.dtype).tobytes(): i for i, m in enumerate(family)}
+    if len(index) < len(family):
+        raise ValueError("family members must be distinct")
 
     table = np.empty((g.order, len(family)), dtype=np.int64)
-    for x in g.elements():
-        for i, member in enumerate(family):
-            conj = conjugate_set(g, member, x)
-            j = index.get(conj.bits)
-            if j is None:
-                if hmask[x]:
-                    raise FamilyNotClosed(x, i)
-                j = i
-            table[x, i] = j
+    for i, member in enumerate(family):
+        # x M x^-1 for every x at once, one sorted row per x
+        conj = np.sort(g.mul[g.mul[:, member.as_array()], g.inv[:, None]], axis=1)
+        table[:, i] = [index.get(row.tobytes(), -1) for row in conj]
+    left = np.argwhere((table < 0) & hmask[:, None])
+    if len(left):
+        raise FamilyNotClosed(int(left[0, 0]), int(left[0, 1]))
+    table = np.where(table < 0, np.arange(len(family)), table)
     return make_action(g, acting, Carrier(len(family)), table, tuple(family))

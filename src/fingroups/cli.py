@@ -5,10 +5,12 @@ Group references are either catalog grammar
     cyclic:N | dihedral:N | symmetric:N | q8 | product:(REF,REF)
 
 with shorthands zN, dN, sN, or a path to a Cayley-table file.  The file
-format: first significant line holds the carrier size n, the next n lines
-hold n whitespace-separated indices each (row i, column j is i*j), with
-'#' starting a comment and blank lines ignored.  Every number, in the
-grammar or in a file, is ASCII digits only.
+format: first significant line holds the carrier size n (at most
+MAX_GROUP_ORDER), the next n lines hold n indices each (row i, column j is
+i*j), with '#' starting a comment and blank lines ignored.  Only a line
+feed ends a line, and only ASCII blanks (space, tab, carriage return,
+vertical tab, form feed) separate indices.  Every number, in the grammar
+or in a file, is ASCII digits only.
 
 Exit codes: 0 when every check passes, 1 when a mathematical cross-check
 fails (that is a bug trap, not a user error), 2 for unusable input.
@@ -22,7 +24,7 @@ import os
 import re
 import sys
 import time
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .action import (
     conjugation_action,
@@ -35,7 +37,7 @@ from .carrier import ElemSet
 from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_check
 from .cyclic import order
 from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
-from .group import Group, GroupSpec, build, from_cayley_table
+from .group import MAX_GROUP_ORDER, Group, GroupSpec, build, from_cayley_table
 from .report import Check, Report
 from .subgroup import closure
 from .suite import catalog_specs, verify_group
@@ -54,11 +56,17 @@ from .sylow import (
 # input parsing
 
 
+# Lines end at "\n" alone and tokens are separated by ASCII blanks alone;
+# str.splitlines and \S also break at U+2028, U+0085, U+001C and others.
+_TOKEN = re.compile(r"[^ \t\r\v\f]+")
+
+
 def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
     """Read a Cayley-table file; returns (n, rows).  Raises ParseError with
-    1-based line and column on the first offending token."""
+    1-based line and column on the first offending token.  The size line is
+    checked against MAX_GROUP_ORDER before any row is tokenized."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:  # no \r translation
             text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
     except UnicodeDecodeError as e:
         data = e.object  # the whole file: read() decodes it in one call
@@ -66,51 +74,58 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
         col = e.start - data.rfind(b"\n", 0, e.start)
         raise ParseError(line, col, "file is not UTF-8 text") from None
 
-    lines: list[tuple[int, list[tuple[int, str]]]] = []
-    last_line = 1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        body = raw.split("#", 1)[0]
-        toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", body)]
-        if toks:
-            lines.append((lineno, toks))
+    def significant_lines():
+        for lineno, line in enumerate(text.split("\n"), 1):
+            body = line.split("#", 1)[0]
+            toks = _TOKEN.findall(body)
+            if toks:
+                yield lineno, body, toks
 
-    def want_int(lineno: int, col: int, tok: str) -> int:
-        try:
-            if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
-                return int(tok)  # ValueError past Python's digit limit
-        except ValueError:
-            pass
-        raise ParseError(lineno, col, f"expected an integer, got {tok!r}")
+    def fail(lineno: int, body: str, k: int, message: str) -> ParseError:
+        col = next(islice(_TOKEN.finditer(body), k, None)).start() + 1
+        return ParseError(lineno, col, message)
 
-    if not lines:
+    def want_int(lineno: int, body: str, k: int, tok: str) -> int:
+        if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
+            try:
+                return int(tok)
+            except ValueError:  # past Python's digit limit
+                pass
+        raise fail(lineno, body, k, f"expected an integer, got {tok!r}")
+
+    last_line = text.count("\n") + (not text.endswith("\n"))
+    lines = significant_lines()
+    header = next(lines, None)
+    if header is None:
         raise ParseError(last_line, 1, "no table found")
-
-    header_line, header_toks = lines[0]
+    header_line, header_body, header_toks = header
     if len(header_toks) != 1:
-        col, tok = header_toks[1]
-        raise ParseError(header_line, col, f"size line must hold one integer, got {tok!r}")
-    n = want_int(header_line, header_toks[0][0], header_toks[0][1])
+        raise fail(header_line, header_body, 1,
+                   f"size line must hold one integer, got {header_toks[1]!r}")
+    n = want_int(header_line, header_body, 0, header_toks[0])
     if n < 1:
-        raise ParseError(header_line, header_toks[0][0], f"size must be positive, got {n}")
+        raise fail(header_line, header_body, 0, f"size must be positive, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise fail(header_line, header_body, 0,
+                   f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
 
-    body_lines = lines[1:]
+    body_lines = list(islice(lines, n + 1))  # one more shows trailing content
     if len(body_lines) < n:
         raise ParseError(last_line, 1, f"expected {n} table rows, found {len(body_lines)}")
     if len(body_lines) > n:
-        lineno, toks = body_lines[n]
-        raise ParseError(lineno, toks[0][0], "unexpected content after the table")
+        lineno, body, _ = body_lines[n]
+        raise fail(lineno, body, 0, "unexpected content after the table")
 
     rows: list[list[int]] = []
-    for lineno, toks in body_lines:
+    for lineno, body, toks in body_lines:
         if len(toks) != n:
-            col = toks[min(n, len(toks) - 1)][0]
-            raise ParseError(lineno, col, f"row has {len(toks)} entries, expected {n}")
+            raise fail(lineno, body, min(n, len(toks) - 1),
+                       f"row has {len(toks)} entries, expected {n}")
         row = []
-        for col, tok in toks:
-            v = want_int(lineno, col, tok)
-            if not 0 <= v < n:
-                raise ParseError(lineno, col, f"entry {v} out of range [0, {n})")
+        for k, tok in enumerate(toks):
+            v = want_int(lineno, body, k, tok)
+            if v >= n:
+                raise fail(lineno, body, k, f"entry {v} out of range [0, {n})")
             row.append(v)
         rows.append(row)
     return n, rows

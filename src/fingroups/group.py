@@ -6,11 +6,18 @@ accepts exactly the tables satisfying the three defining axioms
 
     unit * x == x              (left unit)
     inv(x) * x == unit         (left inverse)
-    (x * y) * z == x * (y * z) (associativity, checked exhaustively)
+    (x * y) * z == x * (y * z) (associativity, by Light's test)
 
 with the unit located as the unique two-sided identity and inverses derived
-from the table.  All the usual right-sided laws are consequences; they are
-re-verified, not assumed, by check_identities.
+from the table.  Light's test (Clifford and Preston, The Algebraic Theory of
+Semigroups I, section 1.2) proves associativity from a generating set: the
+a with (x * a) * y == x * (a * y) for all x and y contain the unit and are
+closed under the product, so when every generator passes, every element
+does.  Generators are picked greedily, each the smallest element not yet
+reached, so a group needs at most log2(order) + 1 of them.  A table that
+fails the test is scanned row by row for its first violating triple.
+All the usual right-sided laws are consequences; they are re-verified, not
+assumed, by check_identities.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .carrier import Carrier, ElemSet, full_set
 from .errors import (
+    InternalInvariant,
     MalformedTable,
     NoIdentity,
     NoInverse,
@@ -37,9 +45,10 @@ TABLE_DTYPE = np.int32
 # big and nothing downstream needs them).
 MAX_SYMMETRIC_DEGREE = 6
 
-# Catalog groups beyond this order are refused before any table is built:
-# the table alone takes order^2 entries (4 MiB here), and validating it
-# takes order^3 steps.
+# Groups beyond this order are refused before any table is built or read:
+# the table alone takes order^2 entries (4 MiB here).  Light's test costs
+# order^2 steps per generator, but a table that fails it falls back to the
+# row scan, which takes order^3.
 MAX_GROUP_ORDER = 1024
 
 
@@ -82,13 +91,44 @@ class Group:
         return f"Group(order={self.order}, unit={self.unit})"
 
 
+def reach(gen_rows: list[list[int]], bits: int, frontier: list[int]) -> int:
+    """Breadth-first closure under left multiplication: from the set
+    ``bits`` (indicator bits), whose members still to multiply are
+    ``frontier``, add gen * y for every generator row and point y reached
+    until nothing new appears.  Returns the result's indicator bits."""
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for row in gen_rows:
+                z = row[y]
+                if not (bits >> z) & 1:
+                    bits |= 1 << z
+                    nxt.append(z)
+        frontier = nxt
+    return bits
+
+
+def _first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically first triple breaking associativity, or None.
+    For fixed x1, t[t[x1]] holds (x1*x2)*x3 and t[x1][t] holds
+    x1*(x2*x3); row-major argwhere keeps the triple lexicographic."""
+    for x1 in range(len(t)):
+        lhs = t[t[x1]]
+        rhs = t[x1][t]
+        if not np.array_equal(lhs, rhs):
+            x2, x3 = np.argwhere(lhs != rhs)[0]
+            return x1, int(x2), int(x3)
+    return None
+
+
 def from_cayley_table(n: int, table) -> Group:
     """Validate an n-by-n multiplication table and return the group.
 
     Raises MalformedTable for shape or range problems, NoIdentity if no
     element is a two-sided identity, NoInverse(x) if some x has no left
     inverse, and NonAssociative(x1, x2, x3) with the first violating triple
-    in lexicographic order.
+    in lexicographic order.  Raises InternalInvariant if Light's test fails
+    but the row scan finds no violating triple.
     """
     if n < 1:
         raise MalformedTable(f"carrier size must be at least 1, got {n}")
@@ -117,15 +157,20 @@ def from_cayley_table(n: int, table) -> Group:
             raise NoInverse(x)
         inv[x] = left[0]
 
-    # Row-sliced associativity scan: for fixed x1, t[t[x1]] holds
-    # (x1*x2)*x3 and t[x1][t] holds x1*(x2*x3).  Row-major argwhere keeps
-    # the first reported triple lexicographic.
-    for x1 in range(n):
-        lhs = t[t[x1]]
-        rhs = t[x1][t]
-        if not np.array_equal(lhs, rhs):
-            x2, x3 = np.argwhere(lhs != rhs)[0]
-            raise NonAssociative(x1, int(x2), int(x3))
+    # Light's test over greedily picked generators; each is checked as soon
+    # as it is picked, so a bad table stops at its first failing generator.
+    gen_rows: list[list[int]] = []
+    reached = 1 << unit
+    while reached != (1 << n) - 1:
+        a = (~reached & (reached + 1)).bit_length() - 1  # smallest unreached
+        if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+            triple = _first_nonassociative(t)
+            if triple is None:
+                raise InternalInvariant(
+                    f"Light's test fails at generator {a}, but the row scan finds no bad triple")
+            raise NonAssociative(*triple)
+        gen_rows.append(t[a].tolist())
+        reached = reach(gen_rows, reached, [y for y in range(n) if reached >> y & 1])
 
     return Group(Carrier(n), unit, inv, t)
 
@@ -197,14 +242,15 @@ def _dihedral_table(n: int) -> np.ndarray:
 
 def _symmetric_table(n: int) -> np.ndarray:
     # Permutations of 0..n-1 in lexicographic order; mul(p, q) applies q
-    # first and then p, i.e. (p*q)(i) = p[q[i]].
-    perms = list(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    t = np.empty((m, m), dtype=TABLE_DTYPE)
+    # first and then p, i.e. (p*q)(i) = p[q[i]].  Lexicographic order is
+    # the order of the base-n codes, so a product's index is its code's
+    # rank.  One row at a time: the whole m x m x n gather would be large.
+    perms = np.array(symmetric_elements(n), dtype=np.int64)
+    w = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = perms @ w
+    t = np.empty((len(perms), len(perms)), dtype=TABLE_DTYPE)
     for a, p in enumerate(perms):
-        for b, q in enumerate(perms):
-            t[a, b] = index[tuple(p[q[k]] for k in range(n))]
+        t[a] = np.searchsorted(codes, p[perms] @ w)
     return t
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .carrier import ElemSet, set_of
 from .errors import CarrierMismatch, InvalidSubgroup
-from .group import Group
+from .group import Group, reach
 from .report import Check
 
 
@@ -56,17 +56,7 @@ def closure(g: Group, gens) -> ElemSet:
     for x in gens:
         g.carrier.check_point(x)
     rows = g.rows()
-    bits = 1 << g.unit
-    frontier = [g.unit]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for gen in gens:
-                z = rows[gen][y]
-                if not (bits >> z) & 1:
-                    bits |= 1 << z
-                    nxt.append(z)
-        frontier = nxt
+    bits = reach([rows[x] for x in gens], 1 << g.unit, [g.unit])
     return ElemSet(g.carrier, bits)
 
 

@@ -30,6 +30,21 @@ def element_orders(rows: list[list[int]], unit: int) -> dict[int, int]:
     return {x: naive_order(rows, unit, x) for x in range(len(rows))}
 
 
+def naive_first_nonassociative(rows: list[list[int]]) -> tuple[int, int, int] | None:
+    """The first (x1, x2, x3) in lexicographic order with
+    (x1*x2)*x3 != x1*(x2*x3), by trying every triple; None if there is none."""
+    n = len(rows)
+    for x1 in range(n):
+        r1 = rows[x1]
+        for x2 in range(n):
+            r12 = rows[r1[x2]]
+            r2 = rows[x2]
+            for x3 in range(n):
+                if r12[x3] != r1[r2[x3]]:
+                    return x1, x2, x3
+    return None
+
+
 def naive_is_abelian(rows: list[list[int]]) -> bool:
     n = len(rows)
     return all(rows[a][b] == rows[b][a] for a in range(n) for b in range(n))

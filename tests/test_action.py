@@ -25,7 +25,11 @@ from fingroups import (
     subgroup_sample,
     subgroup_set,
     symmetric_elements,
+    sylow_family,
+    sylow_subgroup,
 )
+from fingroups.conjnormal import conjugacy_family
+from fingroups.numutil import prime_divisors
 from fingroups.suite import catalog
 from fingroups.errors import (
     FamilyNotClosed,
@@ -334,6 +338,51 @@ def test_family_not_closed(s3):
     with pytest.raises(FamilyNotClosed) as exc:
         conjugation_action_on_subsets(s3, s3.full_set(), fam)
     assert exc.value.index == 0
+
+
+def per_cell_subset_table(g, acting, family):
+    """The subset action's table the slow way: one conjugate_set per cell,
+    raising FamilyNotClosed at the first (x, i) in row-major order."""
+    index = {m.bits: i for i, m in enumerate(family)}
+    table = []
+    for x in g.elements():
+        row = []
+        for i, m in enumerate(family):
+            j = index.get(conjugate_set(g, m, x).bits)
+            if j is None:
+                if x in acting:
+                    raise FamilyNotClosed(x, i)
+                j = i
+            row.append(j)
+        table.append(row)
+    return table
+
+
+def test_subset_action_matches_per_cell_conjugation(small_catalog):
+    # Sylow families under the whole group, and the conjugates of each
+    # cyclic subgroup under a Sylow subgroup, whose other rows are filled
+    for label, g in small_catalog:
+        full = g.full_set()
+        for p in prime_divisors(g.order):
+            cert = sylow_subgroup(g, full, p)
+            cases = [(full, sylow_family(g, full, p, cert))]
+            cases += [(cert.subgroup, conjugacy_family(g, cert.subgroup, closure(g, [x])))
+                      for x in g.elements()]
+            for acting, family in cases:
+                act = conjugation_action_on_subsets(g, acting, family)
+                assert act.table.tolist() == per_cell_subset_table(g, acting, family), label
+
+
+def test_family_not_closed_witness_is_the_first_cell(s4):
+    base = closure(s4, [1])
+    family = conjugacy_family(s4, s4.full_set(), base)
+    for dropped in range(len(family)):
+        rest = family[:dropped] + family[dropped + 1:]
+        with pytest.raises(FamilyNotClosed) as want:
+            per_cell_subset_table(s4, s4.full_set(), rest)
+        with pytest.raises(FamilyNotClosed) as got:
+            conjugation_action_on_subsets(s4, s4.full_set(), rest)
+        assert (got.value.x, got.value.index) == (want.value.x, want.value.index)
 
 
 def test_subset_action_matches_conjugate_set(s4):

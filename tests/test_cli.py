@@ -122,6 +122,45 @@ def test_parse_refuses_numbers_past_the_int_digit_limit(tmp_path, capsys, text, 
     assert run_cli(capsys, "verify", path)[0] == 2
 
 
+def test_parse_breaks_lines_at_newline_only(tmp_path, capsys):
+    # str.splitlines would split this row at U+2028 and accept Z2
+    path = tmp_path / "ls.cayley"
+    path.write_bytes("2\n0 1\u20281 0\n".encode())
+    with pytest.raises(ParseError):
+        parse_cayley_file(str(path))
+    assert run_cli(capsys, "verify", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("text", [
+    "# a\x85b\n2\n0 1\n1 x\n",  # U+0085 in a comment
+    "# a\fb\n2\n0 1\n1 x\n",     # form feed in a comment
+    "2\f\n0\f1\n\f\n1 x\n",      # form feed as a blank
+    "2\n0\r1\n\r\n1 x\n",         # a lone carriage return as a blank
+], ids=["nel-in-comment", "ff-in-comment", "ff-as-blank", "cr-as-blank"])
+def test_parse_line_numbers_count_newlines_only(tmp_path, text):
+    path = tmp_path / "t.cayley"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(str(path))
+    assert (exc.value.line, exc.value.col) == (4, 3)
+
+
+def test_parse_accepts_crlf_files(tmp_path, capsys):
+    path = tmp_path / "crlf.cayley"
+    path.write_bytes(b"2\r\n0 1\r\n# note\r\n1 0\r\n")
+    assert parse_cayley_file(str(path)) == (2, [[0, 1], [1, 0]])
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+
+
+def test_parse_refuses_an_oversized_header_before_any_row(tmp_path, capsys):
+    path = write(tmp_path, "# big\n  1025\n")
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(path)
+    assert (exc.value.line, exc.value.col) == (2, 3)
+    assert "exceeds the maximum of 1024" in exc.value.detail
+    assert run_cli(capsys, "verify", path)[0] == 2
+
+
 def test_non_utf8_column_counts_the_byte_order_mark(tmp_path):
     path = tmp_path / "bom-latin1.cayley"
     path.write_bytes(b"\xef\xbb\xbf1 \xe9\n0\n")  # the bad byte is the 6th

@@ -13,6 +13,7 @@ from fingroups import (
 )
 from fingroups.errors import (
     GroupTheoryError,
+    InternalInvariant,
     MalformedTable,
     NoIdentity,
     NoInverse,
@@ -21,7 +22,7 @@ from fingroups.errors import (
 )
 from fingroups import group as group_mod
 from fingroups.group import MAX_GROUP_ORDER, MAX_SYMMETRIC_DEGREE, spec_order
-from fingroups.suite import verify_group
+from fingroups.suite import catalog_specs, verify_group
 
 import oracles
 
@@ -85,6 +86,58 @@ def test_nonassociative_reports_first_triple():
     assert exc.value.triple == expected
 
 
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.describe())
+def test_every_catalog_table_is_associative_by_the_oracle(spec):
+    g = build(spec)  # validated by Light's test
+    assert oracles.naive_first_nonassociative(oracles.table_rows(g)) is None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.symmetric(4), GroupSpec.dihedral(6),
+     GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2))],
+    ids=lambda s: s.describe(),
+)
+def test_corruptions_report_the_oracles_first_triple(spec):
+    """One-cell changes off the unit's row and column that keep every
+    column's unit entry: the identity and the inverses survive, so only
+    associativity can fail, and it must fail at the oracle's triple."""
+    g = build(spec)
+    rng = np.random.default_rng(g.order)
+    others = [x for x in range(g.order) if x != g.unit]
+    for _ in range(60):
+        rows = oracles.table_rows(g)
+        i, j = (int(x) for x in rng.choice(others, size=2))
+        if rows[i][j] == g.unit:
+            continue
+        rows[i][j] = int(rng.choice([v for v in others if v != rows[i][j]]))
+        with pytest.raises(NonAssociative) as exc:
+            from_cayley_table(g.order, rows)
+        assert exc.value.triple == oracles.naive_first_nonassociative(rows), (i, j)
+
+
+# the smallest loop that is not a group: a Latin square with unit 0
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+# LOOP5 x Z2 with (i, k) at 2*i + k: the first generator, 1 = (0, 1), passes
+# Light's test, and the second, 2 = (1, 0), fails it
+LOOP5_X_Z2 = [[LOOP5[a // 2][b // 2] * 2 + (a + b) % 2 for b in range(10)] for a in range(10)]
+
+
+@pytest.mark.parametrize("rows", [LOOP5, LOOP5_X_Z2], ids=["loop5", "loop5xz2"])
+def test_nonassociative_loop_reports_the_oracles_first_triple(rows):
+    with pytest.raises(NonAssociative) as exc:
+        from_cayley_table(len(rows), rows)
+    assert exc.value.triple == oracles.naive_first_nonassociative(rows)
+
+
+def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatch):
+    # Light's test rejects the loop; a row scan that confirms nothing means
+    # the library contradicts itself, which is never reported as bad input
+    monkeypatch.setattr(group_mod, "_first_nonassociative", lambda t: None)
+    with pytest.raises(InternalInvariant):
+        from_cayley_table(5, LOOP5)
+
+
 @given(st.integers(2, 8), st.data())
 def test_single_cell_corruption_rejected(n, data):
     """Any one-cell change to a valid table breaks a row of the Latin
@@ -132,14 +185,14 @@ def test_dihedral_relations():
 
 
 def test_symmetric_lex_order_and_composition():
-    g = build(GroupSpec.symmetric(3))
-    perms = symmetric_elements(3)
-    assert perms == sorted(perms)  # lexicographic enumeration
-    assert perms[0] == (0, 1, 2)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            want = oracles.permutation_compose(p, q)  # apply q, then p
-            assert perms[g.mul[i, j]] == want
+    for n in range(1, MAX_SYMMETRIC_DEGREE + 1):
+        perms = symmetric_elements(n)
+        assert perms == sorted(itertools.permutations(range(n)))  # lexicographic
+        index = {p: i for i, p in enumerate(perms)}
+        want = [[index[oracles.permutation_compose(p, q)] for q in perms]  # q, then p
+                for p in perms]
+        g = build(GroupSpec.symmetric(n))  # the table of group._symmetric_table
+        assert g.unit == 0 and g.mul.tolist() == want, n
 
 
 def test_symmetric_degree_bound():
