@@ -7,6 +7,17 @@ elements must act bijectively and the composition law must hold across it.
 Rows for elements outside the acting subgroup merely have to stay in range
 (the stock constructors use the identity there).
 
+Both laws are checked on a generating set only (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 4).  If each generator a
+permutes the points and to(a*y, z) == to(a, to(y, z)) for every acting y,
+then every acting element, a positive word in the generators, acts as the
+composite of their permutations, and the law follows by induction on word
+length; the unit then acts as a permutation equal to its own square, the
+identity.  Generators are picked greedily as in group.from_cayley_table,
+at most log2 of the acting order plus one.  A table that fails is rescanned
+element by element, so its error names the same first witness as a check
+of every element would.
+
 The counting results: the orbit of a point has the same size as the index
 of its stabilizer, hence divides the acting order; and when the acting
 order is a prime power p^a, the total point count is congruent mod p to the
@@ -32,7 +43,7 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import Group
+from .group import Group, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import left_coset_numbering, left_index, subgroup_set
@@ -60,12 +71,17 @@ def make_action(
 ) -> Action:
     """Materialize and validate an action table.
 
-    Raises NotBijective(x) when some acting element fails to permute the
-    points, and NotMorphism(x, y, z) with the first violating triple when
-    the composition law to(x*y, z) == to(x, to(y, z)) breaks on the acting
-    subgroup.
+    Only greedily picked generators a of the acting subgroup are checked,
+    each as soon as it is picked: its row must permute the points, and
+    to(a*y, z) == to(a, to(y, z)) must hold for every acting y and every
+    point z.  A trivial acting subgroup checks its unit row the same way.
+    When a generator fails, every acting element is rescanned in full:
+    NotBijective(x) names the first element that fails to permute the
+    points, and otherwise NotMorphism(x, y, z) the first triple breaking
+    the composition law.  InternalInvariant if the rescan finds neither.
     """
-    m = subgroup_set(g, acting).as_array()
+    h = subgroup_set(g, acting)
+    m = h.as_array()
     s = points.size
     if isinstance(to, np.ndarray):
         table = to.astype(np.int64, copy=True)
@@ -80,24 +96,43 @@ def make_action(
     if s and table.size and (table.min() < 0 or table.max() >= s):
         raise PointOutOfRange("action table leaves the point carrier")
 
-    pts = np.arange(s, dtype=np.int64)
-    for x in m:
-        if not np.array_equal(np.sort(table[int(x)]), pts):
-            raise NotBijective(int(x))
-    for x in m:
-        lhs = table[g.mul[int(x), m]]
-        rhs = table[int(x)][table[m]]
-        if not np.array_equal(lhs, rhs):
-            yi, z = np.argwhere(lhs != rhs)[0]
-            raise NotMorphism(int(x), int(m[yi]), int(z))
+    gens = greedy_generators(g.mul, g.unit, h.bits) if h.card > 1 else (g.unit,)
+    for a in gens:
+        hit = np.zeros(s, dtype=bool)
+        hit[table[a]] = True
+        if not (hit.all() and np.array_equal(table[g.mul[a, m]], table[a][table[m]])):
+            err = _first_action_violation(g, table, m)
+            if err is None:
+                raise InternalInvariant(
+                    f"generator {a} fails to act, but the full rescan finds no violation")
+            raise err
 
     # The unit acts trivially as a consequence of bijectivity plus the
     # composition law; keep the assertion anyway.
-    if s and not np.array_equal(table[g.unit], pts):
+    if s and not np.array_equal(table[g.unit], np.arange(s)):
         raise InternalInvariant("unit fails to act as the identity")
 
     table.setflags(write=False)
     return Action(g, acting, points, table, point_labels)
+
+
+def _first_action_violation(
+    g: Group, table: np.ndarray, m: np.ndarray
+) -> NotBijective | NotMorphism | None:
+    """The full rescan over the acting elements m: NotBijective for the
+    first row that is no permutation, else NotMorphism for the first
+    (x, y, z) in the order of m and the points, else None."""
+    pts = np.arange(table.shape[1])
+    for x in m:
+        if not np.array_equal(np.sort(table[x]), pts):
+            return NotBijective(int(x))
+    for x in m:
+        lhs = table[g.mul[x, m]]
+        rhs = table[x][table[m]]
+        if not np.array_equal(lhs, rhs):
+            yi, z = np.argwhere(lhs != rhs)[0]
+            return NotMorphism(int(x), int(m[yi]), int(z))
+    return None
 
 
 def orbit(act: Action, a: int) -> ElemSet:

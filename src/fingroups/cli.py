@@ -37,7 +37,7 @@ from .carrier import ElemSet
 from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_check
 from .cyclic import order
 from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
-from .group import MAX_GROUP_ORDER, Group, GroupSpec, build, from_cayley_table
+from .group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, Group, GroupSpec, build, from_cayley_table
 from .report import Check, Report
 from .subgroup import closure
 from .suite import catalog_specs, verify_group
@@ -132,11 +132,6 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
 
 
 _SHORTHAND = {"z": "cyclic", "d": "dihedral", "s": "symmetric"}
-
-# Products nest at most this deep, one level of parentheses each; the spec
-# walks recurse once per level.
-MAX_PRODUCT_DEPTH = 32
-
 
 def parse_group_ref(ref: str) -> GroupSpec:
     """Parse catalog grammar; raises ValueError when the text is not

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +51,10 @@ MAX_SYMMETRIC_DEGREE = 6
 # order^2 steps per generator, but a table that fails it falls back to the
 # row scan, which takes order^3.
 MAX_GROUP_ORDER = 1024
+
+# Products nest at most this deep, one level of parentheses each; the spec
+# walks recurse once per level.
+MAX_PRODUCT_DEPTH = 32
 
 
 class Group:
@@ -108,6 +113,22 @@ def reach(gen_rows: list[list[int]], bits: int, frontier: list[int]) -> int:
     return bits
 
 
+def greedy_generators(t: np.ndarray, unit: int, target: int) -> Iterator[int]:
+    """Generators of the subgroup with indicator bits ``target``, picked
+    greedily: each is the smallest member not yet reached, after which the
+    reached set grows by one incremental reach over the rows of ``t``.
+    Each is yielded as soon as it is picked, so a caller that checks it
+    and stops stops the picking too.  At most log2(|target|) + 1 come."""
+    gen_rows: list[list[int]] = []
+    reached = 1 << unit
+    while reached != target:
+        left = target & ~reached
+        a = (left & -left).bit_length() - 1
+        yield a
+        gen_rows.append(t[a].tolist())
+        reached = reach(gen_rows, reached, [y for y in range(len(t)) if reached >> y & 1])
+
+
 def _first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The lexicographically first triple breaking associativity, or None.
     For fixed x1, t[t[x1]] holds (x1*x2)*x3 and t[x1][t] holds
@@ -159,18 +180,13 @@ def from_cayley_table(n: int, table) -> Group:
 
     # Light's test over greedily picked generators; each is checked as soon
     # as it is picked, so a bad table stops at its first failing generator.
-    gen_rows: list[list[int]] = []
-    reached = 1 << unit
-    while reached != (1 << n) - 1:
-        a = (~reached & (reached + 1)).bit_length() - 1  # smallest unreached
+    for a in greedy_generators(t, unit, (1 << n) - 1):
         if not np.array_equal(t[t[:, a]], t[:, t[a]]):
             triple = _first_nonassociative(t)
             if triple is None:
                 raise InternalInvariant(
                     f"Light's test fails at generator {a}, but the row scan finds no bad triple")
             raise NonAssociative(*triple)
-        gen_rows.append(t[a].tolist())
-        reached = reach(gen_rows, reached, [y for y in range(n) if reached >> y & 1])
 
     return Group(Carrier(n), unit, inv, t)
 
@@ -298,7 +314,17 @@ def _product_table(g1: Group, g2: Group) -> np.ndarray:
 
 def spec_order(spec: GroupSpec) -> int:
     """The order of the group a spec describes, from the spec alone.
-    Raises UnsupportedSpec for a parameter outside the supported range."""
+    Raises UnsupportedSpec for products nested deeper than
+    MAX_PRODUCT_DEPTH, found by a level walk before any recursion, and for
+    a parameter outside the supported range."""
+    level = [spec]
+    for _ in range(MAX_PRODUCT_DEPTH + 1):
+        # keyed by identity, so a part shared many times is walked once
+        level = list({id(p): p for s in level for p in s.parts}.values())
+        if not level:
+            break
+    else:
+        raise UnsupportedSpec(f"products nest at most {MAX_PRODUCT_DEPTH} levels deep")
     if spec.kind == "cyclic":
         if spec.n < 1:
             raise UnsupportedSpec(f"cyclic order must be positive, got {spec.n}")

@@ -45,6 +45,25 @@ def naive_first_nonassociative(rows: list[list[int]]) -> tuple[int, int, int] | 
     return None
 
 
+def naive_first_action_violation(rows, table, acting) -> tuple | None:
+    """The first failure of a table to be an action of the acting
+    elements, scanning them all in ascending order: ("bijective", x) for
+    the first row that is no permutation of the points, else
+    ("morphism", (x, y, z)) for the first triple in lexicographic order
+    with table[x*y][z] != table[x][table[y][z]], else None."""
+    acting = sorted(acting)
+    n_points = len(table[0])
+    for x in acting:
+        if sorted(table[x]) != list(range(n_points)):
+            return "bijective", x
+    for x in acting:
+        for y in acting:
+            for z in range(n_points):
+                if table[rows[x][y]][z] != table[x][table[y][z]]:
+                    return "morphism", (x, y, z)
+    return None
+
+
 def naive_is_abelian(rows: list[list[int]]) -> bool:
     n = len(rows)
     return all(rows[a][b] == rows[b][a] for a in range(n) for b in range(n))

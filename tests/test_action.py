@@ -28,11 +28,14 @@ from fingroups import (
     sylow_family,
     sylow_subgroup,
 )
+from fingroups import action as action_mod
 from fingroups.conjnormal import conjugacy_family
+from fingroups.group import greedy_generators
 from fingroups.numutil import prime_divisors
 from fingroups.suite import catalog
 from fingroups.errors import (
     FamilyNotClosed,
+    InternalInvariant,
     InvalidSubgroup,
     NotBijective,
     NotMorphism,
@@ -96,6 +99,123 @@ def test_action_table_read_only(s3):
     act = trivial_action(s3, 4)
     with pytest.raises(ValueError):
         act.table[0, 0] = 1
+
+
+def action_verdict(g, acting, table):
+    """make_action's verdict on a table, in the terms of the oracle."""
+    try:
+        make_action(g, acting, Carrier(table.shape[1]), table)
+    except NotBijective as err:
+        return "bijective", err.x
+    except NotMorphism as err:
+        return "morphism", err.triple
+    return None
+
+
+def assert_verdict_matches_oracle(g, acting, table):
+    want = oracles.naive_first_action_violation(
+        oracles.table_rows(g), table.tolist(), acting.indices())
+    assert action_verdict(g, acting, table) == want
+    return want
+
+
+def mutations(rng, table, acting, count):
+    """Seeded changes inside the acting rows: one cell changed, which
+    breaks its row's bijection, and two cells of one row swapped, which
+    keeps it and can break only the composition law."""
+    s = table.shape[1]
+    if s < 2:
+        return
+    for _ in range(count):
+        x = int(rng.choice(acting.as_array()))
+        z, w = rng.choice(s, 2, replace=False)
+        changed = table.copy()
+        changed[x, z] = (changed[x, z] + rng.integers(1, s)) % s
+        yield changed
+        swapped = table.copy()
+        swapped[x, [z, w]] = swapped[x, [w, z]]
+        yield swapped
+
+
+def test_make_action_matches_the_oracle_on_verify_actions_and_mutations(small_catalog):
+    # conjugation by the whole group and each sample subgroup translating
+    # its own cosets, as verify_group builds them, then mutated
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for label, g in small_catalog:
+        full = g.full_set()
+        acts = [conjugation_action(g, full)]
+        acts += [left_translation_action(g, h, h, full) for h in subgroup_sample(g)]
+        for act in acts:
+            assert assert_verdict_matches_oracle(g, act.acting, act.table) is None, label
+            for bad in mutations(rng, act.table, act.acting, 2):
+                got = assert_verdict_matches_oracle(g, act.acting, bad)
+                verdicts.add(got and got[0])
+    assert verdicts == {None, "bijective", "morphism"}
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [(GroupSpec.symmetric(3), 2), (GroupSpec.symmetric(3), 3), (GroupSpec.dihedral(4), 2),
+     (GroupSpec.q8(), 2), (GroupSpec.cyclic(6), 3), (GroupSpec.cyclic(5), 5)],
+    ids=lambda v: v.describe() if isinstance(v, GroupSpec) else f"p{v}",
+)
+def test_rotation_table_with_a_swapped_sigma_entry_matches_the_oracle(spec, p):
+    g = build(spec)
+    _, rotation = oracles.naive_rotation_table(oracles.table_rows(g), g.unit, list(g.elements()), p)
+    table = np.array(rotation)
+    zp = build(GroupSpec.cyclic(p))
+    assert assert_verdict_matches_oracle(zp, zp.full_set(), table) is None
+    rng = np.random.default_rng(p)
+    verdicts = []
+    for _ in range(6):
+        z, w = rng.choice(table.shape[1], 2, replace=False)
+        bad = table.copy()
+        bad[1, [z, w]] = bad[1, [w, z]]  # row 1 is sigma, the generator
+        verdicts.append(assert_verdict_matches_oracle(zp, zp.full_set(), bad))
+    assert any(v and v[0] == "morphism" for v in verdicts)
+
+
+@pytest.mark.parametrize("unit_row, verdict",
+                         [([1, 0, 2], ("morphism", (0, 0, 0))), ([0, 0, 2], ("bijective", 0))],
+                         ids=["not_idempotent", "not_bijective"])
+def test_trivial_acting_subgroup_checks_its_unit_row(s3, unit_row, verdict):
+    # one acting element leaves no generator to pick, yet a unit row that
+    # is no permutation, or one other than its own square, is bad input
+    # and never an InternalInvariant
+    table = np.zeros((6, 3), dtype=np.int64)
+    table[s3.unit] = unit_row
+    assert assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table) == verdict
+
+
+def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatch, s3):
+    # the generator check rejects the table; a full rescan that confirms
+    # nothing means the library contradicts itself, never bad input
+    monkeypatch.setattr(action_mod, "_first_action_violation", lambda *args: None)
+    with pytest.raises(InternalInvariant):
+        make_action(s3, s3.full_set(), Carrier(3), lambda x, z: 0)
+
+
+def test_generators_come_from_the_acting_subgroup(z12):
+    # 1 and 2 lie outside H = {0, 3, 6, 9}; the pick takes 3, which
+    # generates H, and the rows of 6 and 9 are still checked as y
+    h = members(z12, [0, 3, 6, 9])
+    assert list(greedy_generators(z12.mul, z12.unit, h.bits)) == [3]
+    act = left_translation_action(z12, h, members(z12, [0, 6]), z12.full_set())
+    assert act.points.size == 6
+    for x in (6, 9):
+        bad = np.array(act.table)
+        bad[x, [0, 1]] = bad[x, [1, 0]]
+        assert assert_verdict_matches_oracle(z12, h, bad)[0] == "morphism"
+
+
+def test_a_table_passing_the_first_generator_fails_at_the_second(klein):
+    # the generators are 1 and 2, acting as the involutions (0 1) and (1 2),
+    # and 3 = 1*2 as their composite: the law holds for x = 1 and every y,
+    # but (0 1) and (1 2) do not commute, so it fails for x = 2
+    assert list(greedy_generators(klein.mul, klein.unit, klein.full_set().bits)) == [1, 2]
+    table = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1], [1, 2, 0]])
+    assert assert_verdict_matches_oracle(klein, klein.full_set(), table) == ("morphism", (2, 1, 0))
 
 
 # -- orbits, stabilizers, fixed points -----------------------------------

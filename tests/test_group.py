@@ -21,7 +21,7 @@ from fingroups.errors import (
     UnsupportedSpec,
 )
 from fingroups import group as group_mod
-from fingroups.group import MAX_GROUP_ORDER, MAX_SYMMETRIC_DEGREE, spec_order
+from fingroups.group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, MAX_SYMMETRIC_DEGREE, spec_order
 from fingroups.suite import catalog_specs, verify_group
 
 import oracles
@@ -261,6 +261,26 @@ def test_order_bound_admits_up_to_the_maximum(monkeypatch):
     with pytest.raises(UnsupportedSpec):
         build(GroupSpec.cyclic(MAX_GROUP_ORDER + 1))
     assert spec_order(GroupSpec.symmetric(MAX_SYMMETRIC_DEGREE)) <= MAX_GROUP_ORDER
+
+
+def nested_spec(levels):
+    spec = GroupSpec.cyclic(1)
+    for _ in range(levels):
+        spec = GroupSpec.product(spec, GroupSpec.cyclic(1))
+    return spec
+
+
+def test_product_nesting_is_bounded_for_specs_built_in_code():
+    assert build(nested_spec(MAX_PRODUCT_DEPTH)).order == 1
+    for levels in (MAX_PRODUCT_DEPTH + 1, 1200):
+        with pytest.raises(UnsupportedSpec, match=f"nest at most {MAX_PRODUCT_DEPTH} levels"):
+            build(nested_spec(levels))
+    # one part shared by both sides 64 times over: 2^64 paths, 65 objects
+    shared = GroupSpec.cyclic(1)
+    for _ in range(64):
+        shared = GroupSpec.product(shared, shared)
+    with pytest.raises(UnsupportedSpec, match="nest at most"):
+        spec_order(shared)
 
 
 def test_spec_validation():
