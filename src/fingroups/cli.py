@@ -26,6 +26,8 @@ import sys
 import time
 from itertools import accumulate, islice
 
+import numpy as np
+
 from .action import (
     conjugation_action,
     conjugation_action_on_subsets,
@@ -60,11 +62,27 @@ from .sylow import (
 # str.splitlines and \S also break at U+2028, U+0085, U+001C and others.
 _TOKEN = re.compile(r"[^ \t\r\v\f]+")
 
+# The one-pass reader's view of a file, once comments are deleted: blank
+# lines, then a size line holding one ASCII number; each byte of the rest
+# is a digit (1), an ASCII blank (2), a line feed (3) or anything else (0).
+_COMMENT = re.compile(r"#[^\n]*")
+_HEADER = re.compile(rb"(?:[ \t\r\v\f]*\n)*[ \t\r\v\f]*([0-9]+)[ \t\r\v\f]*\n")
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[list(b"0123456789")] = 1
+_BYTE_CLASS[list(b" \t\r\v\f")] = 2
+_BYTE_CLASS[ord("\n")] = 3
 
-def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
-    """Read a Cayley-table file; returns (n, rows).  Raises ParseError with
-    1-based line and column on the first offending token.  The size line is
-    checked against MAX_GROUP_ORDER before any row is tokenized."""
+
+def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
+    """Read a Cayley-table file; returns (n, table), table an (n, n) int64
+    array.  Raises ParseError with 1-based line and column on the first
+    offending token.  The size line is checked against MAX_GROUP_ORDER
+    before any row is tokenized.
+
+    The rows are read in one vectorised pass.  Text that pass declines
+    goes to the token loop, which reports the first bad token, or returns
+    the rows of the rare valid file the pass does not take (say, one with
+    leading zeros)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:  # no \r translation
             text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
@@ -74,6 +92,65 @@ def parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
         col = e.start - data.rfind(b"\n", 0, e.start)
         raise ParseError(line, col, "file is not UTF-8 text") from None
 
+    table = _parse_table(text)
+    if table is None:
+        n, rows = _parse_tokens(text)
+        table = np.array(rows, dtype=np.int64).reshape(n, n)
+    return len(table), table
+
+
+def _parse_table(text: str) -> np.ndarray | None:
+    """The table of a file's text, read in one vectorised pass, or None
+    unless the text is a size line n and then exactly n lines of n ASCII
+    numbers below n, none with more digits than n - 1, with ASCII blanks
+    and comments between them.  Temporaries are updated in place where
+    they can be: the pass makes few table-sized allocations."""
+    try:  # deleting comments keeps every line feed, so line numbering
+        data = _COMMENT.sub("", text).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    m = _HEADER.match(data)
+    if m is None or len(m[1]) > len(str(MAX_GROUP_ORDER)):
+        return None
+    n = int(m[1])
+    if not 1 <= n <= MAX_GROUP_ORDER:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, offset=m.end())
+    kind = _BYTE_CLASS.take(buf)
+    if not kind.all():
+        return None
+    # a token runs from a rising to a falling edge of the padded digit mask
+    digit = np.zeros(buf.size + 2, dtype=bool)
+    np.equal(kind, 1, out=digit[1:-1])
+    edge = digit[1:] > digit[:-1]
+    if np.count_nonzero(edge) != n * n:  # before any per-token array
+        return None
+    starts = np.flatnonzero(edge)
+    np.less(digit[1:], digit[:-1], out=edge)
+    width = np.flatnonzero(edge)
+    width -= starts
+    digits = len(str(n - 1))
+    if width.max() > digits:
+        return None
+    values = np.zeros(n * n, dtype=np.int64)
+    at = starts.copy()
+    for k in range(digits):  # Horner's rule, one digit column at a time
+        more = width > k
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, buf.take(at, mode="clip"), out=values, where=more)
+        np.subtract(values, ord("0"), out=values, where=more)
+        at += 1
+    # tokens per line: how many start before each line feed, differenced
+    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(kind == 3)),
+                       prepend=0, append=starts.size)
+    if (per_line[per_line > 0] != n).any() or values.max() >= n:
+        return None
+    return values.reshape(n, n)
+
+
+def _parse_tokens(text: str) -> tuple[int, list[list[int]]]:
+    """The token loop: (n, rows) of a file's text, or the ParseError of its
+    first offending token."""
     def significant_lines():
         for lineno, line in enumerate(text.split("\n"), 1):
             body = line.split("#", 1)[0]
@@ -173,8 +250,8 @@ def resolve_group(ref: str) -> tuple[str, Group]:
     if spec is not None:
         return spec.describe(), build(spec)
     if os.path.exists(ref):
-        n, rows = parse_cayley_file(ref)
-        return ref, from_cayley_table(n, rows)
+        # no local holds the table: a caught rejection keeps this frame alive
+        return ref, from_cayley_table(*parse_cayley_file(ref))
     raise GroupTheoryError(
         f"{ref!r} is neither catalog grammar (try 'fingroups catalog') nor a file"
     )

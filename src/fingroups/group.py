@@ -31,6 +31,7 @@ import numpy as np
 
 from .carrier import Carrier, ElemSet, full_set
 from .errors import (
+    GroupTheoryError,
     InternalInvariant,
     MalformedTable,
     NoIdentity,
@@ -160,23 +161,33 @@ def from_cayley_table(n: int, table) -> Group:
         raise MalformedTable(f"entries must be integers, got dtype {t.dtype}")
     if t.size and (t.min() < 0 or t.max() >= n):
         raise MalformedTable(f"entries must lie in [0, {n})")
-    t = t.astype(TABLE_DTYPE)
+    found = _axioms(t.astype(TABLE_DTYPE))
+    if isinstance(found, GroupTheoryError):
+        # a caught rejection keeps this frame's locals alive with its
+        # traceback, so the table is dropped before raising
+        del t, table
+        raise found
+    unit, inv, t = found
+    return Group(Carrier(n), unit, inv, t)
 
+
+def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryError:
+    """(unit, inverses, t) for a table satisfying the group axioms, else
+    the error naming the first one that fails."""
+    n = len(t)
+    # the unit is the first e whose row and column both read 0, 1, ..., n-1
     idx = np.arange(n, dtype=TABLE_DTYPE)
-    unit = -1
-    for e in range(n):
-        if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
-            unit = e
-            break
-    if unit < 0:
-        raise NoIdentity("no two-sided identity in the table")
+    units = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
+    if units.size == 0:
+        return NoIdentity("no two-sided identity in the table")
+    unit = int(units[0])
 
-    inv = np.empty(n, dtype=TABLE_DTYPE)
-    for x in range(n):
-        left = np.nonzero(t[:, x] == unit)[0]
-        if left.size == 0:
-            raise NoInverse(x)
-        inv[x] = left[0]
+    # the left inverse of x is the first row holding the unit in column x;
+    # argmax gives row 0 to a column without one, which the check then finds
+    inv = (t == unit).argmax(axis=0).astype(TABLE_DTYPE)
+    missing = np.flatnonzero(t[inv, idx] != unit)
+    if missing.size:
+        return NoInverse(int(missing[0]))
 
     # Light's test over greedily picked generators; each is checked as soon
     # as it is picked, so a bad table stops at its first failing generator.
@@ -184,11 +195,10 @@ def from_cayley_table(n: int, table) -> Group:
         if not np.array_equal(t[t[:, a]], t[:, t[a]]):
             triple = _first_nonassociative(t)
             if triple is None:
-                raise InternalInvariant(
+                return InternalInvariant(
                     f"Light's test fails at generator {a}, but the row scan finds no bad triple")
-            raise NonAssociative(*triple)
-
-    return Group(Carrier(n), unit, inv, t)
+            return NonAssociative(*triple)
+    return unit, inv, t
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +322,36 @@ def _product_table(g1: Group, g2: Group) -> np.ndarray:
     return t.reshape(g1.order * n2, g1.order * n2).astype(TABLE_DTYPE)
 
 
-def spec_order(spec: GroupSpec) -> int:
-    """The order of the group a spec describes, from the spec alone.
-    Raises UnsupportedSpec for products nested deeper than
-    MAX_PRODUCT_DEPTH, found by a level walk before any recursion, and for
-    a parameter outside the supported range."""
+def _fold_spec(spec: GroupSpec, step) -> dict[int, object]:
+    """Fold a spec bottom-up once per distinct part, parts told apart by
+    identity: step(part, done) runs after the part's own parts, in
+    depth-first order, with ``done`` mapping id(part) to step's result so
+    far, and the map is returned.  Raises UnsupportedSpec for products
+    nested deeper than MAX_PRODUCT_DEPTH, found by a level walk before any
+    recursion, so a part shared on both sides at every level costs one
+    step, not one per path."""
     level = [spec]
     for _ in range(MAX_PRODUCT_DEPTH + 1):
-        # keyed by identity, so a part shared many times is walked once
         level = list({id(p): p for s in level for p in s.parts}.values())
         if not level:
             break
     else:
         raise UnsupportedSpec(f"products nest at most {MAX_PRODUCT_DEPTH} levels deep")
+    done: dict[int, object] = {}
+    _fold_part(spec, step, done)
+    return done
+
+
+def _fold_part(spec: GroupSpec, step, done: dict[int, object]) -> None:
+    # a module-level function: a recursive closure would be a reference
+    # cycle that keeps every built group alive until the cyclic collector runs
+    if id(spec) not in done:
+        for p in spec.parts:
+            _fold_part(p, step, done)
+        done[id(spec)] = step(spec, done)
+
+
+def _order_step(spec: GroupSpec, orders: dict[int, int]) -> int:
     if spec.kind == "cyclic":
         if spec.n < 1:
             raise UnsupportedSpec(f"cyclic order must be positive, got {spec.n}")
@@ -345,27 +372,45 @@ def spec_order(spec: GroupSpec) -> int:
         return 8
     if spec.kind == "product":
         a, b = spec.parts
-        return spec_order(a) * spec_order(b)
+        return orders[id(a)] * orders[id(b)]
     raise UnsupportedSpec(f"unknown group kind {spec.kind!r}")
 
 
+def spec_order(spec: GroupSpec) -> int:
+    """The order of the group a spec describes, from the spec alone.
+    Raises UnsupportedSpec for products nested deeper than
+    MAX_PRODUCT_DEPTH and for a parameter outside the supported range."""
+    return _fold_spec(spec, _order_step)[id(spec)]
+
+
 def build(spec: GroupSpec) -> Group:
-    """Construct a catalog group.  Every table goes back through
-    from_cayley_table, so built groups are validated by construction.  The
-    order is bounded by MAX_GROUP_ORDER before anything is allocated."""
-    n = spec_order(spec)
+    """Construct a catalog group, each distinct part once.  Every table
+    goes back through from_cayley_table, so built groups are validated by
+    construction.  The order is bounded by MAX_GROUP_ORDER before anything
+    is allocated."""
+    orders = _fold_spec(spec, _order_step)
+    n = orders[id(spec)]
     if n > MAX_GROUP_ORDER:
-        raise UnsupportedSpec(f"group order {n} exceeds the maximum of {MAX_GROUP_ORDER}")
-    if spec.kind == "cyclic":
-        return from_cayley_table(n, _cyclic_table(spec.n))
-    if spec.kind == "dihedral":
-        return from_cayley_table(n, _dihedral_table(spec.n))
-    if spec.kind == "symmetric":
-        return from_cayley_table(n, _symmetric_table(spec.n))
-    if spec.kind == "q8":
-        return from_cayley_table(n, _quaternion_table())
-    a, b = spec.parts
-    return from_cayley_table(n, _product_table(build(a), build(b)))
+        # str() refuses an int of more than 4,300 digits, which 1,434
+        # factors of cyclic:1000 reach; such an order is shown by its size
+        shown = n if n.bit_length() <= 10_000 else f"2^{n.bit_length() - 1} or more"
+        raise UnsupportedSpec(f"group order {shown} exceeds the maximum of {MAX_GROUP_ORDER}")
+
+    def step(s: GroupSpec, groups: dict[int, Group]) -> Group:
+        if s.kind == "cyclic":
+            table = _cyclic_table(s.n)
+        elif s.kind == "dihedral":
+            table = _dihedral_table(s.n)
+        elif s.kind == "symmetric":
+            table = _symmetric_table(s.n)
+        elif s.kind == "q8":
+            table = _quaternion_table()
+        else:
+            a, b = s.parts
+            table = _product_table(groups[id(a)], groups[id(b)])
+        return from_cayley_table(orders[id(s)], table)
+
+    return _fold_spec(spec, step)[id(spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,19 @@
 Everything here works on plain Python data (lists of lists, frozensets)
 and takes the slowest obviously-correct route.  None of it shares code
 with the package, so a bug would have to be made twice, in two different
-styles, to slip through a comparison.
+styles, to slip through a comparison.  naive_parse_cayley_file is the one
+exception in style: it is the library's former token-by-token reader,
+kept as the reference its one-pass reader is compared against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+import re
+from itertools import combinations, islice, product
+
+# the error class and the size bound, not logic, come from the package
+from fingroups.errors import ParseError
+from fingroups.group import MAX_GROUP_ORDER
 
 
 def table_rows(g) -> list[list[int]]:
@@ -62,6 +69,108 @@ def naive_first_action_violation(rows, table, acting) -> tuple | None:
                 if table[rows[x][y]][z] != table[x][table[y][z]]:
                     return "morphism", (x, y, z)
     return None
+
+
+def naive_unit_and_inverses(rows: list[list[int]]):
+    """("unit", unit, inverses) by trying every element: the unit is the
+    first e with e*x == x*e == x for every x, and the inverse of x the
+    first y with y*x == unit; ("NoIdentity",) when no e qualifies, else
+    ("NoInverse", x) for the first x with no such y."""
+    n = len(rows)
+    for e in range(n):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
+            break
+    else:
+        return ("NoIdentity",)
+    inverses = []
+    for x in range(n):
+        for y in range(n):
+            if rows[y][x] == e:
+                inverses.append(y)
+                break
+        else:
+            return ("NoInverse", x)
+    return ("unit", e, inverses)
+
+
+_TOKEN = re.compile(r"[^ \t\r\v\f]+")
+
+
+def naive_parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
+    """The token-by-token Cayley-file reader, kept as it was before the
+    library read rows in one vectorised pass: (n, rows), or the ParseError
+    of the first offending token."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:  # no \r translation
+            text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
+    except UnicodeDecodeError as e:
+        data = e.object  # the whole file: read() decodes it in one call
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise ParseError(line, col, "file is not UTF-8 text") from None
+
+    def significant_lines():
+        for lineno, line in enumerate(text.split("\n"), 1):
+            body = line.split("#", 1)[0]
+            toks = _TOKEN.findall(body)
+            if toks:
+                yield lineno, body, toks
+
+    def fail(lineno: int, body: str, k: int, message: str) -> ParseError:
+        col = next(islice(_TOKEN.finditer(body), k, None)).start() + 1
+        return ParseError(lineno, col, message)
+
+    def want_int(lineno: int, body: str, k: int, tok: str) -> int:
+        if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
+            try:
+                return int(tok)
+            except ValueError:  # past Python's digit limit
+                pass
+        raise fail(lineno, body, k, f"expected an integer, got {tok!r}")
+
+    last_line = text.count("\n") + (not text.endswith("\n"))
+    lines = significant_lines()
+    header = next(lines, None)
+    if header is None:
+        raise ParseError(last_line, 1, "no table found")
+    header_line, header_body, header_toks = header
+    if len(header_toks) != 1:
+        raise fail(header_line, header_body, 1,
+                   f"size line must hold one integer, got {header_toks[1]!r}")
+    n = want_int(header_line, header_body, 0, header_toks[0])
+    if n < 1:
+        raise fail(header_line, header_body, 0, f"size must be positive, got {n}")
+    if n > MAX_GROUP_ORDER:
+        raise fail(header_line, header_body, 0,
+                   f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
+
+    body_lines = list(islice(lines, n + 1))  # one more shows trailing content
+    if len(body_lines) < n:
+        raise ParseError(last_line, 1, f"expected {n} table rows, found {len(body_lines)}")
+    if len(body_lines) > n:
+        lineno, body, _ = body_lines[n]
+        raise fail(lineno, body, 0, "unexpected content after the table")
+
+    rows: list[list[int]] = []
+    for lineno, body, toks in body_lines:
+        if len(toks) != n:
+            raise fail(lineno, body, min(n, len(toks) - 1),
+                       f"row has {len(toks)} entries, expected {n}")
+        row = []
+        for k, tok in enumerate(toks):
+            v = want_int(lineno, body, k, tok)
+            if v >= n:
+                raise fail(lineno, body, k, f"entry {v} out of range [0, {n})")
+            row.append(v)
+        rows.append(row)
+    return n, rows
+
+
+def naive_product_rows(rows1: list[list[int]], rows2: list[list[int]]) -> list[list[int]]:
+    """The direct product's table, pair (i1, i2) numbered i1 * n2 + i2."""
+    n2 = len(rows2)
+    pairs = [(i1, i2) for i1 in range(len(rows1)) for i2 in range(n2)]
+    return [[rows1[a1][b1] * n2 + rows2[a2][b2] for b1, b2 in pairs] for a1, a2 in pairs]
 
 
 def naive_is_abelian(rows: list[list[int]]) -> bool:

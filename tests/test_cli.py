@@ -29,7 +29,7 @@ def write(tmp_path, text, name="table.cayley"):
 
 def test_parse_trivial_file(tmp_path):
     n, rows = parse_cayley_file(write(tmp_path, "1\n0\n"))
-    assert n == 1 and rows == [[0]]
+    assert n == 1 and rows.tolist() == [[0]]
 
 
 def test_parse_z3_file(tmp_path):
@@ -43,7 +43,7 @@ def test_parse_z3_file(tmp_path):
 def test_parse_allows_comments_and_blanks(tmp_path):
     text = "# a comment\n\n2\n0 1\n# interior comment\n1 0\n\n"
     n, rows = parse_cayley_file(write(tmp_path, text))
-    assert n == 2 and rows == [[0, 1], [1, 0]]
+    assert n == 2 and rows.tolist() == [[0, 1], [1, 0]]
 
 
 def test_parse_out_of_range_entry(tmp_path):
@@ -93,7 +93,8 @@ def test_parse_non_utf8_file(tmp_path, capsys):
 def test_parse_utf8_file_with_byte_order_mark(tmp_path, capsys):
     path = tmp_path / "bom.cayley"
     path.write_bytes(b"\xef\xbb\xbf2\n0 1\n1 0\n")
-    assert parse_cayley_file(str(path)) == (2, [[0, 1], [1, 0]])
+    n, rows = parse_cayley_file(str(path))
+    assert (n, rows.tolist()) == (2, [[0, 1], [1, 0]])
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 0 and err == ""
 
@@ -148,7 +149,8 @@ def test_parse_line_numbers_count_newlines_only(tmp_path, text):
 def test_parse_accepts_crlf_files(tmp_path, capsys):
     path = tmp_path / "crlf.cayley"
     path.write_bytes(b"2\r\n0 1\r\n# note\r\n1 0\r\n")
-    assert parse_cayley_file(str(path)) == (2, [[0, 1], [1, 0]])
+    n, rows = parse_cayley_file(str(path))
+    assert (n, rows.tolist()) == (2, [[0, 1], [1, 0]])
     assert run_cli(capsys, "verify", str(path))[0] == 0
 
 
@@ -215,6 +217,20 @@ def test_product_nesting_is_bounded(capsys):
         code, out, err = run_cli(capsys, "verify", nested_product(levels))
         assert code == 2 and out == ""
         assert "nest at most 32 levels" in err
+
+
+def balanced_product(leaves, leaf):
+    if leaves == 1:
+        return leaf
+    half = leaves // 2
+    return f"product:({balanced_product(half, leaf)},{balanced_product(leaves - half, leaf)})"
+
+
+def test_an_order_past_the_int_digit_limit_is_refused(capsys):
+    # 1,600 factors of z1000, 11 levels deep: an order of 4,800 digits
+    code, out, err = run_cli(capsys, "verify", balanced_product(1600, "z1000"))
+    assert code == 2 and out == ""
+    assert "group order 2^15945 or more exceeds the maximum of 1024" in err
 
 
 def test_resolve_prefers_grammar_then_file(tmp_path):

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +138,65 @@ def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatc
     monkeypatch.setattr(group_mod, "_first_nonassociative", lambda t: None)
     with pytest.raises(InternalInvariant):
         from_cayley_table(5, LOOP5)
+
+
+def relabeled(rows: list[list[int]], perm) -> list[list[int]]:
+    """The same group with point a renamed perm[a]."""
+    out = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, v in enumerate(row):
+            out[perm[a]][perm[b]] = int(perm[v])
+    return out
+
+
+def unit_and_inverses(rows: list[list[int]]):
+    """from_cayley_table's verdict in the shape of the oracle's."""
+    try:
+        g = from_cayley_table(len(rows), rows)
+    except NoIdentity:
+        return ("NoIdentity",)
+    except NoInverse as e:
+        return ("NoInverse", e.x)
+    return ("unit", g.unit, g.inv.tolist())
+
+
+@pytest.mark.parametrize("spec", [s for s in catalog_specs() if spec_order(s) <= 24],
+                         ids=lambda s: s.describe())
+def test_unit_and_inverses_match_the_oracle(spec):
+    rows = oracles.table_rows(build(spec))
+    perm = np.random.default_rng(len(rows)).permutation(len(rows))
+    for table in (rows, relabeled(rows, perm)):  # the unit at 0, then elsewhere
+        assert unit_and_inverses(table) == oracles.naive_unit_and_inverses(table)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.symmetric(4), GroupSpec.dihedral(6),
+     GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2))],
+    ids=lambda s: s.describe(),
+)
+def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(spec):
+    """Seeded changes to a relabeled table: one cell of the unit's row or
+    column (no unit is left), or the unit entry of one or two columns off
+    it (those columns have no left inverse; the first must be named)."""
+    g = build(spec)
+    n = g.order
+    rng = np.random.default_rng(n)
+    for trial in range(60):
+        perm = rng.permutation(n)
+        rows = relabeled(oracles.table_rows(g), perm)
+        unit = int(perm[g.unit])
+        if trial % 3 == 0:
+            x = int(rng.integers(n))
+            cells = [(unit, x) if rng.integers(2) else (x, unit)]
+        else:
+            xs = rng.choice([x for x in range(n) if x != unit], size=trial % 3, replace=False)
+            cells = [([r[x] for r in rows].index(unit), int(x)) for x in xs]
+        for i, j in cells:
+            rows[i][j] = int(rng.choice([v for v in range(n) if v != rows[i][j]]))
+        want = oracles.naive_unit_and_inverses(rows)
+        assert want[0] == ("NoIdentity" if trial % 3 == 0 else "NoInverse")
+        assert unit_and_inverses(rows) == want, cells
 
 
 @given(st.integers(2, 8), st.data())
@@ -281,6 +342,63 @@ def test_product_nesting_is_bounded_for_specs_built_in_code():
         shared = GroupSpec.product(shared, shared)
     with pytest.raises(UnsupportedSpec, match="nest at most"):
         spec_order(shared)
+
+
+def shared_spec(levels: int, leaf: GroupSpec) -> GroupSpec:
+    """product(s, s) over leaf, levels times: 2^levels paths, levels + 1 parts."""
+    spec = leaf
+    for _ in range(levels):
+        spec = GroupSpec.product(spec, spec)
+    return spec
+
+
+def test_a_part_shared_at_every_level_is_built_once(monkeypatch):
+    spec = shared_spec(MAX_PRODUCT_DEPTH, GroupSpec.cyclic(1))  # 2^32 paths
+    sizes = []
+    validate = group_mod.from_cayley_table
+    monkeypatch.setattr(group_mod, "from_cayley_table",
+                        lambda n, table: sizes.append(n) or validate(n, table))
+    assert spec_order(spec) == 1
+    assert build(spec).order == 1
+    assert sizes == [1] * (MAX_PRODUCT_DEPTH + 1)
+    # with a part of order 2 the orders square at each level
+    assert spec_order(shared_spec(5, GroupSpec.cyclic(2))) == 2**32
+    with pytest.raises(UnsupportedSpec, match=f"order {2**16} exceeds"):
+        build(shared_spec(4, GroupSpec.cyclic(2)))
+    sizes.clear()
+    g = build(shared_spec(3, GroupSpec.cyclic(2)))
+    assert sizes == [2, 4, 16, 256]
+    z2 = oracles.table_rows(build(GroupSpec.cyclic(2)))
+    want = z2
+    for _ in range(3):
+        want = oracles.naive_product_rows(want, want)
+    assert g.mul.tolist() == want
+
+
+def test_build_frees_its_groups_without_the_cyclic_collector():
+    # a reference cycle would keep every built table alive until a
+    # collection, which numpy-heavy code triggers rarely
+    spec = GroupSpec.product(GroupSpec.symmetric(3), GroupSpec.cyclic(2))
+    gc.collect()
+    gc.disable()
+    try:
+        built = weakref.ref(build(spec))  # outside the assert, which would hold it
+        assert built() is None
+    finally:
+        gc.enable()
+
+
+def naive_spec_rows(spec: GroupSpec) -> list[list[int]]:
+    """A spec's table by one recursion per path, products composed by the oracle."""
+    if spec.kind != "product":
+        return oracles.table_rows(build(spec))
+    a, b = spec.parts
+    return oracles.naive_product_rows(naive_spec_rows(a), naive_spec_rows(b))
+
+
+@pytest.mark.parametrize("spec", catalog_specs(), ids=lambda s: s.describe())
+def test_catalog_tables_match_the_per_path_composition(spec):
+    assert build(spec).mul.tolist() == naive_spec_rows(spec)
 
 
 def test_spec_validation():
