@@ -61,13 +61,13 @@ from .action import (
     stabilizer,
 )
 from .cyclic import cyclic, order, phi, phi_theorem_checks, power
+from .numutil import padic_val
 from .sylow import (
     SylowCertificate,
     TupleCarrier,
     cauchy_element,
     extend_p_subgroup,
     is_sylow,
-    padic_val,
     product_one_tuples,
     rotation_action,
     sylow_conjugator,

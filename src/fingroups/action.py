@@ -1,15 +1,14 @@
 """Group actions as validated tables, orbits, stabilizers, and the mod-p
 fixed-point count.
 
-An Action materializes to(x, z) as a full table over the whole group times
-the point carrier, but only the acting subgroup is constrained: each of its
-elements must act bijectively and the composition law must hold across it.
-Rows for elements outside the acting subgroup merely have to stay in range
-(the stock constructors use the identity there).
+An Action is a table with one row per element x of the acting subgroup, in
+ascending order of x, and one column per point z: the entry is x.z, which
+must stay in range.  Each acting element must act bijectively and the
+composition law must hold across the acting subgroup.
 
 Both laws are checked on a generating set only (Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 4).  If each generator a
-permutes the points and to(a*y, z) == to(a, to(y, z)) for every acting y,
+permutes the points and (a*y).z == a.(y.z) for every acting y,
 then every acting element, a positive word in the generators, acts as the
 composite of their permutations, and the law follows by induction on word
 length; the unit then acts as a permutation equal to its own square, the
@@ -28,7 +27,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +51,9 @@ from .subgroup import left_coset_numbering, left_index, subgroup_set
 @dataclass(eq=False)
 class Action:
     """A validated action of ``acting`` (a subgroup of ``group``) on the
-    abstract point carrier ``points``.  ``point_labels``, when present,
-    says what each point stands for (a coset root, a subgroup, ...)."""
+    abstract point carrier ``points``.  ``table`` has one row per acting
+    element, ordered by ``acting.as_array()``.  ``point_labels``, when
+    present, says what each point stands for (a coset root, a subgroup, ...)."""
 
     group: Group
     acting: ElemSet
@@ -66,16 +66,17 @@ def make_action(
     g: Group,
     acting: ElemSet,
     points: Carrier,
-    to: Callable[[int, int], int] | np.ndarray,
+    table: np.ndarray,
     point_labels: tuple | None = None,
 ) -> Action:
-    """Materialize and validate an action table.
+    """Validate an action table: one row per acting element, ordered by
+    ``acting.as_array()``, one column per point.
 
     Only greedily picked generators a of the acting subgroup are checked,
     each as soon as it is picked: its row must permute the points, and
-    to(a*y, z) == to(a, to(y, z)) must hold for every acting y and every
-    point z.  A trivial acting subgroup checks its unit row the same way.
-    When a generator fails, every acting element is rescanned in full:
+    (a*y).z == a.(y.z) must hold for every acting y and every point z.
+    A trivial acting subgroup checks its unit row the same way.  When a
+    generator fails, every acting element is rescanned in full:
     NotBijective(x) names the first element that fails to permute the
     points, and otherwise NotMorphism(x, y, z) the first triple breaking
     the composition law.  InternalInvariant if the rescan finds neither.
@@ -83,25 +84,21 @@ def make_action(
     h = subgroup_set(g, acting)
     m = h.as_array()
     s = points.size
-    if isinstance(to, np.ndarray):
-        table = to.astype(np.int64, copy=True)
-        if table.shape != (g.order, s):
-            raise PointOutOfRange(
-                f"table shape {table.shape} does not match ({g.order}, {s})"
-            )
-    else:
-        table = np.asarray(
-            [[to(x, z) for z in range(s)] for x in g.elements()], dtype=np.int64
-        ).reshape(g.order, s)
+    table = table.astype(np.int64, copy=True)
+    if table.shape != (h.card, s):
+        raise PointOutOfRange(
+            f"table shape {table.shape} does not match ({h.card}, {s})"
+        )
     if s and table.size and (table.min() < 0 or table.max() >= s):
         raise PointOutOfRange("action table leaves the point carrier")
 
+    row = np.cumsum(h.mask()) - 1  # row[x] is x's row, for x in h
     gens = greedy_generators(g.mul, g.unit, h.bits) if h.card > 1 else (g.unit,)
     for a in gens:
         hit = np.zeros(s, dtype=bool)
-        hit[table[a]] = True
-        if not (hit.all() and np.array_equal(table[g.mul[a, m]], table[a][table[m]])):
-            err = _first_action_violation(g, table, m)
+        hit[table[row[a]]] = True
+        if not (hit.all() and np.array_equal(table[row[g.mul[a, m]]], table[row[a]][table])):
+            err = _first_action_violation(g, table, m, row)
             if err is None:
                 raise InternalInvariant(
                     f"generator {a} fails to act, but the full rescan finds no violation")
@@ -109,7 +106,7 @@ def make_action(
 
     # The unit acts trivially as a consequence of bijectivity plus the
     # composition law; keep the assertion anyway.
-    if s and not np.array_equal(table[g.unit], np.arange(s)):
+    if s and not np.array_equal(table[row[g.unit]], np.arange(s)):
         raise InternalInvariant("unit fails to act as the identity")
 
     table.setflags(write=False)
@@ -117,18 +114,19 @@ def make_action(
 
 
 def _first_action_violation(
-    g: Group, table: np.ndarray, m: np.ndarray
+    g: Group, table: np.ndarray, m: np.ndarray, row: np.ndarray
 ) -> NotBijective | NotMorphism | None:
-    """The full rescan over the acting elements m: NotBijective for the
-    first row that is no permutation, else NotMorphism for the first
-    (x, y, z) in the order of m and the points, else None."""
+    """The full rescan over the acting elements m, whose rows table holds
+    in order: NotBijective for the first row that is no permutation, else
+    NotMorphism for the first (x, y, z) in the order of m and the points,
+    else None."""
     pts = np.arange(table.shape[1])
-    for x in m:
-        if not np.array_equal(np.sort(table[x]), pts):
+    for x, tx in zip(m, table):
+        if not np.array_equal(np.sort(tx), pts):
             return NotBijective(int(x))
-    for x in m:
-        lhs = table[g.mul[x, m]]
-        rhs = table[x][table[m]]
+    for x, tx in zip(m, table):
+        lhs = table[row[g.mul[x, m]]]
+        rhs = tx[table]
         if not np.array_equal(lhs, rhs):
             yi, z = np.argwhere(lhs != rhs)[0]
             return NotMorphism(int(x), int(m[yi]), int(z))
@@ -139,19 +137,19 @@ def orbit(act: Action, a: int) -> ElemSet:
     """Image of the point under every acting element (a direct image, not
     a reachability search: the acting set is closed anyway)."""
     act.points.check_point(a)
-    return set_of(act.points, np.unique(act.table[act.acting.as_array(), a]).tolist())
+    return set_of(act.points, np.unique(act.table[:, a]).tolist())
 
 
 def stabilizer(act: Action, a: int) -> ElemSet:
     """The acting elements fixing the point; always a subgroup."""
     act.points.check_point(a)
     m = act.acting.as_array()
-    return set_of(act.group.carrier, m[act.table[m, a] == a].tolist())
+    return set_of(act.group.carrier, m[act.table[:, a] == a].tolist())
 
 
 def fixed_points(act: Action) -> ElemSet:
     """Points fixed by the entire acting subgroup."""
-    grid = act.table[act.acting.as_array()] == np.arange(act.points.size)
+    grid = act.table == np.arange(act.points.size)
     return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
 
 
@@ -161,12 +159,11 @@ def orbit_stabilizer_checks(act: Action) -> list[list[Check]]:
     one column sort, stabilizers from one comparison; equal stabilizers
     share one left_index, which counts coset roots and proves a subgroup."""
     m = act.acting.as_array()
-    rows = act.table[m]
-    cols = np.sort(rows, axis=0)
+    cols = np.sort(act.table, axis=0)
     orbit_cards = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
     index_of: dict[bytes, tuple[int, int]] = {}
     out = []
-    for a, fixes in enumerate((rows == np.arange(act.points.size)).T):
+    for a, fixes in enumerate((act.table == np.arange(act.points.size)).T):
         key = fixes.tobytes()
         if key not in index_of:
             stab = set_of(act.group.carrier, m[fixes].tolist())
@@ -205,8 +202,7 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
     """H acting on the left cosets of L inside K by translation.
 
     Points are the minimum-index coset representatives; x sends the coset
-    of r to the coset of x*r.  Elements outside K act as the identity, so
-    the table is total without constraining anything that matters.
+    of r to the coset of x*r.
     """
     for name, s in (("h", h), ("l", l), ("k", k)):
         if not s.issubset(k):
@@ -216,15 +212,15 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
     subgroup_set(g, k)
 
     roots, coset = left_coset_numbering(g, l, k)
-    table = coset[g.mul[:, roots]]
-    table[~k.mask()] = np.arange(len(roots))
+    table = coset[g.mul[h.as_array()[:, None], roots]]
     return make_action(g, h, Carrier(len(roots)), table, tuple(roots.tolist()))
 
 
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
     written with x^-1 on the left would compose contravariantly.)"""
-    return make_action(g, h, g.carrier, g.mul[g.mul, g.inv[:, None]])
+    m = h.as_array()
+    return make_action(g, h, g.carrier, g.mul[g.mul[m], g.inv[m][:, None]])
 
 
 def conjugation_action_on_subsets(
@@ -233,23 +229,20 @@ def conjugation_action_on_subsets(
     """H permuting an indexed family of subsets by L -> x L x^-1.
 
     The family must be closed under conjugation by acting elements; raises
-    FamilyNotClosed(x, i) otherwise.  Conjugates by non-acting elements
-    that fall outside the family are replaced by the identity so the table
-    stays total.
+    FamilyNotClosed(x, i) otherwise.
     """
-    hmask = subgroup_set(g, acting).mask()
+    xs = subgroup_set(g, acting).as_array()
     # a set is keyed by its ascending members, in the dtype of g.mul
     index = {m.as_array().astype(g.mul.dtype).tobytes(): i for i, m in enumerate(family)}
     if len(index) < len(family):
         raise ValueError("family members must be distinct")
 
-    table = np.empty((g.order, len(family)), dtype=np.int64)
+    table = np.empty((len(xs), len(family)), dtype=np.int64)
     for i, member in enumerate(family):
-        # x M x^-1 for every x at once, one sorted row per x
-        conj = np.sort(g.mul[g.mul[:, member.as_array()], g.inv[:, None]], axis=1)
+        # x M x^-1 for every acting x at once, one sorted row per x
+        conj = np.sort(g.mul[g.mul[xs[:, None], member.as_array()], g.inv[xs][:, None]], axis=1)
         table[:, i] = [index.get(row.tobytes(), -1) for row in conj]
-    left = np.argwhere((table < 0) & hmask[:, None])
+    left = np.argwhere(table < 0)
     if len(left):
-        raise FamilyNotClosed(int(left[0, 0]), int(left[0, 1]))
-    table = np.where(table < 0, np.arange(len(family)), table)
+        raise FamilyNotClosed(int(xs[left[0, 0]]), int(left[0, 1]))
     return make_action(g, acting, Carrier(len(family)), table, tuple(family))

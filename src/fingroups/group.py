@@ -248,22 +248,10 @@ def _cyclic_table(n: int) -> np.ndarray:
 
 def _dihedral_table(n: int) -> np.ndarray:
     # Order 2n.  Index i < n is the rotation r^i, index n+i is s*r^i, with
-    # the relations r^n = 1, s^2 = 1, r*s = s*r^(-1).
-    m = 2 * n
-    t = np.empty((m, m), dtype=TABLE_DTYPE)
-    for a in range(m):
-        ref_a, i = divmod(a, n)
-        for b in range(m):
-            ref_b, j = divmod(b, n)
-            if not ref_a and not ref_b:
-                t[a, b] = (i + j) % n
-            elif not ref_a and ref_b:
-                t[a, b] = n + (j - i) % n
-            elif ref_a and not ref_b:
-                t[a, b] = n + (i + j) % n
-            else:
-                t[a, b] = (j - i) % n
-    return t
+    # the relations r^n = 1, s^2 = 1, r*s = s*r^(-1); so s^a*r^i times
+    # s^b*r^j is s^(a xor b)*r^(j + (-1)^b * i).
+    ref, i = np.divmod(np.arange(2 * n, dtype=TABLE_DTYPE), n)
+    return n * (ref[:, None] ^ ref) + (i + (1 - 2 * ref) * i[:, None]) % n
 
 
 def _symmetric_table(n: int) -> np.ndarray:

@@ -76,7 +76,7 @@ def _aggregate(name: str, results: list[tuple[bool, object]]) -> Check:
     return Check(name, good == len(results), good, len(results), witness)
 
 
-def verify_group(g: Group, label: str, phi_bound: int | None = None) -> Report:
+def verify_group(g: Group, label: str) -> Report:
     rep = Report(group=label, order=g.order)
     full = g.full_set()
 
@@ -171,7 +171,7 @@ def verify_group(g: Group, label: str, phi_bound: int | None = None) -> Report:
             t0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    for c in phi_theorem_checks(phi_bound or max(2, g.order)):
+    for c in phi_theorem_checks(max(2, g.order)):
         add(c, t0)
         t0 = time.perf_counter()
 

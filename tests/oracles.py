@@ -53,20 +53,21 @@ def naive_first_nonassociative(rows: list[list[int]]) -> tuple[int, int, int] | 
 
 
 def naive_first_action_violation(rows, table, acting) -> tuple | None:
-    """The first failure of a table to be an action of the acting
-    elements, scanning them all in ascending order: ("bijective", x) for
-    the first row that is no permutation of the points, else
-    ("morphism", (x, y, z)) for the first triple in lexicographic order
-    with table[x*y][z] != table[x][table[y][z]], else None."""
+    """The first failure of a table, one row per acting element in
+    ascending order, to be an action of the acting elements, scanning them
+    all in that order: ("bijective", x) for the first row that is no
+    permutation of the points, else ("morphism", (x, y, z)) for the first
+    triple in lexicographic order with (x*y).z != x.(y.z), else None."""
     acting = sorted(acting)
+    row = dict(zip(acting, table))
     n_points = len(table[0])
     for x in acting:
-        if sorted(table[x]) != list(range(n_points)):
+        if sorted(row[x]) != list(range(n_points)):
             return "bijective", x
     for x in acting:
         for y in acting:
             for z in range(n_points):
-                if table[rows[x][y]][z] != table[x][table[y][z]]:
+                if row[rows[x][y]][z] != row[x][row[y][z]]:
                     return "morphism", (x, y, z)
     return None
 
@@ -166,6 +167,26 @@ def naive_parse_cayley_file(path: str) -> tuple[int, list[list[int]]]:
     return n, rows
 
 
+def naive_dihedral_rows(n: int) -> list[list[int]]:
+    """The dihedral group of order 2n by cases: index i < n is the
+    rotation r^i, index n+i is the reflection s*r^i, and r*s = s*r^-1."""
+    rows = []
+    for a in range(2 * n):
+        row = []
+        for b in range(2 * n):
+            i, j = a % n, b % n
+            if a < n and b < n:  # r^i r^j
+                row.append((i + j) % n)
+            elif a < n:  # r^i s r^j = s r^(j-i)
+                row.append(n + (j - i) % n)
+            elif b < n:  # s r^i r^j
+                row.append(n + (i + j) % n)
+            else:  # s r^i s r^j = r^(j-i)
+                row.append((j - i) % n)
+        rows.append(row)
+    return rows
+
+
 def naive_product_rows(rows1: list[list[int]], rows2: list[list[int]]) -> list[list[int]]:
     """The direct product's table, pair (i1, i2) numbered i1 * n2 + i2."""
     n2 = len(rows2)
@@ -228,11 +249,13 @@ def left_cosets(rows: list[list[int]], members: frozenset[int], domain) -> set[f
 def naive_orbit_stabilizer(rows, table, acting, n_points: int) -> list[tuple[int, frozenset[int], int]]:
     """Per point: the orbit size as the size of its image set, the
     stabilizer as the acting elements that fix it, and the stabilizer's
-    index as the number of its left cosets met by the acting elements."""
+    index as the number of its left cosets met by the acting elements.
+    The table holds one row per acting element, in ascending order."""
+    acting = sorted(acting)
     out = []
     for a in range(n_points):
-        orbit = {table[x][a] for x in acting}
-        stab = frozenset(x for x in acting if table[x][a] == a)
+        orbit = {row[a] for row in table}
+        stab = frozenset(x for x, row in zip(acting, table) if row[a] == a)
         out.append((len(orbit), stab, len(left_cosets(rows, stab, acting))))
     return out
 

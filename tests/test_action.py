@@ -53,7 +53,7 @@ def members(g, pts):
 
 def trivial_action(g, n_points):
     return make_action(g, g.full_set(), Carrier(n_points),
-                       lambda x, z: z)
+                       np.tile(np.arange(n_points), (g.order, 1)))
 
 
 # -- validation ----------------------------------------------------------
@@ -66,7 +66,7 @@ def test_trivial_action_valid(s3):
 
 def test_constant_map_not_bijective(s3):
     with pytest.raises(NotBijective) as exc:
-        make_action(s3, s3.full_set(), Carrier(3), lambda x, z: 0)
+        make_action(s3, s3.full_set(), Carrier(3), np.zeros((6, 3), dtype=np.int64))
     # every row of a constant table is constant, so the scan reports the
     # first acting element
     assert exc.value.x == 0
@@ -80,19 +80,23 @@ def test_non_morphism_detected(z2):
         make_action(z2, z2.full_set(), Carrier(3), table)
 
 
-def test_validation_restricted_to_acting_subgroup(s3):
-    # rows outside the acting subgroup may be garbage; only H's rows count
-    table = np.zeros((6, 3), dtype=np.int64)
-    table[0] = [0, 1, 2]
-    act = make_action(s3, singleton(s3.carrier, s3.unit), Carrier(3), table)
-    assert act.table[0, 1] == 1
+def test_a_proper_acting_subgroup_takes_only_its_own_rows(s3):
+    # conjugation by A3 = {0, 3, 4}: the rows of all of S3 are refused, the
+    # rows of the acting elements, in ascending order, are the action
+    h = members(s3, [0, 3, 4])
+    every_row = conjugation_action(s3, s3.full_set()).table
+    with pytest.raises(PointOutOfRange):
+        make_action(s3, h, s3.carrier, every_row)
+    act = make_action(s3, h, s3.carrier, every_row[[0, 3, 4]])
+    assert act.table.shape == (3, 6)
+    assert act.table.tolist() == conjugation_action(s3, h).table.tolist()
 
 
 def test_subgroup_of_another_group_is_revalidated(s3, z6):
     # {0, 3} is a subgroup of Z6 but not of S3, on an equal carrier
     h = subgroup_set(z6, members(z6, [0, 3]))
     with pytest.raises(InvalidSubgroup):
-        make_action(s3, h, Carrier(1), np.zeros((6, 1), dtype=np.int64))
+        make_action(s3, h, Carrier(1), np.zeros((2, 1), dtype=np.int64))
 
 
 def test_action_table_read_only(s3):
@@ -119,15 +123,15 @@ def assert_verdict_matches_oracle(g, acting, table):
     return want
 
 
-def mutations(rng, table, acting, count):
-    """Seeded changes inside the acting rows: one cell changed, which
-    breaks its row's bijection, and two cells of one row swapped, which
-    keeps it and can break only the composition law."""
+def mutations(rng, table, count):
+    """Seeded changes to the acting rows: one cell changed, which breaks
+    its row's bijection, and two cells of one row swapped, which keeps it
+    and can break only the composition law."""
     s = table.shape[1]
     if s < 2:
         return
     for _ in range(count):
-        x = int(rng.choice(acting.as_array()))
+        x = int(rng.choice(len(table)))
         z, w = rng.choice(s, 2, replace=False)
         changed = table.copy()
         changed[x, z] = (changed[x, z] + rng.integers(1, s)) % s
@@ -147,8 +151,9 @@ def test_make_action_matches_the_oracle_on_verify_actions_and_mutations(small_ca
         acts = [conjugation_action(g, full)]
         acts += [left_translation_action(g, h, h, full) for h in subgroup_sample(g)]
         for act in acts:
+            assert act.table.shape == (act.acting.card, act.points.size), label
             assert assert_verdict_matches_oracle(g, act.acting, act.table) is None, label
-            for bad in mutations(rng, act.table, act.acting, 2):
+            for bad in mutations(rng, act.table, 2):
                 got = assert_verdict_matches_oracle(g, act.acting, bad)
                 verdicts.add(got and got[0])
     assert verdicts == {None, "bijective", "morphism"}
@@ -183,8 +188,7 @@ def test_trivial_acting_subgroup_checks_its_unit_row(s3, unit_row, verdict):
     # one acting element leaves no generator to pick, yet a unit row that
     # is no permutation, or one other than its own square, is bad input
     # and never an InternalInvariant
-    table = np.zeros((6, 3), dtype=np.int64)
-    table[s3.unit] = unit_row
+    table = np.array([unit_row])
     assert assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table) == verdict
 
 
@@ -193,19 +197,20 @@ def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatc
     # nothing means the library contradicts itself, never bad input
     monkeypatch.setattr(action_mod, "_first_action_violation", lambda *args: None)
     with pytest.raises(InternalInvariant):
-        make_action(s3, s3.full_set(), Carrier(3), lambda x, z: 0)
+        make_action(s3, s3.full_set(), Carrier(3), np.zeros((6, 3), dtype=np.int64))
 
 
 def test_generators_come_from_the_acting_subgroup(z12):
     # 1 and 2 lie outside H = {0, 3, 6, 9}; the pick takes 3, which
-    # generates H, and the rows of 6 and 9 are still checked as y
+    # generates H, and the rows of 6 and 9 (rows 2 and 3) are still
+    # checked as y
     h = members(z12, [0, 3, 6, 9])
     assert list(greedy_generators(z12.mul, z12.unit, h.bits)) == [3]
     act = left_translation_action(z12, h, members(z12, [0, 6]), z12.full_set())
     assert act.points.size == 6
-    for x in (6, 9):
+    for row in (2, 3):
         bad = np.array(act.table)
-        bad[x, [0, 1]] = bad[x, [1, 0]]
+        bad[row, [0, 1]] = bad[row, [1, 0]]
         assert assert_verdict_matches_oracle(z12, h, bad)[0] == "morphism"
 
 
@@ -413,7 +418,7 @@ def test_translation_action_z12(z12):
         z12, members(z12, [0, 6]), members(z12, [0, 4, 8]), z12.full_set()
     )
     assert act.point_labels == (0, 1, 2, 3)
-    assert act.table[6].tolist() == [2, 3, 0, 1]
+    assert act.table[1].tolist() == [2, 3, 0, 1]  # the row of 6
     assert fixed_points(act).card == 0
 
 
@@ -431,9 +436,9 @@ def test_translation_matches_coset_arithmetic(s4):
     l = closure(s4, [1, 2])
     act = left_translation_action(s4, h, l, s4.full_set())
     lset = frozenset(l.indices())
-    for x in h:
+    for x, row in zip(h, act.table):
         for i, r in enumerate(act.point_labels):
-            got = act.point_labels[act.table[x, i]]
+            got = act.point_labels[row[i]]
             want = min(rows[rows[x][r]][m] for m in lset)
             assert got == want
 
@@ -480,7 +485,8 @@ def per_cell_subset_table(g, acting, family):
 
 def test_subset_action_matches_per_cell_conjugation(small_catalog):
     # Sylow families under the whole group, and the conjugates of each
-    # cyclic subgroup under a Sylow subgroup, whose other rows are filled
+    # cyclic subgroup under a Sylow subgroup, whose other rows the
+    # reference fills and the action does not hold
     for label, g in small_catalog:
         full = g.full_set()
         for p in prime_divisors(g.order):
@@ -490,19 +496,23 @@ def test_subset_action_matches_per_cell_conjugation(small_catalog):
                       for x in g.elements()]
             for acting, family in cases:
                 act = conjugation_action_on_subsets(g, acting, family)
-                assert act.table.tolist() == per_cell_subset_table(g, acting, family), label
+                want = per_cell_subset_table(g, acting, family)
+                assert act.table.tolist() == [want[x] for x in acting], label
 
 
 def test_family_not_closed_witness_is_the_first_cell(s4):
     base = closure(s4, [1])
     family = conjugacy_family(s4, s4.full_set(), base)
-    for dropped in range(len(family)):
-        rest = family[:dropped] + family[dropped + 1:]
-        with pytest.raises(FamilyNotClosed) as want:
-            per_cell_subset_table(s4, s4.full_set(), rest)
-        with pytest.raises(FamilyNotClosed) as got:
-            conjugation_action_on_subsets(s4, s4.full_set(), rest)
-        assert (got.value.x, got.value.index) == (want.value.x, want.value.index)
+    # under a proper acting subgroup, C3 or C4, the witness is still a
+    # group element, not the position of its row
+    for acting in (s4.full_set(), closure(s4, [8]), closure(s4, [9])):
+        for dropped in range(len(family)):
+            rest = family[:dropped] + family[dropped + 1:]
+            with pytest.raises(FamilyNotClosed) as want:
+                per_cell_subset_table(s4, acting, rest)
+            with pytest.raises(FamilyNotClosed) as got:
+                conjugation_action_on_subsets(s4, acting, rest)
+            assert (got.value.x, got.value.index) == (want.value.x, want.value.index)
 
 
 def test_subset_action_matches_conjugate_set(s4):

@@ -245,6 +245,14 @@ def test_dihedral_relations():
     assert g.mul[g.mul[s, r], s] == g.inv[r]
 
 
+def test_dihedral_table_matches_the_case_rule():
+    # the relations alone would also pass a relabelled table
+    for n in range(1, 61):
+        t = group_mod._dihedral_table(n)
+        assert t.dtype == group_mod.TABLE_DTYPE
+        assert t.tolist() == oracles.naive_dihedral_rows(n), n
+
+
 def test_symmetric_lex_order_and_composition():
     for n in range(1, MAX_SYMMETRIC_DEGREE + 1):
         perms = symmetric_elements(n)
