@@ -10,7 +10,6 @@ intermediate claims are re-verified as they run.
 from .carrier import (
     Carrier,
     ElemSet,
-    empty_set,
     full_set,
     set_of,
     singleton,

@@ -3,8 +3,8 @@
 A Carrier is a universe of ``size`` points; a point is nothing but its
 index in 0..size-1.  Subsets are ElemSets: immutable indicator vectors
 packed into a single Python int (bit i set means point i is a member), so
-intersection, union and cardinality are word-parallel bit operations and
-set equality is plain indicator equality.  Everything here is pure.
+inclusion and cardinality are word-parallel bit operations and set
+equality is plain indicator equality.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -93,41 +93,15 @@ class ElemSet:
         self._check(other)
         return self.bits & ~other.bits == 0
 
-    # ---- algebra ------------------------------------------------------
-
     def _check(self, other: "ElemSet") -> None:
         if self.carrier != other.carrier:
             raise CarrierMismatch(
                 f"carriers of size {self.carrier.size} and {other.carrier.size}"
             )
 
-    def __and__(self, other: "ElemSet") -> "ElemSet":
-        self._check(other)
-        return ElemSet(self.carrier, self.bits & other.bits)
-
-    def __or__(self, other: "ElemSet") -> "ElemSet":
-        self._check(other)
-        return ElemSet(self.carrier, self.bits | other.bits)
-
-    def __sub__(self, other: "ElemSet") -> "ElemSet":
-        self._check(other)
-        return ElemSet(self.carrier, self.bits & ~other.bits)
-
-    def __xor__(self, other: "ElemSet") -> "ElemSet":
-        self._check(other)
-        return ElemSet(self.carrier, self.bits ^ other.bits)
-
-    def complement(self) -> "ElemSet":
-        full = (1 << self.carrier.size) - 1
-        return ElemSet(self.carrier, full ^ self.bits)
-
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in self)
         return f"ElemSet{{{inner}}}/{self.carrier.size}"
-
-
-def empty_set(carrier: Carrier) -> ElemSet:
-    return ElemSet(carrier, 0)
 
 
 def full_set(carrier: Carrier) -> ElemSet:

@@ -371,17 +371,31 @@ def spec_order(spec: GroupSpec) -> int:
     return _fold_spec(spec, _order_step)[id(spec)]
 
 
+def _size_step(spec: GroupSpec, sizes: dict[int, tuple[int | None, int]]) -> tuple[int | None, int]:
+    # (n, k) with 2^k <= the part's order: n is that order while it has at
+    # most 10,000 bits, and None past that, where only k is carried on.  A
+    # part shared on both sides at every level squares the order at each
+    # level, 2^32 bits at 32 levels; and str() refuses an int of more than
+    # 4,300 digits, which 1,434 factors of cyclic:1000 reach.
+    if spec.kind != "product":
+        n = _order_step(spec, sizes)
+    else:
+        (na, ka), (nb, kb) = (sizes[id(p)] for p in spec.parts)
+        if na is None or nb is None:
+            return None, ka + kb
+        n = na * nb
+    return (n if n.bit_length() <= 10_000 else None), n.bit_length() - 1
+
+
 def build(spec: GroupSpec) -> Group:
     """Construct a catalog group, each distinct part once.  Every table
     goes back through from_cayley_table, so built groups are validated by
     construction.  The order is bounded by MAX_GROUP_ORDER before anything
     is allocated."""
-    orders = _fold_spec(spec, _order_step)
-    n = orders[id(spec)]
-    if n > MAX_GROUP_ORDER:
-        # str() refuses an int of more than 4,300 digits, which 1,434
-        # factors of cyclic:1000 reach; such an order is shown by its size
-        shown = n if n.bit_length() <= 10_000 else f"2^{n.bit_length() - 1} or more"
+    sizes = _fold_spec(spec, _size_step)
+    n, k = sizes[id(spec)]
+    if n is None or n > MAX_GROUP_ORDER:
+        shown = n if n is not None else f"2^{k} or more"
         raise UnsupportedSpec(f"group order {shown} exceeds the maximum of {MAX_GROUP_ORDER}")
 
     def step(s: GroupSpec, groups: dict[int, Group]) -> Group:
@@ -396,7 +410,7 @@ def build(spec: GroupSpec) -> Group:
         else:
             a, b = s.parts
             table = _product_table(groups[id(a)], groups[id(b)])
-        return from_cayley_table(orders[id(s)], table)
+        return from_cayley_table(sizes[id(s)][0], table)
 
     return _fold_spec(spec, step)[id(spec)]
 

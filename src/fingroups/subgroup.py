@@ -13,7 +13,7 @@ import numpy as np
 
 from .carrier import ElemSet, set_of
 from .errors import CarrierMismatch, InvalidSubgroup
-from .group import Group, reach
+from .group import Group, greedy_generators, reach
 from .report import Check
 
 
@@ -172,19 +172,72 @@ def subgroup_sample(g: Group) -> list[ElemSet]:
     plus the full group; ascending by (cardinality, membership).  Since
     <x, y> = <<x>, <y>>, a pair is closed only through the smallest
     generator of each of two distinct cyclic subgroups, and not at all when
-    one of them contains the other (its closure is then already in)."""
+    one of them contains the other (its closure is then already in).
+
+    Conjugation then spares most of those closures.  For every s in G,
+    s<A, B>s^-1 = <sAs^-1, sBs^-1>, and sAs^-1 contains sBs^-1 exactly when
+    A contains B; so G permutes the pairs of incomparable cyclic subgroups,
+    and the closures of one orbit of pairs are one conjugacy class of
+    subgroups.  So one pair per orbit, the least, is closed, and the whole
+    class of its closure is added unless the closure is already in.  The
+    sample is a union of classes at every step, as the cyclic subgroups
+    are, so a closure already in has its class in too.  Orbits are found
+    by propagating the least pair of each orbit along the permutations
+    that greedily picked generators of G induce on the cyclic subgroups,
+    and a class by conjugating with the same generators; those in the
+    centre act trivially and are left out."""
     seen: dict[int, ElemSet] = {}
-    gen_of: dict[int, int] = {}
+    index: dict[int, int] = {}  # bits of each cyclic subgroup -> its position
+    gen: list[int] = []  # the smallest generator of each cyclic subgroup
+    cyc_of = np.empty(g.order, dtype=np.int64)  # x -> the position of <x>
     for x in range(g.order):
         c = closure(g, [x])
-        seen.setdefault(c.bits, c)
-        gen_of.setdefault(c.bits, x)
-    cyclics = list(gen_of.items())
-    for i, (cx, x) in enumerate(cyclics):
-        for cy, y in cyclics[i + 1:]:
-            if cx & ~cy and cy & ~cx:  # neither contains the other
-                c = closure(g, [x, y])
-                seen.setdefault(c.bits, c)
+        if c.bits not in index:
+            index[c.bits] = len(gen)
+            seen[c.bits] = c
+            gen.append(x)
+        cyc_of[x] = index[c.bits]
+    m = len(gen)
+    width = (g.order + 7) // 8
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in index), np.uint8)
+    member = np.unpackbits(packed.reshape(m, width), axis=1, count=g.order,
+                           bitorder="little").view(bool)
+    inside = member[:, gen].T  # inside[i, j]: cyclic subgroup i lies in j
+    idx = np.arange(m)
+    upper = idx[:, None] < idx
+    pairs = upper & ~inside & ~inside.T
+    if pairs.any():
+        s = list(greedy_generators(g.mul, g.unit, (1 << g.order) - 1))
+        conj = g.mul[g.mul[s], g.inv[s][:, None]]  # conj[t, y] = s_t * y * s_t^-1
+        conj = conj[(conj != np.arange(g.order)).any(axis=1)]
+        p = cyc_of[conj[:, gen]]  # each generator's map on the cyclic subgroups
+        p = np.concatenate([p, np.argsort(p, axis=1)])  # and its inverse's
+        # pair (i, j) at row i, column j; its key is that of (min, max)
+        key = np.where(upper, idx[:, None] * m + idx, idx * m + idx[:, None])
+        label = key
+        while True:
+            new = label
+            for q in p:
+                new = np.minimum(new, new[q[:, None], q])
+            if not (new < label).any():
+                break
+            label = new
+        rows = conj.tolist()
+        least = np.nonzero(pairs & (label == key))  # row-major: ascending pairs
+        for i, j in zip(*(a.tolist() for a in least)):
+            c = closure(g, [gen[i], gen[j]])
+            if c.bits in seen:
+                continue
+            seen[c.bits] = c
+            todo = [list(c)]  # the class of c, by conjugating with generators
+            while todo:
+                ys = todo.pop()
+                for row in rows:
+                    zs = [row[y] for y in ys]
+                    bits = sum(1 << z for z in zs)
+                    if bits not in seen:
+                        seen[bits] = ElemSet(g.carrier, bits)
+                        todo.append(zs)
     full = g.full_set()
     seen.setdefault(full.bits, full)
     return sorted(seen.values(), key=lambda s: (s.card, s.indices()))

@@ -130,14 +130,15 @@ def verify_group(g: Group, label: str) -> Report:
     for h in sample:
         t0 = time.perf_counter()
         act = left_translation_action(g, h, h, full)
+        members = list(h.indices())
         for a, checks in enumerate(orbit_stabilizer_checks(act)):
             trans_results.append((all(c.ok for c in checks),
-                                  {"subgroup": list(h.indices()), "point": a}))
+                                  {"subgroup": members, "point": a}))
         t1 = time.perf_counter()
         p = prime_power_base(h.card)
         if p is not None:
             c = mod_p_fixed_point_check(act, p)
-            congruence_results.append((c.ok, {"subgroup": list(h.indices())}))
+            congruence_results.append((c.ok, {"subgroup": members}))
         trans_s += t1 - t0
         congruence_s += time.perf_counter() - t1
     for c, secs in ((_aggregate("orbit_stabilizer:translation", trans_results), trans_s),

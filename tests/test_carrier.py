@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from fingroups import (
     Carrier,
     ElemSet,
-    empty_set,
     full_set,
     set_of,
     singleton,
@@ -25,29 +24,20 @@ def test_membership_and_card():
     assert a.card == 2
     assert len(a) == 2
     assert list(a) == [0, 3]  # iteration is ascending
+    assert singleton(C6, 5).indices() == (5,)
+    assert full_set(C6).card == 6
 
 
 def test_subset():
     assert bitset([0, 3]).issubset(bitset([0, 1, 3]))
     assert not bitset([0, 3]).issubset(bitset([0, 1, 2]))
-    assert empty_set(C6).issubset(bitset([4]))
+    assert ElemSet(C6, 0).issubset(bitset([4]))
     assert bitset([2]).issubset(bitset([2]))
-
-
-def test_boolean_algebra():
-    a, b = bitset([0, 1]), bitset([1, 2])
-    assert (a & b).indices() == (1,)
-    assert (a | b).indices() == (0, 1, 2)
-    assert (a - b).indices() == (0,)
-    assert (a ^ b).indices() == (0, 2)
-    assert (a & empty_set(C6)).card == 0
-    assert full_set(C6).complement().card == 0
-    assert singleton(C6, 5).indices() == (5,)
 
 
 def test_carrier_mismatch_rejected():
     with pytest.raises(CarrierMismatch):
-        bitset([0]) | set_of(Carrier(7), [0])
+        bitset([0]).issubset(set_of(Carrier(7), [0]))
 
 
 def test_out_of_range_points_rejected():
@@ -61,23 +51,9 @@ bits6 = st.integers(min_value=0, max_value=63)
 
 
 @given(bits6, bits6)
-def test_inclusion_exclusion(x, y):
-    a, b = ElemSet(C6, x), ElemSet(C6, y)
-    assert (a | b).card + (a & b).card == a.card + b.card
-
-
-@given(bits6, bits6)
 def test_subset_iff_union_absorbs(x, y):
     a, b = ElemSet(C6, x), ElemSet(C6, y)
-    assert a.issubset(b) == ((a | b).bits == b.bits)
-
-
-@given(bits6)
-def test_complement_involution(x):
-    a = ElemSet(C6, x)
-    assert a.complement().complement().bits == a.bits
-    assert (a & a.complement()).card == 0
-    assert (a | a.complement()).card == 6
+    assert a.issubset(b) == (set(a) | set(b) == set(b))
 
 
 @given(bits6)

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -381,6 +383,20 @@ def test_a_part_shared_at_every_level_is_built_once(monkeypatch):
     for _ in range(3):
         want = oracles.naive_product_rows(want, want)
     assert g.mul.tolist() == want
+
+
+def test_a_shared_part_at_the_depth_bound_is_refused_at_once():
+    # the exact order would have 2^32 bits, a 512 MiB integer
+    code = ("from fingroups import GroupSpec, build\n"
+            "s = GroupSpec.cyclic(2)\n"
+            f"for _ in range({MAX_PRODUCT_DEPTH}):\n"
+            "    s = GroupSpec.product(s, s)\n"
+            "build(s)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert (f"UnsupportedSpec: group order 2^{2**MAX_PRODUCT_DEPTH} or more exceeds "
+            f"the maximum of {MAX_GROUP_ORDER}") in proc.stderr
 
 
 def test_build_frees_its_groups_without_the_cyclic_collector():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +7,7 @@ from fingroups import (
     GroupSpec,
     build,
     closure,
+    from_cayley_table,
     is_subgroup,
     lagrange_check,
     left_coset,
@@ -261,6 +263,37 @@ def test_sample_matches_naive_all_pairs(spec):
     g = build(spec)
     got = [(h.card, h.indices()) for h in subgroup_sample(g)]
     assert got == oracles.naive_subgroup_sample(g.rows(), g.unit)
+
+
+# The sample closes one pair per conjugation orbit, and which pair that is
+# depends on the labels; so the differential runs on relabeled tables too.
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec.product(GroupSpec.symmetric(4), GroupSpec.cyclic(2)),
+     GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2)), D6_C2],
+    ids=lambda s: s.describe(),
+)
+def test_sample_matches_naive_all_pairs_on_relabelings(spec, seed):
+    t = build(spec).mul
+    perm = np.random.default_rng(seed).permutation(len(t))
+    relabeled = np.empty_like(t)
+    relabeled[np.ix_(perm, perm)] = perm[t]  # point a renamed perm[a]
+    g = from_cayley_table(len(t), relabeled)
+    got = [(h.card, h.indices()) for h in subgroup_sample(g)]
+    assert got == oracles.naive_subgroup_sample(g.rows(), g.unit)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(5), GroupSpec.dihedral(60)],
+                         ids=lambda s: s.describe())
+def test_sample_is_closed_under_conjugation(spec):
+    g = build(spec)
+    rows = oracles.table_rows(g)
+    inv = [oracles.naive_inverse(rows, g.unit, x) for x in g.elements()]
+    sample = {h.indices() for h in subgroup_sample(g)}
+    for h in sample:
+        for x in g.elements():
+            assert tuple(sorted({rows[rows[x][y]][inv[x]] for y in h})) in sample, (h, x)
 
 
 @pytest.mark.parametrize(
