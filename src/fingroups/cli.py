@@ -10,7 +10,9 @@ MAX_GROUP_ORDER), the next n lines hold n indices each (row i, column j is
 i*j), with '#' starting a comment and blank lines ignored.  Only a line
 feed ends a line, and only ASCII blanks (space, tab, carriage return,
 vertical tab, form feed) separate indices.  Every number, in the grammar
-or in a file, is ASCII digits only.
+or in a file, is ASCII digits only; leading zeros are allowed.  One reader,
+parse_cayley_file, takes every file and names the line and column of the
+first fault.
 
 Exit codes: 0 when every check passes, 1 when a mathematical cross-check
 fails (that is a bug trap, not a user error), 2 for unusable input.
@@ -24,7 +26,7 @@ import os
 import re
 import sys
 import time
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,31 +60,24 @@ from .sylow import (
 # input parsing
 
 
-# Lines end at "\n" alone and tokens are separated by ASCII blanks alone;
-# str.splitlines and \S also break at U+2028, U+0085, U+001C and others.
-_TOKEN = re.compile(r"[^ \t\r\v\f]+")
-
-# The one-pass reader's view of a file, once comments are deleted: blank
-# lines, then a size line holding one ASCII number; each byte of the rest
-# is a digit (1), an ASCII blank (2), a line feed (3) or anything else (0).
+# Comments run from "#" to the end of the line.  Lines end at "\n" alone and
+# tokens are runs of anything but ASCII blanks and line feeds: str.splitlines
+# and \S also break at U+2028, U+0085, U+001C and others.
 _COMMENT = re.compile(r"#[^\n]*")
-_HEADER = re.compile(rb"(?:[ \t\r\v\f]*\n)*[ \t\r\v\f]*([0-9]+)[ \t\r\v\f]*\n")
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[list(b"0123456789")] = 1
-_BYTE_CLASS[list(b" \t\r\v\f")] = 2
-_BYTE_CLASS[ord("\n")] = 3
 
 
 def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     """Read a Cayley-table file; returns (n, table), table an (n, n) int64
     array.  Raises ParseError with 1-based line and column on the first
     offending token.  The size line is checked against MAX_GROUP_ORDER
-    before any row is tokenized.
+    before anything sized by it is allocated.
 
-    The rows are read in one vectorised pass.  Text that pass declines
-    goes to the token loop, which reports the first bad token, or returns
-    the rows of the rare valid file the pass does not take (say, one with
-    leading zeros)."""
+    One vectorised pass finds the tokens, the lines and each entry's value
+    from its last len(str(n - 1)) digits, so leading zeros are read too.
+    It finds the first fault in the order a token-by-token read would: the
+    size line, then the row count, then row by row a wrong entry count
+    before the first bad entry.  Only the offending token is read again,
+    to word its message."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:  # no \r translation
             text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
@@ -92,120 +87,100 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
         col = e.start - data.rfind(b"\n", 0, e.start)
         raise ParseError(line, col, "file is not UTF-8 text") from None
 
-    table = _parse_table(text)
-    if table is None:
-        n, rows = _parse_tokens(text)
-        table = np.array(rows, dtype=np.int64).reshape(n, n)
-    return len(table), table
-
-
-def _parse_table(text: str) -> np.ndarray | None:
-    """The table of a file's text, read in one vectorised pass, or None
-    unless the text is a size line n and then exactly n lines of n ASCII
-    numbers below n, none with more digits than n - 1, with ASCII blanks
-    and comments between them.  Temporaries are updated in place where
-    they can be: the pass makes few table-sized allocations."""
-    try:  # deleting comments keeps every line feed, so line numbering
-        data = _COMMENT.sub("", text).encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    m = _HEADER.match(data)
-    if m is None or len(m[1]) > len(str(MAX_GROUP_ORDER)):
-        return None
-    n = int(m[1])
-    if not 1 <= n <= MAX_GROUP_ORDER:
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8, offset=m.end())
-    kind = _BYTE_CLASS.take(buf)
-    if not kind.all():
-        return None
-    # a token runs from a rising to a falling edge of the padded digit mask
-    digit = np.zeros(buf.size + 2, dtype=bool)
-    np.equal(kind, 1, out=digit[1:-1])
-    edge = digit[1:] > digit[:-1]
-    if np.count_nonzero(edge) != n * n:  # before any per-token array
-        return None
+    # Deleting comments keeps every line feed, and "replace" makes each
+    # non-ASCII character one "?" byte, so a byte's offset is its column.
+    body = _COMMENT.sub("", text)
+    buf = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    # a token runs from a rising to a falling edge of the padded token mask:
+    # the separators are " " and "\t\n\v\f\r", bytes 9 to 13
+    inside = np.zeros(buf.size + 2, dtype=bool)
+    np.greater(buf, 32, out=inside[1:-1])
+    low = np.flatnonzero(buf < 32)  # line feeds, other blanks, control bytes
+    code = buf[low]
+    inside[low + 1] = (code < 9) | (code > 13)
+    feeds = low[code == 10]
+    edge = inside[1:] > inside[:-1]
     starts = np.flatnonzero(edge)
-    np.less(digit[1:], digit[:-1], out=edge)
+    np.less(inside[1:], inside[:-1], out=edge)
     width = np.flatnonzero(edge)
     width -= starts
-    digits = len(str(n - 1))
-    if width.max() > digits:
-        return None
-    values = np.zeros(n * n, dtype=np.int64)
-    at = starts.copy()
-    for k in range(digits):  # Horner's rule, one digit column at a time
-        more = width > k
-        np.multiply(values, 10, out=values, where=more)
-        np.add(values, buf.take(at, mode="clip"), out=values, where=more)
-        np.subtract(values, ord("0"), out=values, where=more)
-        at += 1
     # tokens per line: how many start before each line feed, differenced
-    per_line = np.diff(np.searchsorted(starts, np.flatnonzero(kind == 3)),
-                       prepend=0, append=starts.size)
-    if (per_line[per_line > 0] != n).any() or values.max() >= n:
-        return None
-    return values.reshape(n, n)
+    per_line = np.diff(np.searchsorted(starts, feeds), prepend=0, append=starts.size)
+    lines = np.flatnonzero(per_line)  # the lines that hold tokens, 0-based
 
+    def fail(k: int, message: str) -> ParseError:
+        line = int(np.searchsorted(feeds, starts[k]))
+        line_start = feeds[line - 1] + 1 if line else 0
+        return ParseError(line + 1, int(starts[k] - line_start) + 1, message)
 
-def _parse_tokens(text: str) -> tuple[int, list[list[int]]]:
-    """The token loop: (n, rows) of a file's text, or the ParseError of its
-    first offending token."""
-    def significant_lines():
-        for lineno, line in enumerate(text.split("\n"), 1):
-            body = line.split("#", 1)[0]
-            toks = _TOKEN.findall(body)
-            if toks:
-                yield lineno, body, toks
-
-    def fail(lineno: int, body: str, k: int, message: str) -> ParseError:
-        col = next(islice(_TOKEN.finditer(body), k, None)).start() + 1
-        return ParseError(lineno, col, message)
-
-    def want_int(lineno: int, body: str, k: int, tok: str) -> int:
+    def want_int(k: int) -> int:
+        tok = body[starts[k]:starts[k] + width[k]]
         if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
             try:
                 return int(tok)
             except ValueError:  # past Python's digit limit
                 pass
-        raise fail(lineno, body, k, f"expected an integer, got {tok!r}")
+        raise fail(k, f"expected an integer, got {tok!r}")
 
-    last_line = text.count("\n") + (not text.endswith("\n"))
-    lines = significant_lines()
-    header = next(lines, None)
-    if header is None:
+    last_line = feeds.size + (not text.endswith("\n"))
+    if lines.size == 0:
         raise ParseError(last_line, 1, "no table found")
-    header_line, header_body, header_toks = header
-    if len(header_toks) != 1:
-        raise fail(header_line, header_body, 1,
-                   f"size line must hold one integer, got {header_toks[1]!r}")
-    n = want_int(header_line, header_body, 0, header_toks[0])
+    if per_line[lines[0]] != 1:
+        raise fail(1, f"size line must hold one integer, "
+                      f"got {body[starts[1]:starts[1] + width[1]]!r}")
+    n = want_int(0)
     if n < 1:
-        raise fail(header_line, header_body, 0, f"size must be positive, got {n}")
+        raise fail(0, f"size must be positive, got {n}")
     if n > MAX_GROUP_ORDER:
-        raise fail(header_line, header_body, 0,
-                   f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
+        raise fail(0, f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
 
-    body_lines = list(islice(lines, n + 1))  # one more shows trailing content
-    if len(body_lines) < n:
-        raise ParseError(last_line, 1, f"expected {n} table rows, found {len(body_lines)}")
-    if len(body_lines) > n:
-        lineno, body, _ = body_lines[n]
-        raise fail(lineno, body, 0, "unexpected content after the table")
+    rows = lines[1:]
+    if rows.size < n:
+        raise ParseError(last_line, 1, f"expected {n} table rows, found {rows.size}")
+    if rows.size > n:
+        raise fail(1 + int(per_line[rows[:n]].sum()), "unexpected content after the table")
 
-    rows: list[list[int]] = []
-    for lineno, body, toks in body_lines:
-        if len(toks) != n:
-            raise fail(lineno, body, min(n, len(toks) - 1),
-                       f"row has {len(toks)} entries, expected {n}")
-        row = []
-        for k, tok in enumerate(toks):
-            v = want_int(lineno, body, k, tok)
-            if v >= n:
-                raise fail(lineno, body, k, f"entry {v} out of range [0, {n})")
-            row.append(v)
-        rows.append(row)
-    return n, rows
+    # Entry j is token j + 1.  Its value is read by Horner's rule from the
+    # window of its last d bytes; the size line comes first and is no
+    # narrower, so every window lies in the file.  An entry is bad if that
+    # value is n or more, if it holds a byte that is no digit, or, when
+    # wider than d, if a byte before its last d is not "0" or int() refuses
+    # that many digits.
+    digits = len(str(n - 1))
+    entry_starts, entry_widths = starts[1:], width[1:]
+    at = entry_starts + entry_widths
+    at -= digits
+    values = np.zeros(entry_widths.size, dtype=np.min_scalar_type(10**digits - 1))
+    top = np.zeros(entry_widths.size, dtype=np.uint8)  # the largest "digit" read
+    for c in range(digits):
+        column = buf[c:].take(at)
+        column -= ord("0")  # uint8: any byte but a digit is above 9
+        column *= entry_widths >= digits - c  # zero the bytes before the entry
+        values *= 10
+        values += column
+        np.maximum(top, column, out=top)
+    bad = (values >= n) | (top > 9)
+    wide = np.flatnonzero(entry_widths > digits)
+    if wide.size:  # reduce over each [start, end - d), dropping the gaps between
+        prefixes = np.stack([entry_starts[wide], at[wide]], axis=1).ravel()
+        bad[wide] |= np.logical_or.reduceat(buf != ord("0"), prefixes)[::2]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            bad[wide] |= entry_widths[wide] > limit
+
+    counts = per_line[rows]
+    miscounted = np.flatnonzero(counts != n)
+    wrong = np.flatnonzero(bad)
+    if miscounted.size:
+        r = miscounted[0]
+        k = 1 + int(counts[:r].sum())  # the row's first token
+        if not wrong.size or wrong[0] + 1 >= k:  # no bad entry in an earlier row
+            raise fail(k + min(n, int(counts[r]) - 1),
+                       f"row has {counts[r]} entries, expected {n}")
+    if wrong.size:
+        k = 1 + int(wrong[0])
+        raise fail(k, f"entry {want_int(k)} out of range [0, {n})")
+    return n, values.astype(np.int64).reshape(n, n)
 
 
 _SHORTHAND = {"z": "cyclic", "d": "dihedral", "s": "symmetric"}

@@ -273,32 +273,13 @@ def symmetric_elements(n: int) -> list[tuple[int, ...]]:
     return list(permutations(range(n)))
 
 
-_Q8_SYMS = "1ijk"
-_Q8_MUL = {
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-}
-
-
 def _quaternion_table() -> np.ndarray:
-    # Index 2*s + b encodes (+/-)(1, i, j, k)[s] with b = 1 for the negative.
-    def decode(a):
-        s, b = divmod(a, 2)
-        return (-1 if b else 1), _Q8_SYMS[s]
-
-    def encode(sign, sym):
-        return 2 * _Q8_SYMS.index(sym) + (1 if sign < 0 else 0)
-
-    t = np.empty((8, 8), dtype=TABLE_DTYPE)
-    for a in range(8):
-        sa, xa = decode(a)
-        for b in range(8):
-            sb, xb = decode(b)
-            sp, xp = _Q8_MUL[(xa, xb)]
-            t[a, b] = encode(sa * sb * sp, xp)
-    return t
+    # Index 2*u + m is (+/-)(1, i, j, k)[u], m = 1 for the negative.  With
+    # i, j, k as 1, 2, 3, units multiply as u xor v, and the sign turns for
+    # i*i, j*j, k*k and for the anticyclic j*i, k*j, i*k (v - u = 2 mod 3).
+    u, m = np.divmod(np.arange(8, dtype=TABLE_DTYPE), 2)
+    turn = (u[:, None] > 0) & (u > 0) & ((u - u[:, None]) % 3 != 1)
+    return 2 * (u[:, None] ^ u) + (m[:, None] ^ m ^ turn)
 
 
 def _product_table(g1: Group, g2: Group) -> np.ndarray:

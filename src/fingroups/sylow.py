@@ -72,9 +72,13 @@ def tuple_cap() -> int:
     raw = os.environ.get(TUPLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TUPLE_CAP
-    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+    try:
+        cap = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # past Python's digit limit
+        cap = 0
+    if cap < 1:
         raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    return cap
 
 
 def _note(trace: list[str] | None, line: str) -> None:

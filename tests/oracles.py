@@ -187,6 +187,37 @@ def naive_dihedral_rows(n: int) -> list[list[int]]:
     return rows
 
 
+_Q8_SYMS = "1ijk"
+_Q8_MUL = {
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
+    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
+    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
+}
+
+
+def naive_quaternion_rows() -> list[list[int]]:
+    """Q8 by the multiplication rule of 1, i, j, k: index 2*s + b is
+    (+/-)(1, i, j, k)[s], with b = 1 for the negative."""
+    def decode(a):
+        s, b = divmod(a, 2)
+        return (-1 if b else 1), _Q8_SYMS[s]
+
+    def encode(sign, sym):
+        return 2 * _Q8_SYMS.index(sym) + (1 if sign < 0 else 0)
+
+    rows = []
+    for a in range(8):
+        sa, xa = decode(a)
+        row = []
+        for b in range(8):
+            sb, xb = decode(b)
+            sp, xp = _Q8_MUL[(xa, xb)]
+            row.append(encode(sa * sb * sp, xp))
+        rows.append(row)
+    return rows
+
+
 def naive_product_rows(rows1: list[list[int]], rows2: list[list[int]]) -> list[list[int]]:
     """The direct product's table, pair (i1, i2) numbered i1 * n2 + i2."""
     n2 = len(rows2)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fingroups import GroupSpec, build
-from fingroups import cli as cli_mod
 from fingroups.cli import main, parse_cayley_file, resolve_group
 from fingroups.errors import GroupTheoryError, ParseError
 from fingroups.group import spec_order
@@ -22,7 +21,8 @@ COMMENTS = ["#", "# note", "#caf\u00e9", "# \u03bb \u2260 \u03bc", "# a b", "# 1
             "#\ufeff\u2028"]
 
 # At most one fault is seeded into each rendered file.
-TOKEN_FAULTS = ["x", "1a", "0_0", "+0", "\u0660", "\uff10", "0" * 5000, "7" * 5000]
+TOKEN_FAULTS = ["x", "1a", "0_0", "+0", "\u0660", "\uff10", "0" * 5000, "7" * 5000, ":",
+                "0\x1c1"]
 HEADER_FAULTS = ["0", "1025", "2 2", "x", "+2", "\u0662", "0" * 5000]
 FAULTS = ["token", "range", "extra_token", "missing_token", "missing_row", "extra_row",
           "line_separator", "split_row", "moved_token", "header"]
@@ -35,11 +35,10 @@ def table_file(tmp_path_factory):
 
 @st.composite
 def cayley_files(draw):
-    """(text, clean): a rendered table of order 1-12 with random blanks,
-    line ends, blank and comment lines, maybe leading zeros and a
-    byte-order mark, and at most one fault.  ``clean`` says the text has
-    neither a fault nor a leading zero.  Hypothesis picks the shape; a
-    seeded generator fills in entries, blanks and comments."""
+    """A rendered table of order 1-12 with random blanks, line ends, blank
+    and comment lines, maybe leading zeros and a byte-order mark, and at
+    most one fault.  Hypothesis picks the shape; a seeded generator fills
+    in entries, blanks and comments."""
     n = draw(st.integers(1, 12))
     zeros = draw(st.booleans())
     fault = draw(st.none() | st.sampled_from(FAULTS))
@@ -94,7 +93,7 @@ def cayley_files(draw):
         lines += filler() + [line(tokens, r)]
     lines += filler()
     text = newline.join(lines) + rng.choice(["", newline])
-    return "\ufeff" * bom + text, fault is None and not zeros
+    return "\ufeff" * bom + text
 
 
 def outcome(parse, path):
@@ -107,37 +106,66 @@ def outcome(parse, path):
 
 @given(cayley_files())
 @settings(max_examples=500, deadline=None)
-def test_parse_matches_the_token_loop(table_file, case):
-    text, clean = case
+def test_parse_matches_the_token_loop(table_file, text):
     table_file.write_bytes(text.encode())
     got = outcome(parse_cayley_file, table_file)
     assert got == outcome(oracles.naive_parse_cayley_file, table_file)
     if got[0] == "rows":
         n, table = parse_cayley_file(str(table_file))
         assert table.dtype == np.int64 and table.shape == (n, n)
-    if clean:  # the one-pass reader takes it without the token loop
-        assert cli_mod._parse_table(text.removeprefix("\ufeff")) is not None
 
 
-def test_a_clean_s6_file_never_reaches_the_token_loop(tmp_path, monkeypatch):
+def cyclic_file(n: int, cell: tuple[int, int], entry: str, pad: str = "") -> str:
+    """The table of C_n, each entry after pad, with one cell's entry replaced."""
+    rows = [[f"{pad}{(r + c) % n}" for c in range(n)] for r in range(n)]
+    rows[cell[0]][cell[1]] = entry
+    return f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+# Hard cases for a reader that finds tokens, rows and values in bulk: each
+# is pinned against the token loop, with the outcome kind it must have.
+HARD_CASES = {
+    # n = 9 has one digit, so every entry with a leading zero is wide
+    "padded_table": ("rows", cyclic_file(9, (4, 6), "01", pad="0")),
+    "padded_table_with_a_wide_entry_out_of_range": ("error", cyclic_file(9, (4, 6), "10", pad="0")),
+    "4300_zeros_are_one_entry": ("rows", "1\n" + "0" * 4300 + "\n"),
+    "4301_zeros_pass_the_int_digit_limit": ("error", "1\n" + "0" * 4301 + "\n"),
+    "non_ascii_entry_in_a_row_after_a_short_row":
+        ("error", "3\n0 1 2\n1 2\n2 \u03bb 1\n"),
+    "non_ascii_entry_before_a_bad_one_on_its_line":
+        ("error", "3\n0 1 2\n1 \u03bb\u03bc x\n2 0 1\n"),
+    "too_few_rows_then_a_comment_without_a_line_feed":
+        ("error", "3\n0 1 2\n1 2 0\n# no third row"),
+    # ":" and "?" (each non-ASCII character's stand-in) are the bytes 10 and
+    # 15 past "0", values a digit sum could take for entries of C20
+    "colon_that_a_digit_sum_would_read_as_10": ("error", cyclic_file(20, (7, 3), "0:")),
+    "non_ascii_entry_that_a_digit_sum_would_read_as_15":
+        ("error", cyclic_file(20, (7, 3), "\u00e9")),
+    "ascii_control_byte_separates_nothing": ("error", cyclic_file(2, (1, 0), "1\x1c0")),
+}
+
+
+@pytest.mark.parametrize("kind, text", HARD_CASES.values(), ids=HARD_CASES.keys())
+def test_hard_cases_match_the_token_loop(table_file, kind, text):
+    table_file.write_bytes(text.encode())
+    got = outcome(parse_cayley_file, table_file)
+    assert got[0] == kind
+    assert got == outcome(oracles.naive_parse_cayley_file, table_file)
+
+
+def test_a_clean_s6_file_parses_to_its_table(tmp_path):
     g = build(GroupSpec.symmetric(6))
     path = tmp_path / "s6.cayley"
     rows = "".join(" ".join(map(str, row)) + "\r\n" for row in g.mul.tolist())
     path.write_text(f"# the symmetric group S6\n720  # order\n{rows}", newline="")
-
-    def token_loop(text):
-        raise AssertionError("a clean file reached the token loop")
-
-    monkeypatch.setattr(cli_mod, "_parse_tokens", token_loop)
     n, table = parse_cayley_file(str(path))
     assert n == 720 and table.dtype == np.int64 and np.array_equal(table, g.mul)
 
 
-def test_a_valid_file_the_fast_path_declines_still_parses(tmp_path):
-    # leading zeros make a token wider than n - 1; the token loop reads it
+def test_a_file_with_leading_zeros_parses(tmp_path):
+    # leading zeros make a token wider than n - 1 has digits
     path = tmp_path / "zeros.cayley"
     path.write_text("2\n00 1\n1 0000\n")
-    assert cli_mod._parse_table(path.read_text()) is None
     n, table = parse_cayley_file(str(path))
     assert (n, table.tolist()) == (2, [[0, 1], [1, 0]]) and table.dtype == np.int64
 

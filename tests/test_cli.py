@@ -1,8 +1,13 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fingroups import Check, GroupSpec, Report
 from fingroups import cli as cli_mod
@@ -14,6 +19,7 @@ from fingroups.cli import (
     resolve_group,
 )
 from fingroups.errors import GroupTheoryError, InternalInvariant, ParseError
+from fingroups.group import spec_order
 from fingroups.suite import catalog_specs, verify_group
 from fingroups.sylow import TUPLE_CAP_ENV
 
@@ -396,7 +402,8 @@ def test_huge_prime_exits_2_at_once(cmd):
     assert "does not divide" in proc.stderr
 
 
-@pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+@pytest.mark.parametrize("cap", ["abc", "0", "-5",
+                                 pytest.param("1" + "0" * 4300, id="past-the-int-digit-limit")])
 def test_bad_tuple_cap_is_input_error(capsys, monkeypatch, cap):
     monkeypatch.setenv(TUPLE_CAP_ENV, cap)
     code, out, err = run_cli(capsys, "cauchy", "z6", "-p", "3")
@@ -474,3 +481,40 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+
+
+# -- main() on random arguments and environment ---------------------------
+
+SMALL_REFS = ["z1", "z2", "z6", "d3", "d4", "s3", "q8", "cyclic:3", "dihedral:1", "symmetric:2"]
+grammar = st.recursive(st.sampled_from(SMALL_REFS),
+                       lambda inner: st.builds("product:({},{})".format, inner, inner),
+                       max_leaves=2)
+junk = st.text(alphabet="zdsqcyliprot8(),: 0123456789\u0663", max_size=24)
+primes = st.integers(-3, 12).map(str) | st.sampled_from(["x", "", "2.0", "\u0663", "9" * 5000])
+tuple_caps = (st.none() | st.sampled_from(["0", "-1", "x", "", " 5", "\u0663", "1e3"])
+              | st.integers(1, 10**7).map(str) | st.integers(4290, 4310).map("1".__mul__))
+
+
+def small_or_refused(ref: str) -> bool:
+    """False only for grammar naming a group of order above 64, left out to
+    keep the run short; refused grammar and non-grammar stay in."""
+    try:
+        return spec_order(parse_group_ref(ref)) <= 64
+    except (ValueError, GroupTheoryError):
+        return True
+
+
+@given(st.sampled_from(["cauchy", "sylow"]), grammar | junk, primes, tuple_caps)
+@settings(max_examples=150, deadline=None)
+def test_main_exits_0_or_2_on_random_refs_primes_and_tuple_caps(cmd, ref, p, cap):
+    assume(small_or_refused(ref))
+    out, err = io.StringIO(), io.StringIO()
+    with patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop(TUPLE_CAP_ENV, None)
+        if cap is not None:
+            os.environ[TUPLE_CAP_ENV] = cap
+        try:
+            code = main([cmd, ref, "-p", p])
+        except SystemExit as e:  # argparse refuses the arguments
+            code = e.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()

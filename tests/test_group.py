@@ -255,6 +255,12 @@ def test_dihedral_table_matches_the_case_rule():
         assert t.tolist() == oracles.naive_dihedral_rows(n), n
 
 
+def test_quaternion_table_matches_the_unit_rule():
+    t = group_mod._quaternion_table()
+    assert t.dtype == group_mod.TABLE_DTYPE
+    assert t.tolist() == oracles.naive_quaternion_rows()
+
+
 def test_symmetric_lex_order_and_composition():
     for n in range(1, MAX_SYMMETRIC_DEGREE + 1):
         perms = symmetric_elements(n)
