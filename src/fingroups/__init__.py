@@ -56,7 +56,7 @@ from .action import (
     mod_p_fixed_point_check,
     orbit,
     orbit_stabilizer_check,
-    orbit_stabilizer_checks,
+    orbit_stabilizer_counts,
     stabilizer,
 )
 from .cyclic import cyclic, order, phi, phi_theorem_checks, power

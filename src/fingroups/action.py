@@ -35,7 +35,6 @@ from .carrier import Carrier, ElemSet, set_of
 from .errors import (
     FamilyNotClosed,
     InternalInvariant,
-    InvalidSubgroup,
     NotBijective,
     NotMorphism,
     NotPPower,
@@ -45,7 +44,7 @@ from .errors import (
 from .group import Group, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
-from .subgroup import left_coset_numbering, left_index, subgroup_set
+from .subgroup import left_coset_numbering, left_index, require_nested_subgroups, subgroup_set
 
 
 @dataclass(eq=False)
@@ -153,35 +152,42 @@ def fixed_points(act: Action) -> ElemSet:
     return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
 
 
-def orbit_stabilizer_checks(act: Action) -> list[list[Check]]:
-    """For every point, card(orbit) equals the index of the stabilizer in
-    the acting subgroup, hence divides its order.  Orbit sizes come from
-    one column sort, stabilizers from one comparison; equal stabilizers
-    share one left_index, which counts coset roots and proves a subgroup."""
+def _orbit_stabilizer_sides(orb, idx, h: int):
+    """The relations a point passes by, as (name, lhs, rhs) with equal sides:
+    its orbit size is its stabilizer's index, and divides the acting order
+    h.  Takes one point's ints or the arrays of every point."""
+    return ("orbit_stabilizer", orb, idx), ("orbit_divides", h % orb, 0)
+
+
+def orbit_stabilizer_counts(act: Action) -> tuple[np.ndarray, ...]:
+    """Arrays of every point's orbit size, stabilizer order, stabilizer
+    index in the acting subgroup, and whether it passes.  Orbit sizes come
+    from one column sort, stabilizers from one comparison; each distinct
+    stabilizer gets one left_index, which counts coset roots and proves a
+    subgroup."""
     m = act.acting.as_array()
     cols = np.sort(act.table, axis=0)
-    orbit_cards = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
-    index_of: dict[bytes, tuple[int, int]] = {}
-    out = []
-    for a, fixes in enumerate((act.table == np.arange(act.points.size)).T):
-        key = fixes.tobytes()
+    orb = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
+    fixes = act.table == np.arange(act.points.size)
+    keys = [col.tobytes() for col in fixes.T]
+    index_of: dict[bytes, int] = {}
+    for a, key in enumerate(keys):
         if key not in index_of:
-            stab = set_of(act.group.carrier, m[fixes].tolist())
-            index_of[key] = stab.card, left_index(act.group, stab, act.acting)
-        stab_card, idx = index_of[key]
-        orb, h = int(orbit_cards[a]), act.acting.card
-        out.append([
-            Check("orbit_stabilizer", orb == idx, orb, idx,
-                  {"point": a, "stabilizer_order": stab_card}),
-            Check("orbit_divides", h % orb == 0, h % orb, 0, {"point": a}),
-        ])
-    return out
+            stab = set_of(act.group.carrier, m[fixes[:, a]].tolist())
+            index_of[key] = left_index(act.group, stab, act.acting)
+    idx = np.array([index_of[key] for key in keys], dtype=np.int64)
+    (_, l1, r1), (_, l2, r2) = _orbit_stabilizer_sides(orb, idx, act.acting.card)
+    return orb, fixes.sum(axis=0), idx, (l1 == r1) & (l2 == r2)
 
 
 def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
-    """One point's orbit_stabilizer_checks (every point is computed)."""
+    """One point's orbit-stabilizer relations from orbit_stabilizer_counts
+    (every point is computed)."""
     act.points.check_point(a)
-    return orbit_stabilizer_checks(act)[a]
+    o, s, i, _ = (int(v[a]) for v in orbit_stabilizer_counts(act))
+    witnesses = ({"point": a, "stabilizer_order": s}, {"point": a})
+    return [Check(name, lhs == rhs, lhs, rhs, w) for (name, lhs, rhs), w
+            in zip(_orbit_stabilizer_sides(o, i, act.acting.card), witnesses)]
 
 
 def mod_p_fixed_point_check(act: Action, p: int, fixed: ElemSet | None = None) -> Check:
@@ -204,12 +210,8 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
     Points are the minimum-index coset representatives; x sends the coset
     of r to the coset of x*r.
     """
-    for name, s in (("h", h), ("l", l), ("k", k)):
-        if not s.issubset(k):
-            raise InvalidSubgroup(f"{name} must be contained in k")
-    subgroup_set(g, h)
-    subgroup_set(g, l)
-    subgroup_set(g, k)
+    require_nested_subgroups(g, h, k)
+    require_nested_subgroups(g, l, k)
 
     roots, coset = left_coset_numbering(g, l, k)
     table = coset[g.mul[h.as_array()[:, None], roots]]

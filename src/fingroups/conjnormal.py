@@ -23,7 +23,6 @@ from .errors import InternalInvariant, InvalidSubgroup, NotNormal
 from .group import Group, from_cayley_table
 from .report import Check
 from .subgroup import (
-    is_subgroup,
     left_coset_numbering,
     left_index,
     require_nested_subgroups,
@@ -107,10 +106,7 @@ class QuotientGroup:
 
 def quotient_group(g: Group, h: ElemSet, k: ElemSet) -> QuotientGroup:
     """Build K/H.  Raises NotNormal if H is not normal in K."""
-    subgroup_set(g, h)
-    subgroup_set(g, k)
-    if not h.issubset(k):
-        raise InvalidSubgroup("h must be contained in k")
+    require_nested_subgroups(g, h, k)
     if not is_normal(g, h, k):
         raise NotNormal("subgroup is not normal in the ambient group")
 
@@ -161,17 +157,14 @@ def quotient_morphism_check(q: QuotientGroup) -> list[Check]:
 
 def image_subgroup(q: QuotientGroup, l: ElemSet) -> ElemSet:
     """Image in K/H of a subgroup L sandwiched between H and K."""
-    g = q.base
-    if not is_subgroup(g, l):
-        raise InvalidSubgroup("l must be a subgroup")
-    if not q.normal_sub.issubset(l) or not l.issubset(q.ambient):
-        raise InvalidSubgroup("l must sit between the kernel and the ambient group")
+    require_nested_subgroups(q.base, q.normal_sub, l)
+    if not l.issubset(q.ambient):
+        raise InvalidSubgroup("l must lie in the ambient group")
     return set_of(q.group.carrier, np.unique(q.proj_table[l.as_array()]).tolist())
 
 
 def preimage_subgroup(q: QuotientGroup, l1: ElemSet) -> ElemSet:
     """Pullback in K of a subgroup of the quotient."""
-    if not is_subgroup(q.group, l1):
-        raise InvalidSubgroup("l1 must be a subgroup of the quotient")
+    subgroup_set(q.group, l1)
     km = q.ambient.as_array()
     return set_of(q.base.carrier, km[l1.mask()[q.proj_table[km]]].tolist())

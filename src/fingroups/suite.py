@@ -5,20 +5,24 @@ know: the defining axioms and their one-sided consequences, Lagrange over
 a generated subgroup sample, orbit counting for conjugation and coset
 translation, the fixed-point congruence where a p-power acts, Cauchy and
 the full Sylow battery for every prime divisor, and the totient theorems.
-Checks are aggregated per theorem (counts of passing instances) so reports
-stay readable; the per-instance loops live in the test suite.
+Checks are aggregated per theorem (counts of passing instances, and a
+witness for the first failure only) so reports stay readable; the
+per-instance loops live in the test suite.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .action import (
     conjugation_action,
     left_translation_action,
     mod_p_fixed_point_check,
-    orbit_stabilizer_checks,
+    orbit_stabilizer_counts,
 )
+from .carrier import ElemSet
 from .cyclic import order, phi_theorem_checks
 from .errors import GroupTheoryError
 from .group import (
@@ -70,10 +74,21 @@ def catalog() -> list[tuple[str, Group]]:
     return [(spec.describe(), build(spec)) for spec in catalog_specs()]
 
 
-def _aggregate(name: str, results: list[tuple[bool, object]]) -> Check:
-    good = sum(1 for ok, _ in results if ok)
-    witness = next((w for ok, w in results if not ok), None)
-    return Check(name, good == len(results), good, len(results), witness)
+def _aggregate(name: str, results: list[tuple[ElemSet | None, bool | np.ndarray]]) -> Check:
+    """(good, total, first failing witness) over one verdict per subgroup,
+    or an array of one per point, under the subgroup or None.  The first
+    failure's witness is its subgroup's members, then its point."""
+    oks = [np.asarray(ok) for _, ok in results]
+    good = sum(int(np.count_nonzero(ok)) for ok in oks)
+    total = sum(ok.size for ok in oks)
+    witness = None
+    if good < total:
+        i = next(i for i, ok in enumerate(oks) if not ok.all())
+        h, ok = results[i][0], oks[i]
+        witness = {} if h is None else {"subgroup": list(h.indices())}
+        if ok.ndim:
+            witness["point"] = int(np.argmin(ok))
+    return Check(name, good == total, good, total, witness)
 
 
 def verify_group(g: Group, label: str) -> Report:
@@ -104,19 +119,13 @@ def verify_group(g: Group, label: str) -> Report:
 
     t0 = time.perf_counter()
     sample = subgroup_sample(g)
-    lagrange_results = []
-    for h in sample:
-        checks = lagrange_check(g, h, full)
-        lagrange_results.append(
-            (all(c.ok for c in checks), {"subgroup": list(h.indices())})
-        )
+    lagrange_results = [(h, all(c.ok for c in lagrange_check(g, h, full))) for h in sample]
     add(_aggregate("lagrange", lagrange_results), t0)
 
     t0 = time.perf_counter()
     conj = conjugation_action(g, full)
-    os_results = [(all(c.ok for c in checks), {"point": a})
-                  for a, checks in enumerate(orbit_stabilizer_checks(conj))]
-    add(_aggregate("orbit_stabilizer:conjugation", os_results), t0)
+    add(_aggregate("orbit_stabilizer:conjugation",
+                   [(None, orbit_stabilizer_counts(conj)[3])]), t0)
     p_whole = prime_power_base(g.order)
     if p_whole is not None:
         t0 = time.perf_counter()
@@ -130,15 +139,11 @@ def verify_group(g: Group, label: str) -> Report:
     for h in sample:
         t0 = time.perf_counter()
         act = left_translation_action(g, h, h, full)
-        members = list(h.indices())
-        for a, checks in enumerate(orbit_stabilizer_checks(act)):
-            trans_results.append((all(c.ok for c in checks),
-                                  {"subgroup": members, "point": a}))
+        trans_results.append((h, orbit_stabilizer_counts(act)[3]))
         t1 = time.perf_counter()
         p = prime_power_base(h.card)
         if p is not None:
-            c = mod_p_fixed_point_check(act, p)
-            congruence_results.append((c.ok, {"subgroup": members}))
+            congruence_results.append((h, mod_p_fixed_point_check(act, p).ok))
         trans_s += t1 - t0
         congruence_s += time.perf_counter() - t1
     for c, secs in ((_aggregate("orbit_stabilizer:translation", trans_results), trans_s),

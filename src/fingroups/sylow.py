@@ -60,7 +60,7 @@ from .errors import (
 from .group import Group, GroupSpec, build
 from .numutil import is_prime, padic_val
 from .report import Check
-from .subgroup import is_subgroup, left_index, subgroup_set
+from .subgroup import is_subgroup, left_index, require_nested_subgroups, subgroup_set
 
 TUPLE_CAP_ENV = "GRP_MAX_TUPLE_CARRIER"
 DEFAULT_TUPLE_CAP = 10**6
@@ -182,8 +182,7 @@ def is_sylow(g: Group, k: ElemSet, p: int, h: ElemSet) -> bool:
     """H is a subgroup of K of order exactly p^(val_p |K|)."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if not is_subgroup(g, k):
-        raise InvalidSubgroup("k must be a subgroup")
+    subgroup_set(g, k)
     n = padic_val(p, k.card)
     return is_subgroup(g, h) and h.issubset(k) and h.card == p**n
 
@@ -228,8 +227,7 @@ def extend_p_subgroup(
     n = padic_val(p, k.card)
     if not 1 <= i < n:
         raise ValueError(f"step index {i} outside [1, {n})")
-    if not is_subgroup(g, hi) or not hi.issubset(k):
-        raise InvalidSubgroup("hi must be a subgroup of k")
+    require_nested_subgroups(g, hi, k)
     if hi.card != p**i:
         raise InvalidSubgroup(f"expected order {p**i}, got {hi.card}")
 
@@ -297,9 +295,7 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    subgroup_set(g, k)
-    if not is_subgroup(g, h) or not h.issubset(k):
-        raise InvalidSubgroup("h must be a subgroup of k")
+    require_nested_subgroups(g, h, k)
     if h.card != p ** padic_val(p, h.card):
         raise NotPPower(f"h has order {h.card}, not a power of {p}")
     if not is_sylow(g, k, p, l):

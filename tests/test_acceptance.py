@@ -27,7 +27,8 @@ from fingroups import (
     left_translation_action,
     mod_p_fixed_point_check,
     orbit,
-    orbit_stabilizer_checks,
+    orbit_stabilizer_check,
+    orbit_stabilizer_counts,
     order,
     phi,
     phi_theorem_checks,
@@ -107,10 +108,12 @@ def test_criterion_03_orbit_stabilizer_and_mod_p(groups, samples):
         acts += [left_translation_action(g, h, h, full) for h in samples[label]]
         for act in acts:
             hcard = act.acting.card
-            checks = orbit_stabilizer_checks(act)
+            orb, _, idx, ok = orbit_stabilizer_counts(act)
             for a in range(act.points.size):
-                assert all(c.ok for c in checks[a]), label
+                assert ok[a], label
+                assert orb[a] == idx[a] == orbit(act, a).card, label
                 assert hcard % orbit(act, a).card == 0, label
+            assert all(c.ok for c in orbit_stabilizer_check(act, 0)), label
             p = _prime_power(hcard)
             if p is not None:
                 assert mod_p_fixed_point_check(act, p).ok, label

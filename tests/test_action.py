@@ -18,7 +18,7 @@ from fingroups import (
     mod_p_fixed_point_check,
     orbit,
     orbit_stabilizer_check,
-    orbit_stabilizer_checks,
+    orbit_stabilizer_counts,
     set_of,
     singleton,
     stabilizer,
@@ -287,8 +287,20 @@ def naive_checks(act):
 
 
 def checks_as_tuples(act):
-    return [[(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in cs]
-            for cs in orbit_stabilizer_checks(act)]
+    return [[(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in orbit_stabilizer_check(act, a)]
+            for a in range(act.points.size)]
+
+
+def counts_as_tuples(act):
+    """Every point's (orbit size, stabilizer order, index, passes) from
+    the arrays."""
+    return list(zip(*(v.tolist() for v in orbit_stabilizer_counts(act))))
+
+
+def naive_counts(checks):
+    """The same, read off naive_checks."""
+    return [(cs[0][2], cs[0][4]["stabilizer_order"], cs[0][3], all(c[1] for c in cs))
+            for cs in checks]
 
 
 @pytest.fixture(scope="module")
@@ -304,9 +316,10 @@ def test_all_point_checks_match_naive_on_verify_actions(small_catalog):
         acts = [conjugation_action(g, full)]
         acts += [left_translation_action(g, h, h, full) for h in subgroup_sample(g)]
         for act in acts:
-            got = checks_as_tuples(act)
-            assert got == naive_checks(act), (label, act.acting.indices())
+            got, want = checks_as_tuples(act), naive_checks(act)
+            assert got == want, (label, act.acting.indices())
             assert all(type(v) is int for cs in got for c in cs for v in c[2:4])
+            assert counts_as_tuples(act) == naive_counts(want), (label, act.acting.indices())
 
 
 def test_single_point_check_rejects_a_point_outside_the_action(s4):
@@ -329,6 +342,7 @@ def test_all_point_checks_flag_what_naive_flags_on_a_non_action():
     act = unchecked_action(z3, [[0, 1, 2, 3], [1, 2, 0, 3], [1, 2, 0, 3]])
     want = naive_checks(act)
     assert checks_as_tuples(act) == want
+    assert counts_as_tuples(act) == naive_counts(want)
     flagged = [a for a, cs in enumerate(want) if not all(c[1] for c in cs)]
     assert flagged == [0, 1, 2]
 
@@ -340,7 +354,9 @@ def test_all_point_checks_refuse_a_stabilizer_that_is_no_subgroup():
     act = unchecked_action(z4, [[0, 1, 2, 3], [2, 1, 0, 3], [0, 3, 2, 1], [2, 3, 0, 1]])
     assert naive_checks(act) is None
     with pytest.raises(InvalidSubgroup):
-        orbit_stabilizer_checks(act)
+        orbit_stabilizer_counts(act)
+    with pytest.raises(InvalidSubgroup):
+        orbit_stabilizer_check(act, 0)
 
 
 def test_conjugation_table_matches_naive_on_the_catalog():

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fingroups import Check, GroupSpec, Report
+from fingroups import action as action_mod
 from fingroups import cli as cli_mod
+from fingroups import suite as suite_mod
 from fingroups.cli import (
     build_parser,
     main,
@@ -18,7 +20,7 @@ from fingroups.cli import (
     parse_group_ref,
     resolve_group,
 )
-from fingroups.errors import GroupTheoryError, InternalInvariant, ParseError
+from fingroups.errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
 from fingroups.group import spec_order
 from fingroups.suite import catalog_specs, verify_group
 from fingroups.sylow import TUPLE_CAP_ENV
@@ -239,6 +241,26 @@ def test_an_order_past_the_int_digit_limit_is_refused(capsys):
     assert "group order 2^15945 or more exceeds the maximum of 1024" in err
 
 
+@pytest.mark.parametrize("ref", [
+    "z" + "9" * 4301,
+    "product:(z2,dihedral:" + "1" * 4301 + ")",
+    "product:(s" + "0" * 5000 + "7" * 4301 + ",q8)",
+], ids=["shorthand", "inside-a-product", "after-leading-zeros"])
+def test_a_grammar_number_past_the_int_digit_limit_is_too_large(capsys, ref):
+    # int() refuses more than 4,300 significant digits; such a parameter
+    # is grammar for an order of at least as many digits, not a file name
+    with pytest.raises(UnsupportedSpec):
+        parse_group_ref(ref)
+    code, out, err = run_cli(capsys, "verify", ref)
+    assert code == 2 and out == ""
+    assert "group order of 4301 digits or more exceeds the maximum of 1024" in err
+    assert "1111111111" not in err and "7777777777" not in err and "9999999999" not in err
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_limit():
+    assert parse_group_ref("z" + "0" * 5000 + "5").describe() == "cyclic:5"
+
+
 def test_resolve_prefers_grammar_then_file(tmp_path):
     label, g = resolve_group("z4")
     assert g.order == 4
@@ -315,6 +337,41 @@ def test_verify_group_all_pass(q8):
     assert any(n.startswith("lagrange") for n in names)
     assert any(n.startswith("cauchy_order") for n in names)
     assert {c["kind"] for c in rep.certificates} == {"cauchy", "sylow"}
+
+
+def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
+    # an index off by one for the trivial stabilizer under a 4-group and
+    # for the 4-stabilizers under the whole group; Lagrange and the
+    # congruence made to fail for every subgroup of order 4
+    real_left_index = action_mod.left_index
+    monkeypatch.setattr(action_mod, "left_index", lambda g, h, k: real_left_index(g, h, k) + (
+        (h.card, k.card) in ((1, 4), (4, 24))))
+
+    real_lagrange = suite_mod.lagrange_check
+    real_congruence = suite_mod.mod_p_fixed_point_check
+
+    def lagrange_failing_at_order_4(g, h, k):
+        checks = real_lagrange(g, h, k)
+        checks[0].ok = checks[0].ok and h.card != 4
+        return checks
+
+    def congruence_failing_at_order_4(act, p):
+        check = real_congruence(act, p)
+        check.ok = check.ok and act.acting.card != 4
+        return check
+
+    monkeypatch.setattr(suite_mod, "lagrange_check", lagrange_failing_at_order_4)
+    monkeypatch.setattr(suite_mod, "mod_p_fixed_point_check", congruence_failing_at_order_4)
+    rep = verify_group(s4, "s4")
+    failed = {c.name: (c.lhs, c.rhs, c.witness) for c in rep.checks if not c.ok}
+    v4 = {"subgroup": [0, 1, 6, 7]}
+    assert failed == {
+        "lagrange": (23, 30, v4),
+        "orbit_stabilizer:conjugation": (12, 24, {"point": 1}),
+        "orbit_stabilizer:translation": (210, 234, {**v4, "point": 1}),
+        "mod_p_fixed_points:translation": (16, 23, v4),
+    }
+    assert "witness={'subgroup': [0, 1, 6, 7], 'point': 1}" in rep.render_text()
 
 
 # -- the command line ----------------------------------------------------
