@@ -40,7 +40,7 @@ from .action import (
 from .carrier import ElemSet
 from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_check
 from .cyclic import order
-from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
+from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec, quote_input
 from .group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, Group, GroupSpec, build, from_cayley_table
 from .report import Check, Report
 from .subgroup import closure
@@ -216,8 +216,8 @@ def parse_group_ref(ref: str) -> GroupSpec:
                 return GroupSpec.product(
                     parse_group_ref(inner[:i]), parse_group_ref(inner[i + 1:])
                 )
-        raise ValueError(f"product needs two comma-separated refs: {ref!r}")
-    raise ValueError(f"not catalog grammar: {ref!r}")
+        raise ValueError(f"product needs two comma-separated refs: {quote_input(ref)}")
+    raise ValueError(f"not catalog grammar: {quote_input(ref)}")
 
 
 def resolve_group(ref: str) -> tuple[str, Group]:
@@ -232,7 +232,7 @@ def resolve_group(ref: str) -> tuple[str, Group]:
         # no local holds the table: a caught rejection keeps this frame alive
         return ref, from_cayley_table(*parse_cayley_file(ref))
     raise GroupTheoryError(
-        f"{ref!r} is neither catalog grammar (try 'fingroups catalog') nor a file"
+        f"{quote_input(ref)} is neither catalog grammar (try 'fingroups catalog') nor a file"
     )
 
 
@@ -240,7 +240,7 @@ def _parse_points(g: Group, csv: str) -> list[int]:
     try:
         pts = [int(tok) for tok in csv.split(",") if tok.strip() != ""]
     except ValueError:
-        raise GroupTheoryError(f"generator list {csv!r} is not comma-separated integers")
+        raise GroupTheoryError(f"generator list {quote_input(csv)} is not comma-separated integers")
     if not pts:
         raise GroupTheoryError("generator list is empty")
     for x in pts:

@@ -9,6 +9,14 @@ the caller.
 from __future__ import annotations
 
 
+def quote_input(text: str) -> str:
+    """Outside input quoted for an error message: its repr, cut to the
+    first 40 characters and its length when longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class GroupTheoryError(Exception):
     """Base class for every error raised by this package."""
 

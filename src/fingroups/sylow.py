@@ -56,6 +56,7 @@ from .errors import (
     NotPrime,
     PDoesNotDivide,
     UnsupportedSpec,
+    quote_input,
 )
 from .group import Group, GroupSpec, build
 from .numutil import is_prime, padic_val
@@ -77,7 +78,7 @@ def tuple_cap() -> int:
     except ValueError:  # past Python's digit limit
         cap = 0
     if cap < 1:
-        raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer, got {quote_input(raw)}")
     return cap
 
 
@@ -88,9 +89,11 @@ def _note(trace: list[str] | None, line: str) -> None:
 
 @dataclass(eq=False)
 class TupleCarrier:
-    """The length-p tuples over a subgroup whose product is the unit, one
-    row each (|H|^(p-1) rows): row r is the tuple whose trailing p-1
-    coordinates have mixed-radix rank r over the ascending members."""
+    """The length-p tuples over a subgroup whose product is the unit
+    (|H|^(p-1) of them): tuple r is the one whose trailing p-1 coordinates
+    have mixed-radix rank r over the ascending members.  They are held as
+    one C-contiguous (p, |H|^(p-1)) array in the group's dtype, one row per
+    coordinate; ``tuples`` is its transpose, one row per tuple."""
 
     members: tuple[int, ...]
     tuples: np.ndarray
@@ -98,32 +101,45 @@ class TupleCarrier:
 
 def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
     """Materialize the product-one tuple family over a subgroup.  Each of
-    the |H|^(p-1) choices of trailing coordinates determines the head."""
-    digits = np.indices((h.card,) * (p - 1)).reshape(p - 1, -1).T
-    tails = h.as_array()[digits]
-    prod = np.full(len(tails), g.unit)
-    for c in tails.T:
-        prod = g.mul[prod, c]
-    return TupleCarrier(h.indices(), np.column_stack([g.inv[prod], tails]))
+    the |H|^(p-1) choices of trailing coordinates determines the head.
+    Coordinate j >= 1 repeats the members along axis j-1 of the rank's
+    (|H|,)*(p-1) grid; the head inverts the tail's prefix products, each
+    got from the last by one row gather, about |H|^(p-1) table reads."""
+    m = h.card
+    mem = h.as_array().astype(g.mul.dtype)
+    cols = np.empty((p, m ** (p - 1)), dtype=g.mul.dtype)
+    for j in range(1, p):
+        cols[j].reshape(m ** (j - 1), m, -1)[...] = mem[:, None]
+    by_member = g.mul[:, mem]  # column k multiplies on the right by member k
+    prod = mem
+    for _ in range(p - 2):
+        prod = by_member[prod].ravel()
+    cols[0] = g.inv[prod]
+    return TupleCarrier(h.indices(), cols.T)
 
 
 def rotation_action(tc: TupleCarrier) -> Action:
     """The cyclic group of order p acting on the tuple family by index
-    rotation, which preserves the product-one condition.  Rotating row r
-    left by one moves its head to the end of the tail, so its image is row
-    (r mod m^(p-2))*m + pos(head), with m = |H|; shift k is its k-th power."""
-    n, p = tc.tuples.shape
+    rotation, which preserves the product-one condition.  Rotating tuple r
+    left by one moves its head to the end of the tail, so its image is
+    tuple (r mod m^(p-2))*m + pos(head), with m = |H|; shift k is its k-th
+    power.  Each coordinate of the images is checked against the next
+    coordinate of the tuples."""
+    cols = tc.tuples.T
+    p, n = cols.shape
     m = len(tc.members)
-    # A head outside the members gets an in-range pos; the row check fails.
-    pos = np.minimum(np.searchsorted(tc.members, tc.tuples[:, 0]), m - 1)
-    sigma = np.arange(n) % m ** (p - 2) * m + pos
-    if not np.array_equal(tc.tuples[sigma], np.roll(tc.tuples, -1, axis=1)):
-        raise InternalInvariant("rotation left the product-one family")
-    table = [np.arange(n)]
-    while len(table) < p:
-        table.append(sigma[table[-1]])
+    # A head outside the members gets an in-range pos; the check fails.
+    pos = np.minimum(np.searchsorted(np.array(tc.members, cols.dtype), cols[0]), m - 1)
+    sigma = (pos.reshape(m, -1) + np.arange(0, n, m)).ravel()
+    for j in range(p):
+        if not np.array_equal(cols[j][sigma], cols[(j + 1) % p]):
+            raise InternalInvariant("rotation left the product-one family")
+    table = np.empty((p, n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for k in range(1, p):  # sigma is in range, so clip mode only skips a buffer
+        np.take(sigma, table[k - 1], out=table[k], mode="clip")
     zp = build(GroupSpec.cyclic(p))
-    return make_action(zp, zp.full_set(), Carrier(n), np.array(table))
+    return make_action(zp, zp.full_set(), Carrier(n), table)
 
 
 def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None) -> int:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -466,6 +467,28 @@ def test_bad_tuple_cap_is_input_error(capsys, monkeypatch, cap):
     code, out, err = run_cli(capsys, "cauchy", "z6", "-p", "3")
     assert code == 2 and out == ""
     assert f"{TUPLE_CAP_ENV} must be a positive integer" in err
+    assert len(err) < 200  # a long value is quoted by its first 40 characters and its length
+    if len(cap) > 40:
+        assert "'1" + "0" * 39 + "'... (4301 characters)" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "x" * 5000],
+                                  ["orbits", "z12", "--action", "translation", "--gens", "x" * 5000]],
+                         ids=["reference", "generator-list"])
+def test_refusals_quote_at_most_40_characters(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "'" + "x" * 40 + "'... (5000 characters)" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("ref, message", [
+    ("product:(" + "z2" * 2495 + ")", "product needs two comma-separated refs: 'product:(z2z2"),
+    ("product:(z2," + "x" * 4988 + ")", "not catalog grammar: 'xxxx"),
+], ids=["no-comma", "not-grammar-inside"])
+def test_grammar_refusals_quote_at_most_40_characters(ref, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as e:
+        parse_group_ref(ref)
+    assert str(e.value).endswith("characters)") and len(str(e.value)) < 200
 
 
 def test_orbits_conjugation(capsys):

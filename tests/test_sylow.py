@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fingroups import (
@@ -8,6 +9,7 @@ from fingroups import (
     conjugate_set,
     cyclic,
     extend_p_subgroup,
+    from_cayley_table,
     is_normal,
     is_subgroup,
     is_sylow,
@@ -114,6 +116,8 @@ def assert_rotation_matches_naive(g, h, p):
     tuples, table = oracles.naive_rotation_table(
         oracles.table_rows(g), g.unit, list(h.indices()), p
     )
+    assert tc.tuples.dtype == g.mul.dtype and tc.tuples.shape == (len(tuples), p)
+    assert tc.tuples.T.flags.c_contiguous  # one row per coordinate
     assert tc.tuples.tolist() == [list(t) for t in tuples]
     assert act.table.tolist() == table
     n = len(tuples)
@@ -131,8 +135,41 @@ def test_rotation_action_matches_naive_on_the_catalog():
     assert cases > 60  # 64 with the current catalog
 
 
-def test_rotation_action_matches_naive_on_a_proper_subgroup(z6):
+def test_rotation_action_matches_naive_on_a_proper_subgroup(z6, s4):
     assert_rotation_matches_naive(z6, members(z6, [0, 2, 4]), 3)
+    h = sylow_subgroup(s4, s4.full_set(), 2).subgroup
+    assert h.indices() == (0, 1, 6, 7, 16, 17, 22, 23)
+    assert_rotation_matches_naive(s4, h, 2)
+
+
+def relabeled(spec, seed):
+    """The group of spec with element a renamed perm[a], perm seeded."""
+    t = build(spec).mul
+    perm = np.random.default_rng(seed).permutation(len(t))
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return from_cayley_table(len(t), out)
+
+
+RELABELED = [(GroupSpec.product(GroupSpec.symmetric(4), GroupSpec.cyclic(2)), 1),
+             (GroupSpec.dihedral(10), 2),
+             (GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)), 3)]
+RELABELED_IDS = [f"{spec.describe()}-seed{seed}" for spec, seed in RELABELED]
+
+
+@pytest.mark.parametrize("spec, seed", RELABELED, ids=RELABELED_IDS)
+def test_rotation_action_matches_naive_on_relabelings(spec, seed):
+    g = relabeled(spec, seed)
+    assert g.unit != 0
+    cases = 0
+    for p in prime_divisors(g.order):
+        # subgroups of a relabeled group have scattered members
+        sylow = sylow_subgroup(g, g.full_set(), p).subgroup
+        for h in (g.full_set(), sylow, cyclic(g, cauchy_element(g, g.full_set(), p))):
+            if h.card ** (p - 1) <= 10**4:
+                assert_rotation_matches_naive(g, h, p)
+                cases += 1
+    assert cases > 0
 
 
 @pytest.mark.parametrize("head", [1, 99, 4], ids=["non_member", "outside_group", "wrong_member"])
@@ -141,6 +178,22 @@ def test_rotation_rejects_a_corrupted_head(z6, head):
     tuples = tc.tuples.copy()
     assert tuples[5].tolist() == [0, 2, 4]
     tuples[5, 0] = head
+    with pytest.raises(InternalInvariant, match="rotation left the product-one family"):
+        rotation_action(TupleCarrier(tc.members, tuples))
+
+
+# Tuple 0 is (0, 0, 0).  Rotation sends a tuple to the one whose tail is its
+# last coordinate then its head's rank, so each replacement of tuple 0 below
+# rotates onto tuple 1, (4, 0, 2), and no tuple rotates onto tuple 0; each
+# then breaks one coordinate's check alone: coordinate j of the image
+# against coordinate j + 1 of the tuple.
+@pytest.mark.parametrize("bad", [(2, 0, 0), (2, 4, 1), (1, 4, 0)],
+                         ids=["coordinate_0", "coordinate_1", "coordinate_2"])
+def test_rotation_checks_every_coordinate(z6, bad):
+    tc = product_one_tuples(z6, members(z6, [0, 2, 4]), 3)
+    tuples = tc.tuples.copy()
+    assert tuples[0].tolist() == [0, 0, 0] and tuples[1].tolist() == [4, 0, 2]
+    tuples[0] = bad
     with pytest.raises(InternalInvariant, match="rotation left the product-one family"):
         rotation_action(TupleCarrier(tc.members, tuples))
 
@@ -164,6 +217,35 @@ def test_cauchy_fallback_same_answer(z6, monkeypatch):
     a = cauchy_element(z6, z6.full_set(), 3, trace)
     assert a == 2
     assert any("fell back" in line for line in trace)
+
+
+def cauchy_on_both_routes(g, p, monkeypatch):
+    """(route, answer) with the default cap, then the answer down the scan."""
+    trace: list = []
+    a = cauchy_element(g, g.full_set(), p, trace)
+    with monkeypatch.context() as m:
+        m.setenv(TUPLE_CAP_ENV, "1")
+        scan = cauchy_element(g, g.full_set(), p)
+    return ("scan" if "fell back" in trace[0] else "tuples", a), scan
+
+
+def test_cauchy_routes_agree_on_the_catalog(monkeypatch):
+    routes = []
+    for _, g in catalog():
+        for p in prime_divisors(g.order):
+            (route, a), scan = cauchy_on_both_routes(g, p, monkeypatch)
+            assert a == scan, (g.order, p)
+            routes.append(route)
+    assert (routes.count("tuples"), len(routes)) == (68, 79)
+
+
+@pytest.mark.parametrize("spec, seed", RELABELED, ids=RELABELED_IDS)
+def test_cauchy_routes_agree_on_relabelings(spec, seed, monkeypatch):
+    g = relabeled(spec, seed)
+    assert g.unit != 0
+    for p in prime_divisors(g.order):
+        (route, a), scan = cauchy_on_both_routes(g, p, monkeypatch)
+        assert route == "tuples" and a == scan and order(g, a) == p
 
 
 def test_cauchy_scans_fixed_points_once(z6, monkeypatch):
