@@ -3,8 +3,9 @@
 every prime dividing its order, the subgroup order p^n, the family size,
 and the normalizer order of the constructed representative.  The census
 doubles as a quick empirical scan of the counting theorems: the last two
-columns must always read 0 and 1, and the exit status is 1 when any row
-does not.
+columns must always read 0 and 1, and count times |N(P)| must equal |G|,
+since the family is one conjugation orbit whose stabilizer is the
+normalizer.  The exit status is 1 when any row breaks one of these.
 
 Usage:
     python scripts/sylow_census.py
@@ -39,7 +40,7 @@ def main() -> int:
             nrm = normalizer(g, cert.subgroup, full)
             row = (label, g.order, p, cert.n, cert.subgroup.card,
                    len(fam), nrm.card, g.order % len(fam), len(fam) % p)
-            bad += row[7:] != (0, 1)
+            bad += row[7:] != (0, 1) or len(fam) * nrm.card != g.order
             if args.csv:
                 print(",".join(str(v) for v in row))
             else:

@@ -37,7 +37,6 @@ from .subgroup import (
 )
 from .conjnormal import (
     QuotientGroup,
-    conjugate,
     conjugate_set,
     image_subgroup,
     is_normal,

@@ -41,7 +41,7 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import Group, greedy_generators
+from .group import Group, conjugates, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import left_coset_numbering, left_index, require_nested_subgroups, subgroup_set
@@ -221,8 +221,7 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
     written with x^-1 on the left would compose contravariantly.)"""
-    m = h.as_array()
-    return make_action(g, h, g.carrier, g.mul[g.mul[m], g.inv[m][:, None]])
+    return make_action(g, h, g.carrier, conjugates(g, h.as_array(), np.arange(g.order)))
 
 
 def conjugation_action_on_subsets(
@@ -242,7 +241,7 @@ def conjugation_action_on_subsets(
     table = np.empty((len(xs), len(family)), dtype=np.int64)
     for i, member in enumerate(family):
         # x M x^-1 for every acting x at once, one sorted row per x
-        conj = np.sort(g.mul[g.mul[xs[:, None], member.as_array()], g.inv[xs][:, None]], axis=1)
+        conj = np.sort(conjugates(g, xs, member.as_array()), axis=1)
         table[:, i] = [index.get(row.tobytes(), -1) for row in conj]
     left = np.argwhere(table < 0)
     if len(left):

@@ -1,10 +1,11 @@
 """Conjugation, normality, normalizers, and quotient groups.
 
-Conventions: conjugate(g, x, y) is x^-1 * y * x (the image of y under
-conjugation by x), while conjugate_set(g, h, x) is the set x H x^-1, i.e.
-the y whose conjugate by x lands in H.  Normality of H in K only demands
-H contained in every x H x^-1 for x in K; equality then follows because
-conjugation preserves cardinality.
+One convention: conjugating y by x gives x * y * x^-1, and every
+conjugate is read off group.conjugates, one grid per call.  So
+conjugate_set(g, h, x) is x H x^-1.  Normality and the normalizer pass the
+inverses of K as the conjugators and so test x^-1 * y * x over K; normality
+of H in K only demands that x^-1 H x lie inside H for every x in K, and
+equality then follows because conjugation preserves cardinality.
 
 Quotients are concrete groups: the carrier re-indexes the minimum-index
 coset representatives, multiplication is multiply-then-take-root, and the
@@ -20,7 +21,7 @@ import numpy as np
 
 from .carrier import ElemSet, set_of
 from .errors import InternalInvariant, InvalidSubgroup, NotNormal
-from .group import Group, from_cayley_table
+from .group import Group, conjugates, from_cayley_table
 from .report import Check
 from .subgroup import (
     left_coset_numbering,
@@ -30,50 +31,40 @@ from .subgroup import (
 )
 
 
-def conjugate(g: Group, x: int, y: int) -> int:
-    """y conjugated by x: x^-1 * y * x."""
-    return int(g.mul[g.mul[g.inv[x], y], x])
-
-
 def conjugate_set(g: Group, h: ElemSet, x: int) -> ElemSet:
     """x H x^-1, equivalently the y with x^-1 * y * x in H."""
     g.carrier.check_point(x)
-    return set_of(h.carrier, g.mul[g.mul[x, h.as_array()], g.inv[x]].tolist())
+    return set_of(h.carrier, conjugates(g, [x], h.as_array())[0].tolist())
 
 
 def conjugacy_family(g: Group, k: ElemSet, base: ElemSet) -> list[ElemSet]:
     """The distinct conjugates x B x^-1 for x in K, ordered by membership
-    list."""
-    seen: dict[int, ElemSet] = {}
-    for x in k:
-        c = conjugate_set(g, base, x)
-        seen.setdefault(c.bits, c)
-    return sorted(seen.values(), key=lambda s: s.indices())
+    list: one grid of conjugates, each row sorted, deduplicated by its
+    bytes."""
+    rows = np.sort(conjugates(g, k.as_array(), base.as_array()), axis=1)
+    distinct = {row.tobytes(): row.tolist() for row in rows}
+    return [set_of(base.carrier, m) for m in sorted(distinct.values())]
 
 
 def is_normal(g: Group, h: ElemSet, k: ElemSet) -> bool:
-    """H contained in x H x^-1 for every x in K.  Containment one way is
-    enough: conjugation is a bijection, so the cardinalities match."""
+    """Whether x^-1 * y * x lies in H for every x in K and y in H.  For
+    subgroups that is H normal in K: containment one way is enough, since
+    conjugation is a bijection and the cardinalities match."""
     if not h.bits or not k.bits:
         return not h.bits
-    hm = h.as_array()
-    km = k.as_array()
-    # grid of x^-1 * y * x over (x, y)
-    inner = g.mul[np.ix_(g.inv[km], hm)]
-    conj = g.mul[inner, km[:, None]]
-    return bool(h.mask()[conj].all())
+    return bool(h.mask()[conjugates(g, g.inv[k.as_array()], h.as_array())].all())
 
 
 def normalizer(g: Group, h: ElemSet, k: ElemSet) -> ElemSet:
-    """The x in K for which x H x^-1 agrees with H at every point of K.
-    The agreement test is quantified over K, matching the containment
-    context in which the normalizer gets used."""
+    """The x in K for which x^-1 * y * x lies in H exactly when y does, for
+    every y in K: one (|K|, |K|) comparison.  For subgroups H inside K that
+    is x H x^-1 == H; the agreement test is quantified over K, matching the
+    containment context in which the normalizer gets used."""
     require_nested_subgroups(g, h, k)
     km = k.as_array()
     hmask = h.mask()
-    h_on_k = hmask[km]
-    return set_of(g.carrier, (x for x in k if np.array_equal(
-        hmask[g.mul[g.mul[g.inv[x], km], x]], h_on_k)))
+    agree = hmask[conjugates(g, g.inv[km], km)] == hmask[km]
+    return set_of(g.carrier, km[agree.all(axis=1)].tolist())
 
 
 @dataclass(eq=False)

@@ -130,6 +130,13 @@ def greedy_generators(t: np.ndarray, unit: int, target: int) -> Iterator[int]:
         reached = reach(gen_rows, reached, [y for y in range(len(t)) if reached >> y & 1])
 
 
+def conjugates(g: Group, xs, ys) -> np.ndarray:
+    """The grid of conjugates x * y * x^-1, at [i, j] for x = xs[i] and
+    y = ys[j].  Passing inverses as xs gives x^-1 * y * x."""
+    xs = np.asarray(xs)
+    return g.mul[g.mul[xs[:, None], ys], g.inv[xs][:, None]]
+
+
 def _first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The lexicographically first triple breaking associativity, or None.
     For fixed x1, t[t[x1]] holds (x1*x2)*x3 and t[x1][t] holds

@@ -13,7 +13,7 @@ import numpy as np
 
 from .carrier import ElemSet, set_of
 from .errors import CarrierMismatch, InvalidSubgroup
-from .group import Group, greedy_generators, reach
+from .group import Group, conjugates, greedy_generators, reach
 from .report import Check
 
 
@@ -208,7 +208,7 @@ def subgroup_sample(g: Group) -> list[ElemSet]:
     pairs = upper & ~inside & ~inside.T
     if pairs.any():
         s = list(greedy_generators(g.mul, g.unit, (1 << g.order) - 1))
-        conj = g.mul[g.mul[s], g.inv[s][:, None]]  # conj[t, y] = s_t * y * s_t^-1
+        conj = conjugates(g, s, np.arange(g.order))  # conj[t, y] = s_t * y * s_t^-1
         conj = conj[(conj != np.arange(g.order)).any(axis=1)]
         p = cyc_of[conj[:, gen]]  # each generator's map on the cyclic subgroups
         p = np.concatenate([p, np.argsort(p, axis=1)])  # and its inverse's

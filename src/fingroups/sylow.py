@@ -331,23 +331,17 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     return int(x)
 
 
-def sylow_family(g: Group, k: ElemSet, p: int, cert: SylowCertificate | None = None) -> list[ElemSet]:
+def sylow_family(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[ElemSet]:
     """All Sylow p-subgroups of K, as the conjugation orbit of the
-    constructed one, deduplicated by indicator and deterministically
-    ordered by membership list."""
-    if cert is None:
-        cert = sylow_subgroup(g, k, p)
+    certificate's subgroup, deduplicated and deterministically ordered by
+    membership list."""
     return conjugacy_family(g, k, cert.subgroup)
 
 
-def sylow_count_divides_check(
-    g: Group, k: ElemSet, p: int, cert: SylowCertificate | None = None
-) -> list[Check]:
+def sylow_count_divides_check(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[Check]:
     """The number of Sylow p-subgroups divides |K|, re-derived from the
     conjugation action: the family is a single orbit whose size equals a
     stabilizer index."""
-    if cert is None:
-        cert = sylow_subgroup(g, k, p)
     family = sylow_family(g, k, p, cert)
     count = len(family)
     act = conjugation_action_on_subsets(g, k, family)
@@ -362,14 +356,10 @@ def sylow_count_divides_check(
     return checks
 
 
-def sylow_count_mod_p_check(
-    g: Group, k: ElemSet, p: int, cert: SylowCertificate | None = None
-) -> list[Check]:
+def sylow_count_mod_p_check(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[Check]:
     """The number of Sylow p-subgroups is congruent to 1 mod p, re-derived
     by letting the constructed Sylow subgroup conjugate the family: it
     fixes itself and nothing else, and the congruence transfers the count."""
-    if cert is None:
-        cert = sylow_subgroup(g, k, p)
     family = sylow_family(g, k, p, cert)
     count = len(family)
     base_index = next(i for i, s in enumerate(family) if s == cert.subgroup)

@@ -307,6 +307,16 @@ def naive_normalizer(rows, unit, members: frozenset[int], ambient) -> frozenset[
     )
 
 
+def naive_is_normal(rows, unit, members: frozenset[int], ambient) -> bool:
+    """Whether x^-1 * y * x lands in the members for every x in the
+    ambient set and every member y."""
+    for x in ambient:
+        xi = naive_inverse(rows, unit, x)
+        if any(rows[rows[xi][y]][x] not in members for y in members):
+            return False
+    return True
+
+
 def all_subgroups_naive(rows: list[list[int]], unit: int) -> set[frozenset[int]]:
     """Breadth-first closure adjunction: close the trivial subgroup, then
     keep adjoining single outside elements until nothing new appears."""

@@ -173,11 +173,12 @@ def test_criterion_07_sylow_counting(groups, oracle_subgroups):
     for label, g in groups:
         full = g.full_set()
         for p in prime_divisors(g.order):
-            fam = sylow_family(g, full, p)
+            cert = sylow_subgroup(g, full, p)
+            fam = sylow_family(g, full, p, cert)
             counts[label, p] = len(fam)
             # the counting theorems, re-derived through group actions
-            assert all(c.ok for c in sylow_count_divides_check(g, full, p)), (label, p)
-            assert all(c.ok for c in sylow_count_mod_p_check(g, full, p)), (label, p)
+            assert all(c.ok for c in sylow_count_divides_check(g, full, p, cert)), (label, p)
+            assert all(c.ok for c in sylow_count_mod_p_check(g, full, p, cert)), (label, p)
             assert g.order % len(fam) == 0 and len(fam) % p == 1
             # against the independent enumeration where it is exhaustive
             if label in oracle_subgroups:

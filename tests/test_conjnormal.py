@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fingroups import (
+    GroupSpec,
+    build,
     closure,
-    conjugate,
     conjugate_set,
+    from_cayley_table,
     image_subgroup,
     is_normal,
     is_subgroup,
@@ -16,7 +19,9 @@ from fingroups import (
     set_of,
     subgroup_sample,
 )
+from fingroups.conjnormal import conjugacy_family
 from fingroups.errors import InvalidSubgroup, NotNormal
+from fingroups.group import conjugates
 
 import oracles
 
@@ -29,32 +34,38 @@ A3 = (0, 3, 4)
 TRANSPOSITIONS = (1, 2, 5)
 
 
-# -- pointwise conjugation -----------------------------------------------
+# -- pointwise conjugation, read off the grid ------------------------------
 
 
 def test_conjugate_by_unit(s3):
-    assert all(conjugate(s3, s3.unit, y) == y for y in s3.elements())
+    ys = np.arange(s3.order)
+    assert np.array_equal(conjugates(s3, [s3.unit], ys)[0], ys)
 
 
 def test_conjugate_definition(s4):
-    # y^x = x^-1 y x, spelled out against the raw table
+    # grid[i, j] = x y x^-1 for x = xs[i], y = ys[j], against the raw table
     rows = s4.rows()
-    for x in (3, 7, 19):
-        for y in (1, 10, 23):
-            want = rows[rows[s4.inv[x]][y]][x]
-            assert conjugate(s4, x, y) == want
+    xs, ys = (3, 7, 19), (1, 10, 23)
+    grid = conjugates(s4, xs, ys)
+    assert grid.shape == (len(xs), len(ys))
+    for i, x in enumerate(xs):
+        xi = oracles.naive_inverse(rows, s4.unit, x)
+        for j, y in enumerate(ys):
+            assert grid[i, j] == rows[rows[x][y]][xi]
 
 
 @given(st.integers(0, 23), st.integers(0, 23))
 def test_conjugation_is_invertible(s4, x, y):
-    assert conjugate(s4, s4.inv[x], conjugate(s4, x, y)) == y
+    there = conjugates(s4, [x], [y])[0, 0]
+    assert conjugates(s4, [s4.inv[x]], [there])[0, 0] == y
 
 
 @given(st.integers(0, 23), st.integers(0, 23), st.integers(0, 23))
 @settings(max_examples=60)
 def test_conjugation_composes(s4, x, z, y):
-    # conj by a product splits into successive conjugations
-    assert conjugate(s4, s4.mul[x, z], y) == conjugate(s4, z, conjugate(s4, x, y))
+    # conj by a product splits into successive conjugations, z first
+    inner = conjugates(s4, [z], [y])[0, 0]
+    assert conjugates(s4, [s4.mul[x, z]], [y])[0, 0] == conjugates(s4, [x], [inner])[0, 0]
 
 
 def test_conjugate_set_matches_naive(s4):
@@ -123,6 +134,48 @@ def test_normalizer_is_largest_normalizing_subgroup(s4):
         assert is_subgroup(s4, nz)
         assert h.issubset(nz)
         assert is_normal(s4, h, nz)
+
+
+def relabeled(spec, seed):
+    """The group of spec with element a renamed perm[a], perm seeded."""
+    t = build(spec).mul
+    perm = np.random.default_rng(seed).permutation(len(t))
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return from_cayley_table(len(t), out)
+
+
+S4_C2 = GroupSpec.product(GroupSpec.symmetric(4), GroupSpec.cyclic(2))
+D6_C2 = GroupSpec.product(GroupSpec.dihedral(6), GroupSpec.cyclic(2))
+Q8_C2 = GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2))
+# seed 0 keeps the catalog labels
+CONJ_GROUPS = [(GroupSpec.symmetric(4), 0), (Q8_C2, 0), (GroupSpec.dihedral(6), 0),
+               (S4_C2, 1), (D6_C2, 2)]
+
+
+@pytest.mark.parametrize("spec, seed", CONJ_GROUPS,
+                         ids=[f"{s.describe()}-seed{n}" for s, n in CONJ_GROUPS])
+def test_conjugation_layer_matches_naive(spec, seed):
+    """conjugacy_family, is_normal and normalizer against the oracles, for
+    every sample subgroup as the base, over the whole group and over the
+    largest proper sample subgroup."""
+    g = relabeled(spec, seed) if seed else build(spec)
+    rows = oracles.table_rows(g)
+    sample = subgroup_sample(g)
+    for k in (g.full_set(), sample[-2]):
+        kset = frozenset(k.indices())
+        for h in sample:
+            hset = frozenset(h.indices())
+            want = sorted({tuple(sorted(oracles.naive_conjugate_set(rows, g.unit, hset, x)))
+                           for x in kset})
+            assert [c.indices() for c in conjugacy_family(g, k, h)] == want
+            assert is_normal(g, h, k) == oracles.naive_is_normal(rows, g.unit, hset, kset)
+            if hset <= kset:
+                want_n = oracles.naive_normalizer(rows, g.unit, hset, kset)
+                assert frozenset(normalizer(g, h, k).indices()) == want_n
+            else:
+                with pytest.raises(InvalidSubgroup):
+                    normalizer(g, h, k)
 
 
 # -- quotients -----------------------------------------------------------

@@ -24,6 +24,9 @@ CASES = {
     "orbits_z12_translation": ["orbits", "z12", "--action", "translation",
                                "--gens", "4", "--acting-gens", "6"],
     "orbits_s3_subsets": ["orbits", "s3", "--action", "subsets", "--gens", "2"],
+    # the six subgroups generated by transpositions, in three orbits under V4
+    "orbits_s4_subsets": ["orbits", "s4", "--action", "subsets", "--gens", "1",
+                          "--acting-gens", "7,16"],
     "quotient_z12": ["quotient", "cyclic:12", "--gens", "4"],
     "quotient_s4_v4": ["quotient", "s4", "--gens", "7,16"],
     "orbits_d4_translation": ["orbits", "d4", "--action", "translation",

@@ -426,7 +426,7 @@ def test_conjugator_s3_pinned(s3):
 def test_conjugator_covers_all_ordered_pairs(s4):
     full = s4.full_set()
     for p in (2, 3):
-        family = sylow_family(s4, full, p)
+        family = sylow_family(s4, full, p, sylow_subgroup(s4, full, p))
         for l1 in family:
             for l2 in family:
                 x = sylow_conjugator(s4, full, p, l1, l2)
@@ -453,7 +453,8 @@ def test_conjugator_rejects_non_p_power(s3):
 
 
 def test_s3_family_is_the_three_transposition_subgroups(s3):
-    fam = sylow_family(s3, s3.full_set(), 2)
+    full = s3.full_set()
+    fam = sylow_family(s3, full, 2, sylow_subgroup(s3, full, 2))
     got = {frozenset(h.indices()) for h in fam}
     want = oracles.closed_subsets_of_size(s3.rows(), s3.unit, 2)
     assert got == want
@@ -462,13 +463,13 @@ def test_s3_family_is_the_three_transposition_subgroups(s3):
 
 def test_s4_family_counts(s4):
     full = s4.full_set()
-    assert len(sylow_family(s4, full, 2)) == 3
-    assert len(sylow_family(s4, full, 3)) == 4
+    assert len(sylow_family(s4, full, 2, sylow_subgroup(s4, full, 2))) == 3
+    assert len(sylow_family(s4, full, 3, sylow_subgroup(s4, full, 3))) == 4
 
 
 def test_family_deterministic_and_sylow(s4):
     full = s4.full_set()
-    fam = sylow_family(s4, full, 2)
+    fam = sylow_family(s4, full, 2, sylow_subgroup(s4, full, 2))
     assert fam == sorted(fam, key=lambda h: h.indices())
     assert all(is_sylow(s4, full, 2, h) for h in fam)
 
@@ -481,12 +482,14 @@ def test_s5_prime_order_counts(s5):
     for p in (3, 5):
         n_elements = sum(1 for o in ords.values() if o == p)
         expect = n_elements // (p - 1)
-        assert len(sylow_family(s5, s5.full_set(), p)) == expect
+        full = s5.full_set()
+        assert len(sylow_family(s5, full, p, sylow_subgroup(s5, full, p))) == expect
 
 
 def test_abelian_family_is_singleton(z12):
+    full = z12.full_set()
     for p in (2, 3):
-        assert len(sylow_family(z12, z12.full_set(), p)) == 1
+        assert len(sylow_family(z12, full, p, sylow_subgroup(z12, full, p))) == 1
 
 
 def test_count_checks_s4(s4):
@@ -500,9 +503,11 @@ def test_count_checks_s4(s4):
 
 
 def test_count_checks_q8(q8):
-    for c in sylow_count_divides_check(q8, q8.full_set(), 2):
+    full = q8.full_set()
+    cert = sylow_subgroup(q8, full, 2)
+    for c in sylow_count_divides_check(q8, full, 2, cert):
         assert c.ok, c.name
-    for c in sylow_count_mod_p_check(q8, q8.full_set(), 2):
+    for c in sylow_count_mod_p_check(q8, full, 2, cert):
         assert c.ok, c.name
 
 
@@ -547,7 +552,7 @@ def test_bruteforce_family_matches_constructed(s4, q8, z12):
         for p in (2, 3):
             if g.order % p:
                 continue
-            fam = sylow_family(g, full, p)
+            fam = sylow_family(g, full, p, sylow_subgroup(g, full, p))
             brute = pkg_oracle.sylow_family_bruteforce(g, full, p)
             assert [h.indices() for h in fam] == [h.indices() for h in brute]
 
