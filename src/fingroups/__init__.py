@@ -68,6 +68,7 @@ from .sylow import (
     is_sylow,
     product_one_tuples,
     rotation_action,
+    sylow_battery,
     sylow_conjugator,
     sylow_count_divides_check,
     sylow_count_mod_p_check,

@@ -34,7 +34,6 @@ from .action import (
     conjugation_action,
     conjugation_action_on_subsets,
     left_translation_action,
-    orbit,
     orbit_stabilizer_counts,
 )
 from .carrier import ElemSet
@@ -46,14 +45,7 @@ from .report import Check, Report
 from .subgroup import closure
 from .suite import catalog_specs, verify_group
 from . import oracle as oracle_mod
-from .sylow import (
-    cauchy_certificate,
-    cauchy_element,
-    sylow_count_divides_check,
-    sylow_count_mod_p_check,
-    sylow_family,
-    sylow_subgroup,
-)
+from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +265,9 @@ def cmd_sylow(args) -> int:
     label, g = resolve_group(args.group)
     full = g.full_set()
     p = args.p
-    rep = Report(group=label, order=g.order)
-
-    t0 = time.perf_counter()
-    cert = sylow_subgroup(g, full, p)
-    c = Check(f"sylow_order[p={p}]", cert.subgroup.card == p**cert.n,
-              cert.subgroup.card, p**cert.n)
-    c.ms = (time.perf_counter() - t0) * 1000.0
-    rep.checks.append(c)
-    rep.certificates.append(cert.to_certificate_dict())
-
-    family = sylow_family(g, full, p, cert)
-    for c in sylow_count_divides_check(g, full, p, cert):
-        rep.checks.append(c)
-    for c in sylow_count_mod_p_check(g, full, p, cert):
-        rep.checks.append(c)
+    cert, family, order_check, counting = sylow_battery(g, full, p)
+    rep = Report(group=label, order=g.order, checks=[order_check, *counting],
+                 certificates=[cert.to_certificate_dict()])
 
     if args.oracle:
         t0 = time.perf_counter()
@@ -349,14 +329,12 @@ def cmd_orbits(args) -> int:
         act = conjugation_action_on_subsets(g, acting, family)
 
     rep = Report(group=label, order=g.order)
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
     t0 = time.perf_counter()
-    for a in range(act.points.size):
-        if a not in seen:
-            orb = orbit(act, a)
-            seen.update(orb)
-            orbits.append(list(orb.indices()))
+    # a point's column holds its orbit: label each orbit by its least point
+    least = act.table.min(axis=0)
+    by_orbit = np.argsort(least, kind="stable")
+    cuts = np.flatnonzero(np.diff(least[by_orbit])) + 1
+    orbits = [orb.tolist() for orb in np.split(by_orbit, cuts)]
     ok = orbit_stabilizer_counts(act)[3]
     good = int(np.count_nonzero(ok))
     c = Check("orbit_stabilizer", good == ok.size, good, ok.size, {"orbits": orbits})

@@ -35,13 +35,7 @@ from .group import (
 from .numutil import prime_divisors, prime_power_base
 from .report import Check, Report
 from .subgroup import lagrange_check, subgroup_sample
-from .sylow import (
-    cauchy_certificate,
-    cauchy_element,
-    sylow_count_divides_check,
-    sylow_count_mod_p_check,
-    sylow_subgroup,
-)
+from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 
 
 def catalog_specs() -> list[GroupSpec]:
@@ -159,22 +153,11 @@ def verify_group(g: Group, label: str) -> Report:
         add(Check(f"cauchy_order[p={p}]", order(g, a) == p, order(g, a), p), t0)
         rep.certificates.append(cauchy_certificate(p, a, trace))
 
-        t0 = time.perf_counter()
-        cert = sylow_subgroup(g, full, p)
-        add(Check(f"sylow_order[p={p}]",
-                  cert.subgroup.card == p**cert.n,
-                  cert.subgroup.card, p**cert.n), t0)
+        cert, _, order_check, counting = sylow_battery(g, full, p)
+        for c in counting:
+            c.name = f"{c.name}[p={p}]"
+        rep.checks += [order_check, *counting]
         rep.certificates.append(cert.to_certificate_dict())
-
-        t0 = time.perf_counter()
-        for c in sylow_count_divides_check(g, full, p, cert):
-            c.name = f"{c.name}[p={p}]"
-            add(c, t0)
-            t0 = time.perf_counter()
-        for c in sylow_count_mod_p_check(g, full, p, cert):
-            c.name = f"{c.name}[p={p}]"
-            add(c, t0)
-            t0 = time.perf_counter()
 
     t0 = time.perf_counter()
     for c in phi_theorem_checks(max(2, g.order)):

@@ -24,6 +24,7 @@ actions rather than divided out of cardinalities.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,16 @@ from .errors import (
 from .group import Group, GroupSpec, build
 from .numutil import is_prime, padic_val
 from .report import Check
-from .subgroup import is_subgroup, left_index, require_nested_subgroups, subgroup_set
+from .subgroup import is_subgroup, require_nested_subgroups, subgroup_set
 
 TUPLE_CAP_ENV = "GRP_MAX_TUPLE_CARRIER"
 DEFAULT_TUPLE_CAP = 10**6
 
 
 def tuple_cap() -> int:
-    """Size bound for materializing the product-one tuple family;
-    overridable through the environment with a positive integer."""
+    """Size bound for materializing the product-one tuple family; the
+    environment may lower it, never raise it (a Cauchy run at the default
+    peaks at about 190 MiB at p = 5)."""
     raw = os.environ.get(TUPLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TUPLE_CAP
@@ -77,8 +79,9 @@ def tuple_cap() -> int:
         cap = int(raw) if raw.isascii() and raw.isdigit() else 0
     except ValueError:  # past Python's digit limit
         cap = 0
-    if cap < 1:
-        raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer, got {quote_input(raw)}")
+    if not 1 <= cap <= DEFAULT_TUPLE_CAP:
+        raise UnsupportedSpec(f"{TUPLE_CAP_ENV} must be a positive integer no larger than "
+                              f"{DEFAULT_TUPLE_CAP}, got {quote_input(raw)}")
     return cap
 
 
@@ -238,7 +241,8 @@ def extend_p_subgroup(
     The fixed cosets of hi translating its own cosets in K are the cosets
     inside the normalizer N; their count is the index [N : hi], which the
     congruence forces to be divisible by p.  Cauchy inside N/hi then yields
-    an order-p subgroup whose pullback is the extension.
+    an order-p subgroup whose pullback is the extension.  The points of
+    N/hi are the coset roots in N, so its order is that index.
     """
     n = padic_val(p, k.card)
     if not 1 <= i < n:
@@ -250,15 +254,14 @@ def extend_p_subgroup(
     act = left_translation_action(g, hi, hi, k)
     s0 = fixed_points(act)
     nrm = normalizer(g, hi, k)
-    index_in_normalizer = left_index(g, hi, nrm)
-    if s0.card != index_in_normalizer:
+    quot = quotient_group(g, hi, nrm)
+    if s0.card != quot.group.order:
         raise InternalInvariant("fixed cosets do not match the normalizer index")
     if not mod_p_fixed_point_check(act, p, s0).ok:
         raise InternalInvariant("fixed-point congruence failed on coset translation")
-    if index_in_normalizer % p != 0:
+    if quot.group.order % p != 0:
         raise InternalInvariant("p does not divide the normalizer index")
 
-    quot = quotient_group(g, hi, nrm)
     aq = cauchy_element(quot.group, quot.group.full_set(), p)
     lifted = preimage_subgroup(quot, cyclic(quot.group, aq))
 
@@ -338,14 +341,23 @@ def sylow_family(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[E
     return conjugacy_family(g, k, cert.subgroup)
 
 
-def sylow_count_divides_check(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[Check]:
+def _position(family: list[ElemSet], cert: SylowCertificate) -> int:
+    """Where the certificate's subgroup sits in the family."""
+    try:
+        return family.index(cert.subgroup)
+    except ValueError:
+        raise InvalidSubgroup("the family does not hold the certificate's subgroup") from None
+
+
+def sylow_count_divides_check(
+    g: Group, k: ElemSet, p: int, cert: SylowCertificate, family: list[ElemSet]
+) -> list[Check]:
     """The number of Sylow p-subgroups divides |K|, re-derived from the
     conjugation action: the family is a single orbit whose size equals a
     stabilizer index."""
-    family = sylow_family(g, k, p, cert)
     count = len(family)
+    base_index = _position(family, cert)
     act = conjugation_action_on_subsets(g, k, family)
-    base_index = next(i for i, s in enumerate(family) if s == cert.subgroup)
     orb = orbit(act, base_index)
     checks = [
         Check("sylow_family_single_orbit", orb.card == count, orb.card, count),
@@ -356,13 +368,14 @@ def sylow_count_divides_check(g: Group, k: ElemSet, p: int, cert: SylowCertifica
     return checks
 
 
-def sylow_count_mod_p_check(g: Group, k: ElemSet, p: int, cert: SylowCertificate) -> list[Check]:
+def sylow_count_mod_p_check(
+    g: Group, k: ElemSet, p: int, cert: SylowCertificate, family: list[ElemSet]
+) -> list[Check]:
     """The number of Sylow p-subgroups is congruent to 1 mod p, re-derived
     by letting the constructed Sylow subgroup conjugate the family: it
     fixes itself and nothing else, and the congruence transfers the count."""
-    family = sylow_family(g, k, p, cert)
     count = len(family)
-    base_index = next(i for i, s in enumerate(family) if s == cert.subgroup)
+    base_index = _position(family, cert)
 
     act = conjugation_action_on_subsets(g, cert.subgroup, family)
     s0 = fixed_points(act)
@@ -383,3 +396,26 @@ def sylow_count_mod_p_check(g: Group, k: ElemSet, p: int, cert: SylowCertificate
         congruence,
         Check("sylow_count_mod_p", count % p == 1, count % p, 1, {"count": count}),
     ]
+
+
+def sylow_battery(
+    g: Group, k: ElemSet, p: int
+) -> tuple[SylowCertificate, list[ElemSet], Check, list[Check]]:
+    """A Sylow p-subgroup of K with its certificate, the family of all of
+    them, built once, the check sylow_order[p=p], and the counting checks:
+    the divides checks, then the mod-p checks.  The counting checks are
+    named without p, so each caller names them as it prints them.  The
+    first check of each of the three stages carries the stage's time."""
+    t0 = time.perf_counter()
+    cert = sylow_subgroup(g, k, p)
+    order_check = Check(f"sylow_order[p={p}]", cert.subgroup.card == p**cert.n,
+                        cert.subgroup.card, p**cert.n)
+    t1 = time.perf_counter()
+    family = sylow_family(g, k, p, cert)
+    divides = sylow_count_divides_check(g, k, p, cert, family)
+    t2 = time.perf_counter()
+    mod_p = sylow_count_mod_p_check(g, k, p, cert, family)
+    t3 = time.perf_counter()
+    for first, start, end in ((order_check, t0, t1), (divides[0], t1, t2), (mod_p[0], t2, t3)):
+        first.ms = (end - start) * 1000.0
+    return cert, family, order_check, divides + mod_p

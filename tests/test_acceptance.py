@@ -177,8 +177,8 @@ def test_criterion_07_sylow_counting(groups, oracle_subgroups):
             fam = sylow_family(g, full, p, cert)
             counts[label, p] = len(fam)
             # the counting theorems, re-derived through group actions
-            assert all(c.ok for c in sylow_count_divides_check(g, full, p, cert)), (label, p)
-            assert all(c.ok for c in sylow_count_mod_p_check(g, full, p, cert)), (label, p)
+            assert all(c.ok for c in sylow_count_divides_check(g, full, p, cert, fam)), (label, p)
+            assert all(c.ok for c in sylow_count_mod_p_check(g, full, p, cert, fam)), (label, p)
             assert g.order % len(fam) == 0 and len(fam) % p == 1
             # against the independent enumeration where it is exhaustive
             if label in oracle_subgroups:

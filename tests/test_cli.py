@@ -460,7 +460,7 @@ def test_huge_prime_exits_2_at_once(cmd):
     assert "does not divide" in proc.stderr
 
 
-@pytest.mark.parametrize("cap", ["abc", "0", "-5",
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", "1000001",
                                  pytest.param("1" + "0" * 4300, id="past-the-int-digit-limit")])
 def test_bad_tuple_cap_is_input_error(capsys, monkeypatch, cap):
     monkeypatch.setenv(TUPLE_CAP_ENV, cap)
@@ -508,6 +508,34 @@ def test_orbits_translation(capsys):
     assert all(len(p) in (1, 2) for p in parts)
 
 
+@pytest.mark.parametrize("argv", [
+    ["s4"], ["d6"], ["product:(q8,z2)"], ["s4", "--acting-gens", "7,16"],
+    ["s4", "--action", "translation", "--gens", "1"],
+    ["d6", "--action", "translation", "--gens", "6", "--acting-gens", "1"],
+    ["s4", "--action", "subsets", "--gens", "1", "--acting-gens", "3"],
+], ids=lambda argv: "-".join(argv))
+def test_orbits_match_the_orbit_of_each_point(capsys, argv):
+    """The partition the command reads off the table's columns, against
+    one orbit() per point not yet covered, in ascending order."""
+    acts = []
+
+    def counts(act):
+        acts.append(act)
+        return action_mod.orbit_stabilizer_counts(act)
+
+    with patch.object(cli_mod, "orbit_stabilizer_counts", counts):
+        code, out, _ = run_cli(capsys, "orbits", *argv, "--json")
+    assert code == 0
+    act, = acts
+    want, seen = [], set()
+    for a in range(act.points.size):
+        if a not in seen:
+            orb = action_mod.orbit(act, a)
+            seen.update(orb)
+            want.append(list(orb.indices()))
+    assert json.loads(out)["checks"][0]["witness"]["orbits"] == want
+
+
 def test_orbits_translation_needs_gens(capsys):
     code, _, err = run_cli(capsys, "orbits", "z12", "--action", "translation")
     assert code == 2
@@ -546,15 +574,60 @@ def test_catalog_lists_everything(capsys):
 
 
 def test_internal_invariant_maps_to_exit_one(capsys, monkeypatch):
-    import fingroups.cli as cli_mod
+    import fingroups.sylow as sylow_mod
 
     def boom(*a, **k):
         raise InternalInvariant("forced for the exit-code test")
 
-    monkeypatch.setattr(cli_mod, "sylow_subgroup", boom)
+    monkeypatch.setattr(sylow_mod, "sylow_subgroup", boom)
     code, _, err = run_cli(capsys, "sylow", "z6", "-p", "2")
     assert code == 1
     assert "theorem check failed" in err
+
+
+def test_sylow_command_builds_the_family_once(capsys, monkeypatch):
+    import fingroups.sylow as sylow_mod
+
+    calls = []
+    real = sylow_mod.sylow_family
+
+    def family(g, k, p, cert):
+        calls.append(p)
+        return real(g, k, p, cert)
+
+    monkeypatch.setattr(sylow_mod, "sylow_family", family)
+    code, out, _ = run_cli(capsys, "sylow", "s4", "-p", "2", "--oracle")
+    assert code == 0 and "3 Sylow 2-subgroup(s)" in out
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("ref", ["product:(s5,z2)", "product:(d6,d6)", "d60", "z120"])
+def test_sylow_command_on_the_large_groups(capsys, ref, p):
+    """Sylow towers with extension steps; exit 2 only where p does not
+    divide the order (D6 x D6 at p = 5)."""
+    code, _, _ = run_cli(capsys, "sylow", ref, "-p", str(p))
+    assert code == (2 if (ref, p) == ("product:(d6,d6)", 5) else 0)
+
+
+def test_huge_tuple_cap_exits_2_under_a_memory_limit():
+    """A cap above the default is refused before any tuple is made, so a
+    family too big for memory (5 x 960^4 tuples here) is never allocated;
+    the address-space limit turns such an allocation into a failure."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env[TUPLE_CAP_ENV] = "1000000000000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fingroups.cli", "cauchy", "product:(s5,d4)", "-p", "5"],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"{TUPLE_CAP_ENV} must be a positive integer" in proc.stderr
 
 
 def test_parser_requires_subcommand():

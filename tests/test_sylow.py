@@ -20,6 +20,7 @@ from fingroups import (
     set_of,
     orbit,
     fixed_points,
+    sylow_battery,
     sylow_conjugator,
     sylow_count_divides_check,
     sylow_count_mod_p_check,
@@ -42,8 +43,8 @@ from fingroups.errors import (
     UnsupportedSpec,
 )
 from fingroups.numutil import prime_divisors
-from fingroups.suite import catalog
-from fingroups.sylow import TUPLE_CAP_ENV, TupleCarrier
+from fingroups.suite import catalog, verify_group
+from fingroups.sylow import DEFAULT_TUPLE_CAP, TUPLE_CAP_ENV, TupleCarrier, tuple_cap
 
 import oracles
 
@@ -209,6 +210,11 @@ def test_cauchy_z6_tie_break(z6):
     # both elements of order 3 are 2 and 4; the rule picks the smaller
     assert cauchy_element(z6, z6.full_set(), 3) == 2
     assert cauchy_element(z6, z6.full_set(), 2) == 3
+
+
+def test_tuple_cap_may_be_set_to_its_ceiling(monkeypatch):
+    monkeypatch.setenv(TUPLE_CAP_ENV, "0" + str(DEFAULT_TUPLE_CAP))
+    assert tuple_cap() == DEFAULT_TUPLE_CAP
 
 
 def test_cauchy_fallback_same_answer(z6, monkeypatch):
@@ -496,19 +502,58 @@ def test_count_checks_s4(s4):
     full = s4.full_set()
     for p in (2, 3):
         cert = sylow_subgroup(s4, full, p)
-        for c in sylow_count_divides_check(s4, full, p, cert):
+        family = sylow_family(s4, full, p, cert)
+        for c in sylow_count_divides_check(s4, full, p, cert, family):
             assert c.ok, c.name
-        for c in sylow_count_mod_p_check(s4, full, p, cert):
+        for c in sylow_count_mod_p_check(s4, full, p, cert, family):
             assert c.ok, c.name
 
 
 def test_count_checks_q8(q8):
     full = q8.full_set()
     cert = sylow_subgroup(q8, full, 2)
-    for c in sylow_count_divides_check(q8, full, 2, cert):
+    family = sylow_family(q8, full, 2, cert)
+    for c in sylow_count_divides_check(q8, full, 2, cert, family):
         assert c.ok, c.name
-    for c in sylow_count_mod_p_check(q8, full, 2, cert):
+    for c in sylow_count_mod_p_check(q8, full, 2, cert, family):
         assert c.ok, c.name
+
+
+def test_battery_is_the_certificate_then_both_counting_checks(s4):
+    full = s4.full_set()
+    cert, family, order_check, counting = sylow_battery(s4, full, 2)
+    assert cert.subgroup == sylow_subgroup(s4, full, 2).subgroup
+    assert family == sylow_family(s4, full, 2, cert)
+    divides = sylow_count_divides_check(s4, full, 2, cert, family)
+    mod_p = sylow_count_mod_p_check(s4, full, 2, cert, family)
+    assert order_check.name == "sylow_order[p=2]"
+    assert [c.name for c in counting] == [c.name for c in divides + mod_p]
+    checks = [order_check, *counting]
+    assert all(c.ok for c in checks)
+    # each stage's first check carries the stage's time
+    assert all(checks[i].ms > 0 for i in (0, 1, 1 + len(divides)))
+
+
+@pytest.mark.parametrize("check", [sylow_count_divides_check, sylow_count_mod_p_check])
+def test_count_checks_refuse_a_family_without_the_subgroup(s4, check):
+    full = s4.full_set()
+    cert = sylow_subgroup(s4, full, 2)
+    family = [h for h in sylow_family(s4, full, 2, cert) if h != cert.subgroup]
+    with pytest.raises(InvalidSubgroup):
+        check(s4, full, 2, cert, family)
+
+
+def test_verify_builds_each_family_once(s4, monkeypatch):
+    calls = []
+    real = sylow_mod.sylow_family
+
+    def family(g, k, p, cert):
+        calls.append(p)
+        return real(g, k, p, cert)
+
+    monkeypatch.setattr(sylow_mod, "sylow_family", family)
+    assert verify_group(s4, "s4").ok
+    assert calls == [2, 3]
 
 
 # -- the package's brute-force oracle ------------------------------------
