@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Time verify_group on the groups with the largest subgroup samples and
+record the times in BENCH_sample.json.
+
+Each group is verified --repeat times and the best wall time is kept,
+with the milliseconds its report gives the three checks over the sample.
+Before timing, every sample subgroup's counts are compared route against
+route: translation_batch's index, orbit sizes, stabilizer orders and
+indices and fixed points against the single-instance functions'
+(left_index, left_translation_action, orbit_stabilizer_counts and
+fixed_points).  A source tree without translation_batch is timed only.
+
+The default groups are S5xC2, D6xD6, D60, C120 and Q8xC2^5; naming refs
+replaces them.  Q8xC2^7, the largest sample within the order bound, runs
+only when named:
+
+    python scripts/bench_sample.py                          # ./src, label "change"
+    python scripts/bench_sample.py --src OLD/src --label parent
+    python scripts/bench_sample.py --repeat 1 "$Q8C2_7"
+
+with Q8C2_7 set to
+product:(q8,product:(z2,product:(z2,product:(z2,product:(z2,product:(z2,product:(z2,z2)))))))
+
+Each group's result is merged into --out under the label, adding its
+runs to those already there, so one file holds the runs of several source
+trees and invocations; alternate the trees, in one session on one host.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_REFS = (
+    "product:(symmetric:5,cyclic:2)",
+    "product:(dihedral:6,dihedral:6)",
+    "dihedral:60",
+    "cyclic:120",
+    "product:(q8,product:(z2,product:(z2,product:(z2,product:(z2,z2)))))",
+)
+
+
+def routes_agree(g, sample) -> bool:
+    """Whether translation_batch counts what the single-instance route
+    counts, for every subgroup of the sample in its order."""
+    from fingroups.action import (
+        fixed_points,
+        left_translation_action,
+        orbit_stabilizer_counts,
+        sample_batches,
+        translation_batch,
+    )
+    from fingroups.subgroup import left_index
+
+    full = g.full_set()
+    batched = []
+    for hs in sample_batches(g, sample):
+        b = translation_batch(g, hs)
+        if b is None:
+            return False
+        batched += zip(b.index.tolist(), b.orbit.tolist(), b.stab_order.tolist(),
+                       b.stab_index.tolist(), b.fixed.tolist())
+    for h, got in zip(sample, batched):
+        act = left_translation_action(g, h, h, full)
+        orb, stab_order, stab_index, _ = orbit_stabilizer_counts(act)
+        want = (left_index(g, h, full), orb.tolist(), stab_order.tolist(),
+                stab_index.tolist(), fixed_points(act).card)
+        if got != want:
+            print(f"routes differ on {h.indices()}: {got} != {want}", file=sys.stderr)
+            return False
+    return len(batched) == len(sample)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("refs", nargs="*", help="group references (default: the five above)")
+    ap.add_argument("--src", default="src", help="source tree to import fingroups from")
+    ap.add_argument("--label", default="change", help="name of this run in the output")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per group; the best is kept")
+    ap.add_argument("--out", default="BENCH_sample.json", help="JSON file to merge into")
+    args = ap.parse_args()
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+
+    from fingroups import action
+    from fingroups.cli import resolve_group
+    from fingroups.subgroup import subgroup_sample
+    from fingroups.suite import verify_group
+
+    batched = hasattr(action, "translation_batch")
+    refs = args.refs or DEFAULT_REFS
+    groups = {}
+    for ref in refs:
+        label, g = resolve_group(ref)
+        sample = subgroup_sample(g)
+        agree = routes_agree(g, sample) if batched else None
+        if agree is False:
+            print(f"FAIL {label}: the batched and single-instance routes disagree")
+            return 1
+        times, best = [], None
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            rep = verify_group(g, label)
+            times.append(time.perf_counter() - t0)
+            if not rep.ok:
+                print(f"FAIL {label}: {[c.name for c in rep.checks if not c.ok]}")
+                return 1
+            if min(times) == times[-1]:
+                best = rep
+        ms = {c.name: round(c.ms, 1) for c in best.checks
+              if c.name in ("lagrange", "orbit_stabilizer:translation",
+                            "mod_p_fixed_points:translation")}
+        groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
+                       "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
+                       "checks_ms": ms,
+                       "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+        print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
+              f"best {min(times):8.3f} s  routes agree: {agree}")
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["host"] = {"python": platform.python_version(), "numpy": np.__version__,
+                   "machine": platform.machine(), "cpus": os.cpu_count()}
+    runs = doc.setdefault("runs", {}).setdefault(args.label, {})
+    for ref, new in groups.items():  # runs add up; the best run so far is kept
+        old = runs.get(ref)
+        if old is not None:
+            new["runs_s"] = old["runs_s"] + new["runs_s"]
+            if old["best_s"] < new["best_s"]:
+                new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]
+        runs[ref] = new
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,12 +22,19 @@ of its stabilizer, hence divides the acting order; and when the acting
 order is a prime power p^a, the total point count is congruent mod p to the
 number of fixed points.  Both are computed from scratch on both sides, not
 assumed.
+
+translation_batch derives the same results for many subgroups of one order
+at once, each acting on its own left cosets, with the laws checked on the
+whole stacked table rather than on generators; a batch whose proofs or
+laws fail is left to the single-instance functions, which name the fault.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import groupby
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,10 +48,16 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import Group, conjugates, greedy_generators
+from .group import MAX_GROUP_ORDER, Group, conjugates, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import left_coset_numbering, left_index, require_nested_subgroups, subgroup_set
+
+
+# Entries the largest temporary of one translation_batch call may hold: a
+# subgroup of order k in a group of order n needs k * n of them, at most
+# MAX_GROUP_ORDER^2, so a batch of one subgroup always fits.
+BATCH_CELLS = MAX_GROUP_ORDER ** 2
 
 
 @dataclass(eq=False)
@@ -159,6 +172,12 @@ def _orbit_stabilizer_sides(orb, idx, h: int):
     return ("orbit_stabilizer", orb, idx), ("orbit_divides", h % orb, 0)
 
 
+def orbit_stabilizer_ok(orb: np.ndarray, idx: np.ndarray, h: int) -> np.ndarray:
+    """Whether each point passes both relations of _orbit_stabilizer_sides."""
+    (_, l1, r1), (_, l2, r2) = _orbit_stabilizer_sides(orb, idx, h)
+    return (l1 == r1) & (l2 == r2)
+
+
 def orbit_stabilizer_counts(act: Action) -> tuple[np.ndarray, ...]:
     """Arrays of every point's orbit size, stabilizer order, stabilizer
     index in the acting subgroup, and whether it passes.  Orbit sizes come
@@ -176,8 +195,7 @@ def orbit_stabilizer_counts(act: Action) -> tuple[np.ndarray, ...]:
             stab = set_of(act.group.carrier, m[fixes[:, a]].tolist())
             index_of[key] = left_index(act.group, stab, act.acting)
     idx = np.array([index_of[key] for key in keys], dtype=np.int64)
-    (_, l1, r1), (_, l2, r2) = _orbit_stabilizer_sides(orb, idx, act.acting.card)
-    return orb, fixes.sum(axis=0), idx, (l1 == r1) & (l2 == r2)
+    return orb, fixes.sum(axis=0), idx, orbit_stabilizer_ok(orb, idx, act.acting.card)
 
 
 def orbit_stabilizer_check(act: Action, a: int) -> list[Check]:
@@ -247,3 +265,131 @@ def conjugation_action_on_subsets(
     if len(left):
         raise FamilyNotClosed(int(xs[left[0, 0]]), int(left[0, 1]))
     return make_action(g, acting, Carrier(len(family)), table, tuple(family))
+
+
+@dataclass(eq=False)
+class TranslationBatch:
+    """What translation_batch counts for c subgroups H of one order, each
+    acting by translation on its s left cosets in G (the points, in
+    ascending order of their roots): each index [G : H], each point's
+    orbit size, stabilizer order and stabilizer index in H, as (c, s)
+    arrays, and the points each H fixes.  ``secs`` holds the seconds spent
+    on the indices, on the actions and on the fixed points."""
+
+    index: np.ndarray
+    orbit: np.ndarray
+    stab_order: np.ndarray
+    stab_index: np.ndarray
+    fixed: np.ndarray
+    secs: tuple[float, float, float]
+
+
+def sample_batches(g: Group, sample: Sequence[ElemSet]) -> Iterator[list[ElemSet]]:
+    """The subgroups in their given order, cut into runs of one order k of
+    at most BATCH_CELLS // (k * |G|) subgroups each (and at least one)."""
+    for k, run in groupby(sample, key=lambda h: h.card):
+        run = list(run)
+        step = max(1, BATCH_CELLS // (k * g.order))
+        for i in range(0, len(run), step):
+            yield run[i:i + step]
+
+
+def _at(a: np.ndarray, i, j) -> np.ndarray:
+    """a[i, j] for a 2-D array a, as one gather from its flattened entries."""
+    return a.ravel()[i * a.shape[1] + j]
+
+
+def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | None:
+    """Lagrange, orbit-stabilizer and the fixed points for each of the
+    nonempty subsets hs of one order k, each acting on its own left cosets
+    in G, from a few gathers over their stacked members m (c, k).
+
+    Each H is proven a subgroup (the unit and y * x^-1 for members x, y);
+    [G : H] counts the x that are the least of x * H; the table of the
+    action passes make_action's laws on every acting element (each row a
+    permutation, the unit's the identity, (x*y).z == x.(y.z)); an orbit's
+    size counts the points whose column has the same least entry; and each
+    distinct stabilizer column is proven a subgroup and its index in H
+    counted by coset roots, as orbit_stabilizer_counts does.  Every
+    temporary holds at most c * k * |G| entries.  Returns None when a set
+    is no subgroup, the indices differ or a law fails: the single-instance
+    checks then name the fault."""
+    clock = time.perf_counter
+    t0 = clock()
+    n, k, c = g.order, hs[0].card, len(hs)
+    if any(h.carrier != g.carrier or h.card != k for h in hs):
+        return None
+    dt = g.mul.dtype
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(h.bits.to_bytes(width, "little") for h in hs), np.uint8)
+    mask = np.unpackbits(packed.reshape(c, width), axis=1, count=n,
+                         bitorder="little").view(bool)
+    ci = np.arange(c)[:, None]
+    m = (np.flatnonzero(mask).reshape(c, k) - ci * n).astype(dt)  # members, ascending
+    cj = ci[..., None]
+    row = np.full((c, n), -1, dtype=dt)  # row[i, x]: the row of x in H_i, -1 outside
+    row[ci, m] = np.arange(k, dtype=dt)
+    quo = _at(row, cj, _at(g.mul, m[:, :, None], g.inv[m][:, None, :]))  # of m_a * m_b^-1
+    if not mask[:, g.unit].all() or (quo < 0).any():
+        return None
+    g._subgroup_bits.update(h.bits for h in hs)
+
+    root = g.columns()[m].min(axis=1)  # root[i, x]: the least of x * H_i
+    own = root == np.arange(n, dtype=dt)
+    index = own.sum(axis=1)
+    s = int(index[0])
+    if (index != s).any():
+        return None
+    t1 = clock()
+
+    roots = np.flatnonzero(own).reshape(c, s) - ci * n
+    number = np.empty((c, n), dtype=dt)  # number[i, r]: the point of the root r
+    number[ci, roots] = np.arange(s, dtype=dt)
+    table = _at(number, cj, _at(root, cj, _at(g.mul, m[:, :, None], roots[:, None, :])))
+    pts = np.arange(s, dtype=dt)
+    unit = row[:, g.unit]
+    if not ((np.sort(table, axis=2) == pts).all() and (table[ci[:, 0], unit] == pts).all()):
+        return None
+    prod = _at(g.mul, m[:, :, None], m[:, None, :])  # the element m_a * m_b
+    lifted = _at(row, cj, prod) + cj * k  # its row in the stacked (c * k, s) table
+    stacked = table.reshape(c * k, s)
+    # (m_a * m_b).z == m_a.(m_b.z), one gather per acting m_a or per point
+    # z, whichever are fewer
+    if k <= s:
+        inner = cj * s + table  # m_b.z as a position in the (c, s) slice of one m_a
+        for a in range(k):
+            if not (stacked[lifted[:, a]] == table[:, a].ravel()[inner]).all():
+                return None
+    else:
+        starts = (cj * k + np.arange(k)[:, None]) * s  # where the row of m_a starts
+        for z in range(s):
+            if not (stacked[:, z][lifted] == table.ravel()[starts + table[:, None, :, z]]).all():
+                return None
+
+    # each orbit is one set of points with the same least image, as the
+    # laws just checked make the orbits a partition
+    low = ci * s + table.min(axis=1)
+    orbit = np.bincount(low.ravel(), minlength=c * s)[low]
+    fixes = table == pts
+    # the distinct stabilizer columns of each H, keyed by their bits, 62 to a word
+    bit = (1 << np.arange(k) % 62)[:, None]
+    keys = [(fixes[:, j:j + 62] * bit[j:j + 62]).sum(axis=1).ravel() for j in range(0, k, 62)]
+    keys.append(np.repeat(np.arange(c), s))
+    order = np.lexsort(keys)
+    new = np.ones(c * s, dtype=bool)
+    new[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    which = np.empty(c * s, dtype=np.int64)
+    which[order] = np.cumsum(new) - 1
+    rc, rz = np.divmod(order[new], s)
+    stab = fixes[rc, :, rz]  # each distinct stabilizer as a mask over the rows of its H
+    ri = np.arange(len(rc))[:, None, None]
+    closed = stab[ri, quo[rc]] | ~(stab[:, :, None] & stab[:, None, :])
+    if not (stab[ri[:, 0, 0], unit[rc]].all() and closed.all()):
+        return None
+    least = np.where(stab[:, None, :], prod[rc], n).min(axis=2)  # x's root modulo it
+    stab_index = (least == m[rc]).sum(axis=1)[which].reshape(c, s)
+    t2 = clock()
+
+    fixed = fixes.all(axis=1).sum(axis=1)
+    return TranslationBatch(index, orbit, fixes.sum(axis=1), stab_index, fixed,
+                            (t1 - t0, t2 - t1, clock() - t2))

@@ -25,8 +25,8 @@ from .group import Group, conjugates, from_cayley_table
 from .report import Check
 from .subgroup import (
     left_coset_numbering,
-    left_index,
     require_nested_subgroups,
+    right_index,
     subgroup_set,
 )
 
@@ -104,7 +104,8 @@ def quotient_group(g: Group, h: ElemSet, k: ElemSet) -> QuotientGroup:
     roots, proj = left_coset_numbering(g, h, k)
     qgroup = from_cayley_table(len(roots), proj[g.mul[np.ix_(roots, roots)]])
 
-    if qgroup.order != left_index(g, h, k):
+    # the right cosets are counted apart from the roots the quotient is built on
+    if qgroup.order != right_index(g, h, k):
         raise InternalInvariant("quotient order differs from the subgroup index")
 
     proj.setflags(write=False)

@@ -69,7 +69,8 @@ class Group:
         inv.setflags(write=False)
         mul.setflags(write=False)
         self._rows: list[list[int]] | None = None
-        # indicator bits of the sets subgroup.is_subgroup has proven
+        self._columns: np.ndarray | None = None
+        # indicator bits of the sets is_subgroup or translation_batch proved subgroups
         self._subgroup_bits: set[int] = set()
 
     @property
@@ -88,6 +89,14 @@ class Group:
         if self._rows is None:
             self._rows = self.mul.tolist()
         return self._rows
+
+    def columns(self) -> np.ndarray:
+        """The transposed table, C-ordered and read-only: columns()[y, x] is
+        x * y, so the left cosets of H are gathered as rows.  Cached."""
+        if self._columns is None:
+            self._columns = np.ascontiguousarray(self.mul.T)
+            self._columns.setflags(write=False)
+        return self._columns
 
     def export_table(self) -> list[list[int]]:
         """The Cayley table, suitable to feed back into from_cayley_table."""

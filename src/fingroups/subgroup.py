@@ -114,19 +114,21 @@ def left_index(g: Group, h: ElemSet, k: ElemSet) -> int:
     """Number of distinct left cosets of h meeting k, counted as the points
     of k that are the minimum-index representative of their own coset."""
     require_nested_subgroups(g, h, k)
-    roots = left_coset_roots(g, h, k)
-    return int(np.count_nonzero(roots == np.arange(g.order)))
+    d = k.as_array()
+    return int(np.count_nonzero(g.mul[d[:, None], h.as_array()].min(axis=1) == d))
 
 
 def right_index(g: Group, h: ElemSet, k: ElemSet) -> int:
-    """Right-coset count, computed independently of left_index."""
+    """Right-coset count, computed independently of left_index: each point
+    of k not yet marked starts a coset Hx, whose members are then marked."""
     require_nested_subgroups(g, h, k)
-    m = h.as_array()
-    seen = np.zeros(g.order, dtype=bool)
+    rows = g.rows()
+    seen = bytearray(g.order)
     count = 0
     for x in k:
         if not seen[x]:
-            seen[g.mul[m, x]] = True
+            for y in h:
+                seen[rows[y][x]] = 1
             count += 1
     return count
 

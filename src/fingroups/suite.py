@@ -8,6 +8,15 @@ the full Sylow battery for every prime divisor, and the totient theorems.
 Checks are aggregated per theorem (counts of passing instances, and a
 witness for the first failure only) so reports stay readable; the
 per-instance loops live in the test suite.
+
+Lagrange, translation and the congruence run over the sample in batches:
+the sample is sorted by order and membership, so each order is one
+contiguous run, cut into chunks by action.sample_batches, and each chunk
+is one action.translation_batch.  A chunk the batch refuses goes through
+the single-instance checks one subgroup at a time, which raise or name
+the same first failure as before; either way the verdicts keep the
+sample's order, so the first failure's witness does not depend on the
+route.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from .action import (
     left_translation_action,
     mod_p_fixed_point_check,
     orbit_stabilizer_counts,
+    orbit_stabilizer_ok,
+    sample_batches,
+    translation_batch,
 )
 from .carrier import ElemSet
 from .cyclic import order, phi_theorem_checks
@@ -68,21 +80,55 @@ def catalog() -> list[tuple[str, Group]]:
     return [(spec.describe(), build(spec)) for spec in catalog_specs()]
 
 
-def _aggregate(name: str, results: list[tuple[ElemSet | None, bool | np.ndarray]]) -> Check:
-    """(good, total, first failing witness) over one verdict per subgroup,
-    or an array of one per point, under the subgroup or None.  The first
+def _aggregate(name: str, blocks: list[tuple[list, object]]) -> Check:
+    """(good, total, first failing witness) over blocks of (subgroups,
+    verdicts): one verdict per subgroup, or a row of one per point, with
+    None for the subgroup of an action of the whole group.  The first
     failure's witness is its subgroup's members, then its point."""
-    oks = [np.asarray(ok) for _, ok in results]
+    oks = [np.asarray(ok) for _, ok in blocks]
     good = sum(int(np.count_nonzero(ok)) for ok in oks)
     total = sum(ok.size for ok in oks)
     witness = None
     if good < total:
-        i = next(i for i, ok in enumerate(oks) if not ok.all())
-        h, ok = results[i][0], oks[i]
+        b = next(b for b, ok in enumerate(oks) if not ok.all())
+        i = int(np.argmin(oks[b].reshape(len(oks[b]), -1).all(axis=1)))
+        h, ok = blocks[b][0][i], oks[b][i]
         witness = {} if h is None else {"subgroup": list(h.indices())}
         if ok.ndim:
             witness["point"] = int(np.argmin(ok))
     return Check(name, good == total, good, total, witness)
+
+
+def _sample_verdicts(g: Group, hs: list[ElemSet]) -> tuple[list, list[float]]:
+    """The Lagrange, translation and congruence verdicts of subgroups of
+    one order, as blocks for _aggregate, with the seconds each took.  They
+    come from one translation_batch; when one of its guards fails, from the
+    single-instance checks one subgroup at a time, which raise or name the
+    fault as they always have."""
+    n, k = g.order, hs[0].card
+    p = prime_power_base(k)
+    b = translation_batch(g, hs)
+    if b is not None:
+        congruence = [(hs, b.orbit.shape[1] % p == b.fixed % p)] if p else []
+        return ([[(hs, (k * b.index == n) & (n % k == 0))],
+                 [(hs, orbit_stabilizer_ok(b.orbit, b.stab_index, k))], congruence],
+                list(b.secs))
+    full = g.full_set()
+    clock = time.perf_counter
+    t0 = clock()
+    lagrange = [([h], [all(c.ok for c in lagrange_check(g, h, full))]) for h in hs]
+    secs = [clock() - t0, 0.0, 0.0]
+    trans, congruence = [], []
+    for h in hs:
+        t0 = clock()
+        act = left_translation_action(g, h, h, full)
+        trans.append(([h], [orbit_stabilizer_counts(act)[3]]))
+        t1 = clock()
+        if p is not None:
+            congruence.append(([h], [mod_p_fixed_point_check(act, p).ok]))
+        secs[1] += t1 - t0
+        secs[2] += clock() - t1
+    return [lagrange, trans, congruence], secs
 
 
 def verify_group(g: Group, label: str) -> Report:
@@ -111,15 +157,24 @@ def verify_group(g: Group, label: str) -> Report:
     except GroupTheoryError as e:
         add(Check("table_roundtrip", False, 0, 1, str(e)), t0)
 
-    t0 = time.perf_counter()
-    sample = subgroup_sample(g)
-    lagrange_results = [(h, all(c.ok for c in lagrange_check(g, h, full))) for h in sample]
-    add(_aggregate("lagrange", lagrange_results), t0)
+    # Lagrange, translation and the congruence, over the sample in batches
+    # of one order; each check's time is its part of every batch.
+    blocks: list[list] = [[], [], []]
+    secs = [0.0, 0.0, 0.0]
+    for hs in sample_batches(g, subgroup_sample(g)):
+        for i, (more, dt) in enumerate(zip(*_sample_verdicts(g, hs))):
+            blocks[i] += more
+            secs[i] += dt
+    names = ("lagrange", "orbit_stabilizer:translation", "mod_p_fixed_points:translation")
+    lagrange, trans, congruence = (_aggregate(*nb) for nb in zip(names, blocks))
+    for c, dt in zip((lagrange, trans, congruence), secs):
+        c.ms = dt * 1000.0
+    rep.checks.append(lagrange)
 
     t0 = time.perf_counter()
     conj = conjugation_action(g, full)
     add(_aggregate("orbit_stabilizer:conjugation",
-                   [(None, orbit_stabilizer_counts(conj)[3])]), t0)
+                   [([None], [orbit_stabilizer_counts(conj)[3]])]), t0)
     p_whole = prime_power_base(g.order)
     if p_whole is not None:
         t0 = time.perf_counter()
@@ -127,24 +182,7 @@ def verify_group(g: Group, label: str) -> Report:
         c.name = "mod_p_fixed_points:conjugation"
         add(c, t0)
 
-    trans_results = []
-    congruence_results = []
-    trans_s = congruence_s = 0.0
-    for h in sample:
-        t0 = time.perf_counter()
-        act = left_translation_action(g, h, h, full)
-        trans_results.append((h, orbit_stabilizer_counts(act)[3]))
-        t1 = time.perf_counter()
-        p = prime_power_base(h.card)
-        if p is not None:
-            congruence_results.append((h, mod_p_fixed_point_check(act, p).ok))
-        trans_s += t1 - t0
-        congruence_s += time.perf_counter() - t1
-    for c, secs in ((_aggregate("orbit_stabilizer:translation", trans_results), trans_s),
-                    (_aggregate("mod_p_fixed_points:translation", congruence_results),
-                     congruence_s)):
-        c.ms = secs * 1000.0
-        rep.checks.append(c)
+    rep.checks += [trans, congruence]
 
     for p in prime_divisors(g.order):
         t0 = time.perf_counter()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from fingroups import (
     conjugation_action,
     conjugation_action_on_subsets,
     fixed_points,
+    from_cayley_table,
+    left_index,
     left_translation_action,
     make_action,
     mod_p_fixed_point_check,
@@ -539,3 +543,93 @@ def test_subset_action_matches_conjugate_set(s4):
     for x in (0, 5, 17):
         for i, f in enumerate(fam):
             assert fam[act.table[x, i]].bits == conjugate_set(s4, f, x).bits
+
+
+# -- the batched translation actions ---------------------------------------
+
+
+def single_counts(g, h):
+    """What translation_batch counts for h, by the single-instance route."""
+    full = g.full_set()
+    act = left_translation_action(g, h, h, full)
+    orb, stab_order, stab_index, _ = orbit_stabilizer_counts(act)
+    return (left_index(g, h, full), orb.tolist(), stab_order.tolist(), stab_index.tolist(),
+            fixed_points(act).card)
+
+
+def batched_counts(g, sample):
+    out = []
+    for hs in action_mod.sample_batches(g, sample):
+        b = action_mod.translation_batch(g, hs)
+        assert b is not None
+        out += zip(b.index.tolist(), b.orbit.tolist(), b.stab_order.tolist(),
+                   b.stab_index.tolist(), b.fixed.tolist())
+    return out
+
+
+def relabeled(spec, seed):
+    """The group of spec with element a renamed perm[a], perm seeded."""
+    t = build(spec).mul
+    perm = np.random.default_rng(seed).permutation(len(t))
+    out = np.empty_like(t)
+    out[np.ix_(perm, perm)] = perm[t]
+    return from_cayley_table(len(t), out)
+
+
+def test_batch_matches_the_single_instance_route_on_the_catalog():
+    for label, g in catalog():
+        sample = subgroup_sample(g)
+        assert batched_counts(g, sample) == [single_counts(g, h) for h in sample], label
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(4),
+                                  GroupSpec.product(GroupSpec.dihedral(4), GroupSpec.cyclic(2))],
+                         ids=["s4", "d4xc2"])
+@pytest.mark.parametrize("budget", [None, 64], ids=["whole classes", "tiny batches"])
+def test_batch_matches_the_single_instance_route_on_relabelings(monkeypatch, spec, seed, budget):
+    if budget is not None:
+        monkeypatch.setattr(action_mod, "BATCH_CELLS", budget)
+    g = relabeled(spec, seed)
+    sample = subgroup_sample(g)
+    assert batched_counts(g, sample) == [single_counts(g, h) for h in sample]
+
+
+def test_batch_refuses_what_it_cannot_prove(s3, s4):
+    sample = subgroup_sample(s4)
+    twos = [h for h in sample if h.card == 2]
+    three = next(x for x in s4.elements() if closure(s4, [x]).card == 3)
+    not_closed = members(s4, [s4.unit, three])
+    no_unit = members(s4, [x for x in twos[0] if x != s4.unit] + [three])
+    for hs in (twos + [not_closed], [no_unit] + twos, twos + [sample[-1]],
+               twos + [members(s3, [0, 1])]):
+        assert action_mod.translation_batch(s4, hs) is None
+    assert action_mod.translation_batch(s4, twos) is not None
+
+
+def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
+    spec = GroupSpec.q8()
+    for _ in range(5):
+        spec = GroupSpec.product(spec, GroupSpec.cyclic(2))
+    g = build(spec)
+    budget = g.order ** 2
+    monkeypatch.setattr(action_mod, "BATCH_CELLS", budget)
+    sample = subgroup_sample(g)
+    g.columns()
+
+    def peak(hs):
+        tracemalloc.start()
+        try:
+            assert action_mod.translation_batch(g, hs) is not None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 8 * 8 * budget  # eight int64 arrays the size of the budget
+    batches = list(action_mod.sample_batches(g, sample))
+    assert sum(batches, []) == sample
+    for hs in batches:
+        assert len(hs) * hs[0].card * g.order <= budget
+        assert peak(hs) <= bound, (hs[0].card, len(hs))
+    # the measure sees a class gathered whole
+    assert peak([h for h in sample if h.card == 8]) > bound

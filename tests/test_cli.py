@@ -10,7 +10,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fingroups import Check, GroupSpec, Report
+from fingroups import Check, GroupSpec, Report, closure, set_of, subgroup_sample
 from fingroups import action as action_mod
 from fingroups import cli as cli_mod
 from fingroups import suite as suite_mod
@@ -21,7 +21,13 @@ from fingroups.cli import (
     parse_group_ref,
     resolve_group,
 )
-from fingroups.errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec
+from fingroups.errors import (
+    GroupTheoryError,
+    InternalInvariant,
+    InvalidSubgroup,
+    ParseError,
+    UnsupportedSpec,
+)
 from fingroups.group import spec_order
 from fingroups.suite import catalog_specs, verify_group
 from fingroups.sylow import TUPLE_CAP_ENV
@@ -343,13 +349,47 @@ def test_verify_group_all_pass(q8):
 def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
     # an index off by one for the trivial stabilizer under a 4-group and
     # for the 4-stabilizers under the whole group; Lagrange and the
-    # congruence made to fail for every subgroup of order 4
+    # congruence made to fail for every subgroup of order 4.  The sample's
+    # counts come from the batch, the conjugation action's from left_index.
+    real_left_index = action_mod.left_index
+    monkeypatch.setattr(action_mod, "left_index", lambda g, h, k: real_left_index(g, h, k) + (
+        (h.card, k.card) in ((1, 4), (4, 24))))
+
+    real_batch = suite_mod.translation_batch
+
+    def batch_failing_at_order_4(g, hs):
+        b = real_batch(g, hs)
+        if hs[0].card == 4:
+            b.index = b.index + 1
+            b.stab_index = b.stab_index + (b.stab_order == 1)
+            b.fixed = b.fixed + 1
+        return b
+
+    monkeypatch.setattr(suite_mod, "translation_batch", batch_failing_at_order_4)
+    rep = verify_group(s4, "s4")
+    failed = {c.name: (c.lhs, c.rhs, c.witness) for c in rep.checks if not c.ok}
+    v4 = {"subgroup": [0, 1, 6, 7]}
+    assert failed == {
+        "lagrange": (23, 30, v4),
+        "orbit_stabilizer:conjugation": (12, 24, {"point": 1}),
+        "orbit_stabilizer:translation": (210, 234, {**v4, "point": 1}),
+        "mod_p_fixed_points:translation": (16, 23, v4),
+    }
+    assert "witness={'subgroup': [0, 1, 6, 7], 'point': 1}" in rep.render_text()
+
+
+@pytest.mark.parametrize("refused", [{4}, {1, 2, 3, 4, 6, 8, 12, 24}], ids=["order 4", "all"])
+def test_a_refused_batch_names_the_witnesses_of_the_single_instance_route(monkeypatch, s4,
+                                                                          refused):
+    # the same failures injected into the single-instance checks, which
+    # verify falls back to for each batch that translation_batch refuses
     real_left_index = action_mod.left_index
     monkeypatch.setattr(action_mod, "left_index", lambda g, h, k: real_left_index(g, h, k) + (
         (h.card, k.card) in ((1, 4), (4, 24))))
 
     real_lagrange = suite_mod.lagrange_check
     real_congruence = suite_mod.mod_p_fixed_point_check
+    real_batch = suite_mod.translation_batch
 
     def lagrange_failing_at_order_4(g, h, k):
         checks = real_lagrange(g, h, k)
@@ -363,6 +403,8 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
 
     monkeypatch.setattr(suite_mod, "lagrange_check", lagrange_failing_at_order_4)
     monkeypatch.setattr(suite_mod, "mod_p_fixed_point_check", congruence_failing_at_order_4)
+    monkeypatch.setattr(suite_mod, "translation_batch",
+                        lambda g, hs: None if hs[0].card in refused else real_batch(g, hs))
     rep = verify_group(s4, "s4")
     failed = {c.name: (c.lhs, c.rhs, c.witness) for c in rep.checks if not c.ok}
     v4 = {"subgroup": [0, 1, 6, 7]}
@@ -372,7 +414,16 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
         "orbit_stabilizer:translation": (210, 234, {**v4, "point": 1}),
         "mod_p_fixed_points:translation": (16, 23, v4),
     }
-    assert "witness={'subgroup': [0, 1, 6, 7], 'point': 1}" in rep.render_text()
+
+
+def test_a_non_subgroup_in_the_sample_raises_invalid_subgroup(monkeypatch, s4):
+    sample = subgroup_sample(s4)
+    three = next(x for x in s4.elements() if closure(s4, [x]).card == 3)
+    i = next(i for i, h in enumerate(sample) if h.card == 2)
+    bad = set_of(s4.carrier, [s4.unit, three])
+    monkeypatch.setattr(suite_mod, "subgroup_sample", lambda g: sample[:i] + [bad] + sample[i + 1:])
+    with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
+        verify_group(s4, "s4")
 
 
 # -- the command line ----------------------------------------------------

@@ -20,7 +20,8 @@ from fingroups import (
     subgroup_sample,
 )
 from fingroups.conjnormal import conjugacy_family
-from fingroups.errors import InvalidSubgroup, NotNormal
+from fingroups import subgroup as subgroup_mod
+from fingroups.errors import InternalInvariant, InvalidSubgroup, NotNormal
 from fingroups.group import conjugates
 
 import oracles
@@ -240,6 +241,19 @@ def test_morphism_checks_pass(s4):
             checks = quotient_morphism_check(q)
             assert all(c.ok for c in checks), cand.indices()
             assert q.group.order == left_index(s4, cand, full)
+
+
+def test_quotient_order_is_checked_against_the_right_cosets(monkeypatch, s4):
+    # left_coset_roots made to return A4's roots for V4: the quotient comes
+    # out a valid group of order 2, and the right cosets count 6
+    full = s4.full_set()
+    sample = subgroup_sample(s4)
+    v4 = next(h for h in sample if h.card == 4 and is_normal(s4, h, full))
+    a4 = next(h for h in sample if h.card == 12)
+    real = subgroup_mod.left_coset_roots
+    monkeypatch.setattr(subgroup_mod, "left_coset_roots", lambda g, h, d: real(g, a4, d))
+    with pytest.raises(InternalInvariant, match="subgroup index"):
+        quotient_group(s4, v4, full)
 
 
 def test_image_preimage_roundtrip(z12):

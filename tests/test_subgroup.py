@@ -24,7 +24,7 @@ from fingroups import (
 from fingroups.errors import InvalidSubgroup
 from fingroups.group import spec_order
 from fingroups.subgroup import left_coset_roots
-from fingroups.suite import catalog_specs
+from fingroups.suite import catalog, catalog_specs
 
 import oracles
 
@@ -318,3 +318,15 @@ def test_coset_roots_and_index_match_naive_cosets(spec):
                 want = min(next(c for c in cosets if x in c)) if x in k else -1
                 assert roots[x] == want, (h.indices(), k.indices(), x)
             assert left_index(g, h, k) == len(cosets)
+
+
+def test_left_index_matches_right_index_on_every_catalog_sample_subgroup():
+    # the left roots are counted on the domain, the right cosets marked off
+    # one by one: two routes to [K : H]
+    for label, g in catalog():
+        sample = subgroup_sample(g)
+        full = g.full_set()
+        for h in sample:
+            over = [k for k in sample if h.issubset(k) and k != full]
+            for k in [full] + over[:1] + over[-1:]:
+                assert left_index(g, h, k) == right_index(g, h, k), (label, h.indices(), k.indices())
