@@ -10,9 +10,13 @@ Usage:
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from fingroups.cli import resolve_group
-from fingroups.suite import catalog_specs, verify_group
+# the checkout's package comes first, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fingroups.cli import resolve_group  # noqa: E402
+from fingroups.suite import catalog_specs, verify_group  # noqa: E402
 
 
 def main() -> int:

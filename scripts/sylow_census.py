@@ -14,10 +14,14 @@ Usage:
 
 import argparse
 import sys
+from pathlib import Path
 
-from fingroups import normalizer, sylow_family, sylow_subgroup
-from fingroups.numutil import prime_divisors
-from fingroups.suite import catalog
+# the checkout's package comes first, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fingroups import normalizer, sylow_family, sylow_subgroup  # noqa: E402
+from fingroups.numutil import prime_divisors  # noqa: E402
+from fingroups.suite import catalog  # noqa: E402
 
 
 def main() -> int:

@@ -25,8 +25,8 @@ assumed.
 
 translation_batch derives the same results for many subgroups of one order
 at once, each acting on its own left cosets, with the laws checked on the
-whole stacked table rather than on generators; a batch whose proofs or
-laws fail is left to the single-instance functions, which name the fault.
+whole stacked table rather than on generators; a fault the theory rules
+out raises InternalInvariant, naming the first subgroup at fault.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ import numpy as np
 
 from .carrier import Carrier, ElemSet, set_of
 from .errors import (
+    CarrierMismatch,
     FamilyNotClosed,
     InternalInvariant,
+    InvalidSubgroup,
     NotBijective,
     NotMorphism,
     NotPPower,
@@ -299,7 +301,16 @@ def _at(a: np.ndarray, i, j) -> np.ndarray:
     return a.ravel()[i * a.shape[1] + j]
 
 
-def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | None:
+def _require(ok: np.ndarray, hs: Sequence[ElemSet], fact: str, of=None) -> None:
+    """InternalInvariant unless ok holds throughout, naming fact and the
+    members of the subgroup of its first failing row r: hs[r], or hs[of[r]]."""
+    if not ok.all():
+        r = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
+        h = hs[r if of is None else int(of[r])]
+        raise InternalInvariant(f"{fact} fails for the subgroup {list(h.indices())}")
+
+
+def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     """Lagrange, orbit-stabilizer and the fixed points for each of the
     nonempty subsets hs of one order k, each acting on its own left cosets
     in G, from a few gathers over their stacked members m (c, k).
@@ -311,14 +322,16 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | Non
     size counts the points whose column has the same least entry; and each
     distinct stabilizer column is proven a subgroup and its index in H
     counted by coset roots, as orbit_stabilizer_counts does.  Every
-    temporary holds at most c * k * |G| entries.  Returns None when a set
-    is no subgroup, the indices differ or a law fails: the single-instance
-    checks then name the fault."""
+    temporary holds at most c * k * |G| entries.  A set that is no subgroup
+    raises InvalidSubgroup; indices that differ, a table that breaks a law
+    or a stabilizer that is no subgroup raise InternalInvariant."""
     clock = time.perf_counter
     t0 = clock()
     n, k, c = g.order, hs[0].card, len(hs)
-    if any(h.carrier != g.carrier or h.card != k for h in hs):
-        return None
+    if any(h.carrier != g.carrier for h in hs):
+        raise CarrierMismatch("set does not live on the group's carrier")
+    if any(h.card != k for h in hs):
+        raise ValueError("the subgroups of a batch must have one order")
     dt = g.mul.dtype
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(h.bits.to_bytes(width, "little") for h in hs), np.uint8)
@@ -331,15 +344,14 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | Non
     row[ci, m] = np.arange(k, dtype=dt)
     quo = _at(row, cj, _at(g.mul, m[:, :, None], g.inv[m][:, None, :]))  # of m_a * m_b^-1
     if not mask[:, g.unit].all() or (quo < 0).any():
-        return None
+        raise InvalidSubgroup("h must be a subgroup")
     g._subgroup_bits.update(h.bits for h in hs)
 
     root = g.columns()[m].min(axis=1)  # root[i, x]: the least of x * H_i
     own = root == np.arange(n, dtype=dt)
     index = own.sum(axis=1)
     s = int(index[0])
-    if (index != s).any():
-        return None
+    _require(index == s, hs, f"[G : H] == {s}, the first subgroup's index,")
     t1 = clock()
 
     roots = np.flatnonzero(own).reshape(c, s) - ci * n
@@ -348,8 +360,8 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | Non
     table = _at(number, cj, _at(root, cj, _at(g.mul, m[:, :, None], roots[:, None, :])))
     pts = np.arange(s, dtype=dt)
     unit = row[:, g.unit]
-    if not ((np.sort(table, axis=2) == pts).all() and (table[ci[:, 0], unit] == pts).all()):
-        return None
+    _require(np.sort(table, axis=2) == pts, hs, "each acting element permutes the cosets")
+    _require(table[ci[:, 0], unit] == pts, hs, "the unit acts as the identity")
     prod = _at(g.mul, m[:, :, None], m[:, None, :])  # the element m_a * m_b
     lifted = _at(row, cj, prod) + cj * k  # its row in the stacked (c * k, s) table
     stacked = table.reshape(c * k, s)
@@ -358,13 +370,12 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | Non
     if k <= s:
         inner = cj * s + table  # m_b.z as a position in the (c, s) slice of one m_a
         for a in range(k):
-            if not (stacked[lifted[:, a]] == table[:, a].ravel()[inner]).all():
-                return None
+            _require(stacked[lifted[:, a]] == table[:, a].ravel()[inner], hs, "(x*y).z == x.(y.z)")
     else:
         starts = (cj * k + np.arange(k)[:, None]) * s  # where the row of m_a starts
         for z in range(s):
-            if not (stacked[:, z][lifted] == table.ravel()[starts + table[:, None, :, z]]).all():
-                return None
+            _require(stacked[:, z][lifted] == table.ravel()[starts + table[:, None, :, z]],
+                     hs, "(x*y).z == x.(y.z)")
 
     # each orbit is one set of points with the same least image, as the
     # laws just checked make the orbits a partition
@@ -383,9 +394,9 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch | Non
     rc, rz = np.divmod(order[new], s)
     stab = fixes[rc, :, rz]  # each distinct stabilizer as a mask over the rows of its H
     ri = np.arange(len(rc))[:, None, None]
+    # each holds the unit, whose row is the identity, and must be closed
     closed = stab[ri, quo[rc]] | ~(stab[:, :, None] & stab[:, None, :])
-    if not (stab[ri[:, 0, 0], unit[rc]].all() and closed.all()):
-        return None
+    _require(closed, hs, "each stabilizer is a subgroup", rc)
     least = np.where(stab[:, None, :], prod[rc], n).min(axis=2)  # x's root modulo it
     stab_index = (least == m[rc]).sum(axis=1)[which].reshape(c, s)
     t2 = clock()

@@ -57,11 +57,30 @@ from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 # and \S also break at U+2028, U+0085, U+001C and others.
 _COMMENT = re.compile(r"#[^\n]*")
 
+# The longest file read, in bytes: a zero-padded order-1024 table is 5.2 MB.
+MAX_FILE_BYTES = 8 * 2**20
+
+
+def _read_text(path: str) -> str:
+    """The file's text, without a leading byte-order mark, from at most
+    MAX_FILE_BYTES + 1 bytes read.  ParseError, at the line and byte column
+    of the fault, for a longer file or one that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    try:
+        if len(data) <= MAX_FILE_BYTES:
+            return data.decode("utf-8").removeprefix("\ufeff")
+        k, message = MAX_FILE_BYTES, f"file exceeds the maximum of {MAX_FILE_BYTES} bytes"
+    except UnicodeDecodeError as e:
+        k, message = e.start, "file is not UTF-8 text"
+    raise ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
+
 
 def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     """Read a Cayley-table file; returns (n, table), table an (n, n) int64
     array.  Raises ParseError with 1-based line and column on the first
-    offending token.  The size line is checked against MAX_GROUP_ORDER
+    offending token.  A file past MAX_FILE_BYTES is refused before any
+    array is built, and the size line is checked against MAX_GROUP_ORDER
     before anything sized by it is allocated.
 
     One vectorised pass finds the tokens, the lines and each entry's value
@@ -70,14 +89,7 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     size line, then the row count, then row by row a wrong entry count
     before the first bad entry.  Only the offending token is read again,
     to word its message."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:  # no \r translation
-            text = fh.read().removeprefix("\ufeff")  # a leading byte-order mark
-    except UnicodeDecodeError as e:
-        data = e.object  # the whole file: read() decodes it in one call
-        line = data.count(b"\n", 0, e.start) + 1
-        col = e.start - data.rfind(b"\n", 0, e.start)
-        raise ParseError(line, col, "file is not UTF-8 text") from None
+    text = _read_text(path)
 
     # Deleting comments keeps every line feed, and "replace" makes each
     # non-ASCII character one "?" byte, so a byte's offset is its column.

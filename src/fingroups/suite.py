@@ -12,11 +12,10 @@ per-instance loops live in the test suite.
 Lagrange, translation and the congruence run over the sample in batches:
 the sample is sorted by order and membership, so each order is one
 contiguous run, cut into chunks by action.sample_batches, and each chunk
-is one action.translation_batch.  A chunk the batch refuses goes through
-the single-instance checks one subgroup at a time, which raise or name
-the same first failure as before; either way the verdicts keep the
-sample's order, so the first failure's witness does not depend on the
-route.
+is one action.translation_batch.  The verdicts keep the sample's order,
+so the first failure's witness is the first failing subgroup's.  A set
+that is no subgroup raises InvalidSubgroup, and a fault the theory rules
+out (in the table, its cached columns or the batch) InternalInvariant.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ import numpy as np
 
 from .action import (
     conjugation_action,
-    left_translation_action,
     mod_p_fixed_point_check,
     orbit_stabilizer_counts,
     orbit_stabilizer_ok,
     sample_batches,
     translation_batch,
 )
-from .carrier import ElemSet
 from .cyclic import order, phi_theorem_checks
 from .errors import GroupTheoryError
 from .group import (
@@ -46,7 +43,7 @@ from .group import (
 )
 from .numutil import prime_divisors, prime_power_base
 from .report import Check, Report
-from .subgroup import lagrange_check, subgroup_sample
+from .subgroup import subgroup_sample
 from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 
 
@@ -99,38 +96,6 @@ def _aggregate(name: str, blocks: list[tuple[list, object]]) -> Check:
     return Check(name, good == total, good, total, witness)
 
 
-def _sample_verdicts(g: Group, hs: list[ElemSet]) -> tuple[list, list[float]]:
-    """The Lagrange, translation and congruence verdicts of subgroups of
-    one order, as blocks for _aggregate, with the seconds each took.  They
-    come from one translation_batch; when one of its guards fails, from the
-    single-instance checks one subgroup at a time, which raise or name the
-    fault as they always have."""
-    n, k = g.order, hs[0].card
-    p = prime_power_base(k)
-    b = translation_batch(g, hs)
-    if b is not None:
-        congruence = [(hs, b.orbit.shape[1] % p == b.fixed % p)] if p else []
-        return ([[(hs, (k * b.index == n) & (n % k == 0))],
-                 [(hs, orbit_stabilizer_ok(b.orbit, b.stab_index, k))], congruence],
-                list(b.secs))
-    full = g.full_set()
-    clock = time.perf_counter
-    t0 = clock()
-    lagrange = [([h], [all(c.ok for c in lagrange_check(g, h, full))]) for h in hs]
-    secs = [clock() - t0, 0.0, 0.0]
-    trans, congruence = [], []
-    for h in hs:
-        t0 = clock()
-        act = left_translation_action(g, h, h, full)
-        trans.append(([h], [orbit_stabilizer_counts(act)[3]]))
-        t1 = clock()
-        if p is not None:
-            congruence.append(([h], [mod_p_fixed_point_check(act, p).ok]))
-        secs[1] += t1 - t0
-        secs[2] += clock() - t1
-    return [lagrange, trans, congruence], secs
-
-
 def verify_group(g: Group, label: str) -> Report:
     rep = Report(group=label, order=g.order)
     full = g.full_set()
@@ -162,9 +127,14 @@ def verify_group(g: Group, label: str) -> Report:
     blocks: list[list] = [[], [], []]
     secs = [0.0, 0.0, 0.0]
     for hs in sample_batches(g, subgroup_sample(g)):
-        for i, (more, dt) in enumerate(zip(*_sample_verdicts(g, hs))):
-            blocks[i] += more
-            secs[i] += dt
+        n, k = g.order, hs[0].card
+        b = translation_batch(g, hs)
+        blocks[0].append((hs, (k * b.index == n) & (n % k == 0)))
+        blocks[1].append((hs, orbit_stabilizer_ok(b.orbit, b.stab_index, k)))
+        p = prime_power_base(k)
+        if p:
+            blocks[2].append((hs, b.orbit.shape[1] % p == b.fixed % p))
+        secs = [t + dt for t, dt in zip(secs, b.secs)]
     names = ("lagrange", "orbit_stabilizer:translation", "mod_p_fixed_points:translation")
     lagrange, trans, congruence = (_aggregate(*nb) for nb in zip(names, blocks))
     for c, dt in zip((lagrange, trans, congruence), secs):

@@ -36,8 +36,9 @@ from fingroups import action as action_mod
 from fingroups.conjnormal import conjugacy_family
 from fingroups.group import greedy_generators
 from fingroups.numutil import prime_divisors
-from fingroups.suite import catalog
+from fingroups.suite import catalog, verify_group
 from fingroups.errors import (
+    CarrierMismatch,
     FamilyNotClosed,
     InternalInvariant,
     InvalidSubgroup,
@@ -561,7 +562,6 @@ def batched_counts(g, sample):
     out = []
     for hs in action_mod.sample_batches(g, sample):
         b = action_mod.translation_batch(g, hs)
-        assert b is not None
         out += zip(b.index.tolist(), b.orbit.tolist(), b.stab_order.tolist(),
                    b.stab_index.tolist(), b.fixed.tolist())
     return out
@@ -601,10 +601,51 @@ def test_batch_refuses_what_it_cannot_prove(s3, s4):
     three = next(x for x in s4.elements() if closure(s4, [x]).card == 3)
     not_closed = members(s4, [s4.unit, three])
     no_unit = members(s4, [x for x in twos[0] if x != s4.unit] + [three])
-    for hs in (twos + [not_closed], [no_unit] + twos, twos + [sample[-1]],
-               twos + [members(s3, [0, 1])]):
-        assert action_mod.translation_batch(s4, hs) is None
-    assert action_mod.translation_batch(s4, twos) is not None
+    with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
+        action_mod.translation_batch(s4, twos + [not_closed])
+    with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
+        action_mod.translation_batch(s4, [no_unit] + twos)
+    with pytest.raises(ValueError, match="one order"):
+        action_mod.translation_batch(s4, twos + [sample[-1]])
+    with pytest.raises(CarrierMismatch):
+        action_mod.translation_batch(s4, twos + [members(s3, [0, 1])])
+    assert len(action_mod.translation_batch(s4, twos).index) == len(twos)
+
+
+def corrupted_columns(columns, seed, swap):
+    """A copy of a group's transposed table with, seeded, one entry
+    overwritten or (swap) two columns exchanged, which keeps every row a
+    permutation."""
+    cols = columns.copy()
+    r, c, v = np.random.default_rng(seed).integers(len(cols), size=3)
+    if swap:
+        cols[:, [c, v]] = cols[:, [v, c]]
+    else:
+        cols[r, c] = v
+    return cols
+
+
+def test_a_corrupted_column_cache_never_passes_unnoticed(monkeypatch, s4):
+    # the batch reads the cached columns, the single-instance route the
+    # table: a corruption must raise InternalInvariant naming a subgroup
+    # of its batch, or fail a check of verify, unless no count changes
+    sample = subgroup_sample(s4)
+    want = [single_counts(s4, h) for h in sample]
+    columns, faults = s4.columns(), set()
+    for seed in range(40):
+        for swap in (False, True):
+            monkeypatch.setattr(s4, "_columns", corrupted_columns(columns, seed, swap))
+            got, raised = [], False
+            for hs in action_mod.sample_batches(s4, sample):
+                try:
+                    got += batched_counts(s4, hs)
+                except InternalInvariant as e:
+                    fact, _, named = str(e).partition(" fails for the subgroup ")
+                    assert named in [str(list(h.indices())) for h in hs], str(e)
+                    faults.add(fact.split(" == ")[0])
+                    got, raised = got + [None] * len(hs), True
+            assert raised or got == want or not verify_group(s4, "s4").ok, (seed, swap)
+    assert faults == {"[G : H]", "each acting element permutes the cosets", "(x*y).z"}
 
 
 def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
@@ -620,7 +661,7 @@ def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
     def peak(hs):
         tracemalloc.start()
         try:
-            assert action_mod.translation_batch(g, hs) is not None
+            action_mod.translation_batch(g, hs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -7,10 +7,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fingroups import Check, GroupSpec, Report, closure, set_of, subgroup_sample
+from fingroups import Check, GroupSpec, Report, build, closure, set_of, subgroup_sample
 from fingroups import action as action_mod
 from fingroups import cli as cli_mod
 from fingroups import suite as suite_mod
@@ -184,6 +185,53 @@ def test_non_utf8_column_counts_the_byte_order_mark(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_cayley_file(str(path))
     assert (exc.value.line, exc.value.col) == (1, 6)
+
+
+def test_a_file_past_the_byte_bound_is_refused(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli_mod, "MAX_FILE_BYTES", 16)
+    table = "2\n0 1\n1 0\n"  # 10 bytes
+    n, rows = parse_cayley_file(write(tmp_path, table + "\n" * 6))
+    assert (n, rows.tolist()) == (2, [[0, 1], [1, 0]])
+    path = write(tmp_path, table + "\n" * 6 + "# x")
+    with pytest.raises(ParseError) as exc:
+        parse_cayley_file(path)
+    assert (exc.value.line, exc.value.col) == (10, 1)  # the 17th byte
+    assert exc.value.detail == "file exceeds the maximum of 16 bytes"
+    assert run_cli(capsys, "verify", path)[0] == 2
+
+
+def test_the_byte_bound_admits_a_zero_padded_table_of_the_maximum_order(tmp_path):
+    n = 1024
+    t = (np.arange(n)[:, None] + np.arange(n)) % n
+    lines = [f"{n:04d}"] + [" ".join(f"{v:04d}" for v in row) for row in t.tolist()]
+    path = tmp_path / "c1024.cayley"
+    path.write_text("\r\n".join(lines) + "\r\n")
+    assert path.stat().st_size <= cli_mod.MAX_FILE_BYTES
+    k, rows = parse_cayley_file(str(path))
+    assert k == n and np.array_equal(rows, t)
+
+
+def test_a_sparse_file_past_the_byte_bound_exits_2_under_a_memory_limit(tmp_path):
+    """Only MAX_FILE_BYTES + 1 bytes of a file are read, so a 16 GiB file
+    (sparse: it takes no disk) is refused, not read whole into memory; the
+    address-space limit turns a whole read into a failure."""
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    path = tmp_path / "sparse.cayley"
+    with open(path, "wb") as fh:
+        fh.write(b"2\n0 1\n1 0\n")
+        fh.truncate(16 * 2**30)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fingroups.cli", "verify", str(path)],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert f"exceeds the maximum of {cli_mod.MAX_FILE_BYTES} bytes" in proc.stderr
 
 
 # -- group references ----------------------------------------------------
@@ -378,44 +426,6 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
     assert "witness={'subgroup': [0, 1, 6, 7], 'point': 1}" in rep.render_text()
 
 
-@pytest.mark.parametrize("refused", [{4}, {1, 2, 3, 4, 6, 8, 12, 24}], ids=["order 4", "all"])
-def test_a_refused_batch_names_the_witnesses_of_the_single_instance_route(monkeypatch, s4,
-                                                                          refused):
-    # the same failures injected into the single-instance checks, which
-    # verify falls back to for each batch that translation_batch refuses
-    real_left_index = action_mod.left_index
-    monkeypatch.setattr(action_mod, "left_index", lambda g, h, k: real_left_index(g, h, k) + (
-        (h.card, k.card) in ((1, 4), (4, 24))))
-
-    real_lagrange = suite_mod.lagrange_check
-    real_congruence = suite_mod.mod_p_fixed_point_check
-    real_batch = suite_mod.translation_batch
-
-    def lagrange_failing_at_order_4(g, h, k):
-        checks = real_lagrange(g, h, k)
-        checks[0].ok = checks[0].ok and h.card != 4
-        return checks
-
-    def congruence_failing_at_order_4(act, p):
-        check = real_congruence(act, p)
-        check.ok = check.ok and act.acting.card != 4
-        return check
-
-    monkeypatch.setattr(suite_mod, "lagrange_check", lagrange_failing_at_order_4)
-    monkeypatch.setattr(suite_mod, "mod_p_fixed_point_check", congruence_failing_at_order_4)
-    monkeypatch.setattr(suite_mod, "translation_batch",
-                        lambda g, hs: None if hs[0].card in refused else real_batch(g, hs))
-    rep = verify_group(s4, "s4")
-    failed = {c.name: (c.lhs, c.rhs, c.witness) for c in rep.checks if not c.ok}
-    v4 = {"subgroup": [0, 1, 6, 7]}
-    assert failed == {
-        "lagrange": (23, 30, v4),
-        "orbit_stabilizer:conjugation": (12, 24, {"point": 1}),
-        "orbit_stabilizer:translation": (210, 234, {**v4, "point": 1}),
-        "mod_p_fixed_points:translation": (16, 23, v4),
-    }
-
-
 def test_a_non_subgroup_in_the_sample_raises_invalid_subgroup(monkeypatch, s4):
     sample = subgroup_sample(s4)
     three = next(x for x in s4.elements() if closure(s4, [x]).card == 3)
@@ -424,6 +434,27 @@ def test_a_non_subgroup_in_the_sample_raises_invalid_subgroup(monkeypatch, s4):
     monkeypatch.setattr(suite_mod, "subgroup_sample", lambda g: sample[:i] + [bad] + sample[i + 1:])
     with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
         verify_group(s4, "s4")
+
+
+def corrupted_s4():
+    """S4 with one entry of its cached transposed table overwritten: row
+    20, column 15 set to 12 (seed 0 of rng.integers)."""
+    g = build(GroupSpec.symmetric(4))
+    cols = g.columns().copy()
+    cols[20, 15] = 12
+    g._columns = cols
+    return g
+
+
+def test_a_corrupted_column_cache_fails_verify(monkeypatch, capsys):
+    # only the sample's batch reads the cached columns; the corruption
+    # breaks the translation action of a subgroup of order 3
+    with pytest.raises(InternalInvariant, match=r"for the subgroup \[0, 15, 20\]"):
+        verify_group(corrupted_s4(), "s4")
+    monkeypatch.setattr(cli_mod, "build", lambda spec: corrupted_s4())
+    code, out, err = run_cli(capsys, "verify", "s4")
+    assert code == 1 and out == ""
+    assert err.startswith("theorem check failed: ")
 
 
 # -- the command line ----------------------------------------------------
