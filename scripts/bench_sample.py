@@ -3,7 +3,9 @@
 record the times in BENCH_sample.json.
 
 Each group is verified --repeat times and the best wall time is kept,
-with the milliseconds its report gives the three checks over the sample.
+with the milliseconds its report gives the three checks over the sample
+and the Cauchy and Sylow order checks for each prime (cauchy_order[p=...],
+sylow_order[p=...]).
 Before timing, every sample subgroup's counts are compared route against
 route: translation_batch's index, orbit sizes, stabilizer orders and
 indices and fixed points against the single-instance functions'
@@ -18,6 +20,8 @@ only when named:
     python scripts/bench_sample.py                          # ./src, label "change"
     python scripts/bench_sample.py --src OLD/src --label parent
     python scripts/bench_sample.py --repeat 1 "$Q8C2_7"
+    python scripts/bench_sample.py --out BENCH_cauchy.json \
+        'product:(cyclic:5,cyclic:5)' dihedral:10 cyclic:20 cyclic:7
 
 with Q8C2_7 set to
 product:(q8,product:(z2,product:(z2,product:(z2,product:(z2,product:(z2,product:(z2,z2)))))))
@@ -113,7 +117,8 @@ def main() -> int:
                 best = rep
         ms = {c.name: round(c.ms, 1) for c in best.checks
               if c.name in ("lagrange", "orbit_stabilizer:translation",
-                            "mod_p_fixed_points:translation")}
+                            "mod_p_fixed_points:translation")
+              or c.name.startswith(("cauchy_order[", "sylow_order["))}
         groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
                        "checks_ms": ms,

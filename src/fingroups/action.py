@@ -15,7 +15,8 @@ length; the unit then acts as a permutation equal to its own square, the
 identity.  Generators are picked greedily as in group.from_cayley_table,
 at most log2 of the acting order plus one.  A table that fails is rescanned
 element by element, so its error names the same first witness as a check
-of every element would.
+of every element would.  Tables are validated in place, in their own
+integer dtype, and never copied.
 
 The counting results: the orbit of a point has the same size as the index
 of its stabilizer, hence divides the acting order; and when the acting
@@ -61,6 +62,10 @@ from .subgroup import left_coset_numbering, left_index, require_nested_subgroups
 # MAX_GROUP_ORDER^2, so a batch of one subgroup always fits.
 BATCH_CELLS = MAX_GROUP_ORDER ** 2
 
+# Entries make_action's generator check gathers at once, in whole rows (at
+# least one).
+CHECK_CELLS = 1 << 16
+
 
 @dataclass(eq=False)
 class Action:
@@ -94,11 +99,14 @@ def make_action(
     NotBijective(x) names the first element that fails to permute the
     points, and otherwise NotMorphism(x, y, z) the first triple breaking
     the composition law.  InternalInvariant if the rescan finds neither.
+    The table is held as given and made read-only once it passes; one of
+    no integer dtype raises PointOutOfRange.
     """
     h = subgroup_set(g, acting)
     m = h.as_array()
     s = points.size
-    table = table.astype(np.int64, copy=True)
+    if table.dtype.kind not in "iu":
+        raise PointOutOfRange(f"action table has dtype {table.dtype}, not an integer dtype")
     if table.shape != (h.card, s):
         raise PointOutOfRange(
             f"table shape {table.shape} does not match ({h.card}, {s})"
@@ -109,9 +117,10 @@ def make_action(
     row = np.cumsum(h.mask()) - 1  # row[x] is x's row, for x in h
     gens = greedy_generators(g.mul, g.unit, h.bits) if h.card > 1 else (g.unit,)
     for a in gens:
+        ta = table[row[a]]
         hit = np.zeros(s, dtype=bool)
-        hit[table[row[a]]] = True
-        if not (hit.all() and np.array_equal(table[row[g.mul[a, m]]], table[row[a]][table])):
+        hit[ta] = True
+        if not (hit.all() and _composes(ta, table, row[g.mul[a, m]])):
             err = _first_action_violation(g, table, m, row)
             if err is None:
                 raise InternalInvariant(
@@ -125,6 +134,18 @@ def make_action(
 
     table.setflags(write=False)
     return Action(g, acting, points, table, point_labels)
+
+
+def _composes(ta: np.ndarray, table: np.ndarray, ay: np.ndarray) -> bool:
+    """Whether a.(y.z) == (a*y).z for every acting y and point z, where ta
+    is the row of a and ay[i] the row of a*y for the y of row i."""
+    step = max(1, CHECK_CELLS // max(table.shape[1], 1))
+    for i in range(0, len(table), step):
+        ys = ay[i:i + step]
+        want = table[ys] if step > 1 else table[ys[0]]  # a row is a view
+        if not (ta[table[i:i + step]] == want).all():
+            return False
+    return True
 
 
 def _first_action_violation(
@@ -162,8 +183,9 @@ def stabilizer(act: Action, a: int) -> ElemSet:
 
 
 def fixed_points(act: Action) -> ElemSet:
-    """Points fixed by the entire acting subgroup."""
-    grid = act.table == np.arange(act.points.size)
+    """Points fixed by the entire acting subgroup, compared in the table's
+    dtype (which holds every point of a table make_action passed)."""
+    grid = act.table == np.arange(act.points.size, dtype=act.table.dtype)
     return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
 
 
@@ -240,8 +262,10 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
 
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
-    written with x^-1 on the left would compose contravariantly.)"""
-    return make_action(g, h, g.carrier, conjugates(g, h.as_array(), np.arange(g.order)))
+    written with x^-1 on the left would compose contravariantly.)  The
+    table is cast to intp, the index dtype of numpy's gathers."""
+    table = conjugates(g, h.as_array(), np.arange(g.order)).astype(np.intp)
+    return make_action(g, h, g.carrier, table)
 
 
 def conjugation_action_on_subsets(

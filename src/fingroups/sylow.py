@@ -71,7 +71,7 @@ DEFAULT_TUPLE_CAP = 10**6
 def tuple_cap() -> int:
     """Size bound for materializing the product-one tuple family; the
     environment may lower it, never raise it (a Cauchy run at the default
-    peaks at about 190 MiB at p = 5)."""
+    peaks at about 70 MiB at p = 5)."""
     raw = os.environ.get(TUPLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TUPLE_CAP
@@ -125,22 +125,29 @@ def rotation_action(tc: TupleCarrier) -> Action:
     """The cyclic group of order p acting on the tuple family by index
     rotation, which preserves the product-one condition.  Rotating tuple r
     left by one moves its head to the end of the tail, so its image is
-    tuple (r mod m^(p-2))*m + pos(head), with m = |H|; shift k is its k-th
-    power.  Each coordinate of the images is checked against the next
-    coordinate of the tuples."""
+    tuple (r mod m^(p-2))*m + pos(head), with m = |H| and pos a rank lookup
+    over the members; shift k is its k-th power, held in intp, the index
+    dtype of numpy's gathers.  Each coordinate of the images, gathered into
+    one buffer, is checked against the next coordinate of the tuples."""
     cols = tc.tuples.T
     p, n = cols.shape
     m = len(tc.members)
-    # A head outside the members gets an in-range pos; the check fails.
-    pos = np.minimum(np.searchsorted(np.array(tc.members, cols.dtype), cols[0]), m - 1)
-    sigma = (pos.reshape(m, -1) + np.arange(0, n, m)).ravel()
-    for j in range(p):
-        if not np.array_equal(cols[j][sigma], cols[(j + 1) % p]):
-            raise InternalInvariant("rotation left the product-one family")
-    table = np.empty((p, n), dtype=np.int64)
+    rank = np.zeros(tc.members[-1] + 1, dtype=np.intp)  # rank[x]: member x's position
+    rank[list(tc.members)] = np.arange(m)
+    table = np.empty((p, n), dtype=np.intp)
     table[0] = np.arange(n)
-    for k in range(1, p):  # sigma is in range, so clip mode only skips a buffer
-        np.take(sigma, table[k - 1], out=table[k], mode="clip")
+    sigma = table[1]
+    # A head outside the members gets an in-range rank; the check fails.
+    rank.take(cols[0], out=sigma, mode="clip")
+    tails = sigma.reshape(m, -1)  # one row per first tail coordinate, which
+    tails += np.arange(0, n, m)  # drops out as the rest moves up one place
+    image = np.empty(n, dtype=cols.dtype)
+    for j in range(p):  # sigma is in range, so clip mode only spares a buffer
+        cols[j].take(sigma, out=image, mode="clip")
+        if not np.array_equal(image, cols[(j + 1) % p]):
+            raise InternalInvariant("rotation left the product-one family")
+    for k in range(2, p):
+        sigma.take(table[k - 1], out=table[k], mode="clip")
     zp = build(GroupSpec.cyclic(p))
     return make_action(zp, zp.full_set(), Carrier(n), table)
 

@@ -23,6 +23,8 @@ from fingroups import (
     orbit,
     orbit_stabilizer_check,
     orbit_stabilizer_counts,
+    product_one_tuples,
+    rotation_action,
     set_of,
     singleton,
     stabilizer,
@@ -226,6 +228,52 @@ def test_a_table_passing_the_first_generator_fails_at_the_second(klein):
     assert list(greedy_generators(klein.mul, klein.unit, klein.full_set().bits)) == [1, 2]
     table = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1], [1, 2, 0]])
     assert assert_verdict_matches_oracle(klein, klein.full_set(), table) == ("morphism", (2, 1, 0))
+
+
+@pytest.mark.parametrize("table", [np.array([[0., 1.], [1.2, 0.3]]),
+                                   np.array([[False, True], [True, False]])],
+                         ids=["float", "bool"])
+def test_a_table_of_no_integer_dtype_is_refused(z2, table):
+    # neither is read as the swap [[0, 1], [1, 0]]
+    with pytest.raises(PointOutOfRange, match="not an integer dtype"):
+        make_action(z2, z2.full_set(), Carrier(2), table)
+    assert table.flags.writeable
+
+
+@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 50, 1],
+                         ids=["one_block", "blocks", "rows"])
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(4), GroupSpec.q8()],
+                         ids=lambda spec: spec.describe())
+def test_int32_and_int64_tables_get_the_same_verdict(monkeypatch, spec, cells):
+    # the rotation of the product-one pairs, conjugation and translation
+    # of a Sylow 2-subgroup's cosets, each as built and then mutated, and
+    # checked in one block, in blocks with a short last one, or row by row
+    monkeypatch.setattr(action_mod, "CHECK_CELLS", cells)
+    g = build(spec)
+    z2 = build(GroupSpec.cyclic(2))
+    full = g.full_set()
+    p2 = sylow_subgroup(g, full, 2).subgroup
+    cases = [(z2, z2.full_set(), rotation_action(product_one_tuples(g, full, 2)).table),
+             (g, full, conjugation_action(g, full).table),
+             (g, p2, left_translation_action(g, p2, p2, full).table)]
+    rng = np.random.default_rng(19)
+    verdicts = set()
+    for grp, acting, built in cases:
+        for table in [built, *mutations(rng, built, 3)]:
+            got = []
+            for dt in (np.int32, np.int64):
+                t = table.astype(dt)
+                got.append(action_verdict(grp, acting, t))
+                # a table that passes is held, not copied, and frozen; a
+                # refused one is left as it was
+                assert t.flags.writeable == (got[-1] is not None)
+                if got[-1] is None:
+                    act = make_action(grp, acting, Carrier(t.shape[1]), t)
+                    assert np.shares_memory(act.table, t) and act.table.dtype == dt
+            assert got[0] == got[1] == oracles.naive_first_action_violation(
+                oracles.table_rows(grp), table.tolist(), acting.indices())
+            verdicts.add(got[0] and got[0][0])
+    assert verdicts == {None, "bijective", "morphism"}
 
 
 # -- orbits, stabilizers, fixed points -----------------------------------

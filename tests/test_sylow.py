@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,23 @@ def test_cauchy_z6_tie_break(z6):
     # both elements of order 3 are 2 and 4; the rule picks the smaller
     assert cauchy_element(z6, z6.full_set(), 3) == 2
     assert cauchy_element(z6, z6.full_set(), 2) == 3
+
+
+def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
+    # C5xC5 at p = 5: 390,625 tuples of 5 coordinates, held as 4-byte
+    # entries beside the rotation's 8-byte index table, 12 bytes per
+    # coordinate; the whole run peaks at 14.8 (40.4 when make_action
+    # copied the table and checked it in whole-table gathers)
+    g = build(GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)))
+    h = g.full_set()
+    assert cauchy_element(g, h, 5) == 1
+    tracemalloc.start()
+    try:
+        cauchy_element(g, h, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
 
 
 def test_tuple_cap_may_be_set_to_its_ceiling(monkeypatch):
