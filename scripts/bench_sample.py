@@ -5,7 +5,10 @@ record the times in BENCH_sample.json.
 Each group is verified --repeat times and the best wall time is kept,
 with the milliseconds its report gives the three checks over the sample
 and the Cauchy and Sylow order checks for each prime (cauchy_order[p=...],
-sylow_order[p=...]).
+sylow_order[p=...]).  Its table layer is timed --repeat times too:
+build_ms lists the milliseconds resolve_group takes to build the group
+(build(spec) for catalog grammar), validate_ms those from_cayley_table
+takes to validate its table again.
 Before timing, every sample subgroup's counts are compared route against
 route: translation_batch's index, orbit sizes, stabilizer orders and
 indices and fixed points against the single-instance functions'
@@ -92,6 +95,7 @@ def main() -> int:
 
     from fingroups import action
     from fingroups.cli import resolve_group
+    from fingroups.group import from_cayley_table
     from fingroups.subgroup import subgroup_sample
     from fingroups.suite import verify_group
 
@@ -105,6 +109,14 @@ def main() -> int:
         if agree is False:
             print(f"FAIL {label}: the batched and single-instance routes disagree")
             return 1
+        build_ms, validate_ms = [], []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            resolve_group(ref)
+            t1 = time.perf_counter()
+            from_cayley_table(g.order, g.mul)
+            build_ms.append(round((t1 - t0) * 1e3, 2))
+            validate_ms.append(round((time.perf_counter() - t1) * 1e3, 2))
         times, best = [], None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -121,10 +133,11 @@ def main() -> int:
               or c.name.startswith(("cauchy_order[", "sylow_order["))}
         groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
-                       "checks_ms": ms,
+                       "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
-              f"best {min(times):8.3f} s  routes agree: {agree}")
+              f"best {min(times):8.3f} s  build {min(build_ms):8.2f} ms  "
+              f"validate {min(validate_ms):8.2f} ms  routes agree: {agree}")
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -134,7 +147,8 @@ def main() -> int:
     for ref, new in groups.items():  # runs add up; the best run so far is kept
         old = runs.get(ref)
         if old is not None:
-            new["runs_s"] = old["runs_s"] + new["runs_s"]
+            for key in ("runs_s", "build_ms", "validate_ms"):
+                new[key] = old.get(key, []) + new[key]
             if old["best_s"] < new["best_s"]:
                 new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]
         runs[ref] = new

@@ -51,7 +51,7 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import MAX_GROUP_ORDER, Group, conjugates, greedy_generators
+from .group import CHECK_CELLS, MAX_GROUP_ORDER, Group, conjugates, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
 from .subgroup import left_coset_numbering, left_index, require_nested_subgroups, subgroup_set
@@ -61,10 +61,6 @@ from .subgroup import left_coset_numbering, left_index, require_nested_subgroups
 # subgroup of order k in a group of order n needs k * n of them, at most
 # MAX_GROUP_ORDER^2, so a batch of one subgroup always fits.
 BATCH_CELLS = MAX_GROUP_ORDER ** 2
-
-# Entries make_action's generator check gathers at once, in whole rows (at
-# least one).
-CHECK_CELLS = 1 << 16
 
 
 @dataclass(eq=False)

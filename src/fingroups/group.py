@@ -16,6 +16,8 @@ closed under the product, so when every generator passes, every element
 does.  Generators are picked greedily, each the smallest element not yet
 reached, so a group needs at most log2(order) + 1 of them.  A table that
 fails the test is scanned row by row for its first violating triple.
+Each check reads the table in blocks of whole rows or columns, at most
+CHECK_CELLS entries (or one line) each, so none holds an n-by-n temporary.
 All the usual right-sided laws are consequences; they are re-verified, not
 assumed, by check_identities.
 """
@@ -52,6 +54,10 @@ MAX_SYMMETRIC_DEGREE = 6
 # order^2 steps per generator, but a table that fails it falls back to the
 # row scan, which takes order^3.
 MAX_GROUP_ORDER = 1024
+
+# Entries one block of a table check or build holds at once, in whole rows
+# or columns (at least one): the axioms, S_n's table, make_action's laws.
+CHECK_CELLS = 1 << 16
 
 # Products nest at most this deep, one level of parentheses each; the spec
 # walks recurse once per level.
@@ -148,14 +154,17 @@ def conjugates(g: Group, xs, ys) -> np.ndarray:
 
 def _first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
     """The lexicographically first triple breaking associativity, or None.
-    For fixed x1, t[t[x1]] holds (x1*x2)*x3 and t[x1][t] holds
-    x1*(x2*x3); row-major argwhere keeps the triple lexicographic."""
+    For fixed x1 and a block of x2, t[t[x1, x2]] holds (x1*x2)*x3 and
+    t[x1][t[x2]] holds x1*(x2*x3); blocks in order and row-major argwhere
+    keep the triple lexicographic."""
+    step = max(1, CHECK_CELLS // len(t))
     for x1 in range(len(t)):
-        lhs = t[t[x1]]
-        rhs = t[x1][t]
-        if not np.array_equal(lhs, rhs):
-            x2, x3 = np.argwhere(lhs != rhs)[0]
-            return x1, int(x2), int(x3)
+        for i in range(0, len(t), step):
+            lhs = t[t[x1, i:i + step]]
+            rhs = t[x1][t[i:i + step]]
+            if not np.array_equal(lhs, rhs):
+                x2, x3 = np.argwhere(lhs != rhs)[0]
+                return x1, i + int(x2), int(x3)
     return None
 
 
@@ -191,24 +200,30 @@ def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryEr
     """(unit, inverses, t) for a table satisfying the group axioms, else
     the error naming the first one that fails."""
     n = len(t)
-    # the unit is the first e whose row and column both read 0, 1, ..., n-1
+    step = max(1, CHECK_CELLS // n)
+    blocks = range(0, n, step)
+    # the unit is the first e whose row and column both read 0, 1, ..., n-1;
+    # each such e has e * 0 == 0, so only those e are read
     idx = np.arange(n, dtype=TABLE_DTYPE)
-    units = np.flatnonzero((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
-    if units.size == 0:
+    unit = next((int(e) for e in np.flatnonzero(t[:, 0] == 0)
+                 if (t[e] == idx).all() and (t[:, e] == idx).all()), None)
+    if unit is None:
         return NoIdentity("no two-sided identity in the table")
-    unit = int(units[0])
 
-    # the left inverse of x is the first row holding the unit in column x;
-    # argmax gives row 0 to a column without one, which the check then finds
-    inv = (t == unit).argmax(axis=0).astype(TABLE_DTYPE)
+    # the left inverse of x is the first row holding the unit in column x,
+    # read in blocks of ``step`` columns; argmax gives row 0 to a column
+    # without one, which the check then finds
+    inv = np.concatenate([(t[:, i:i + step] == unit).argmax(axis=0) for i in blocks],
+                         dtype=TABLE_DTYPE)
     missing = np.flatnonzero(t[inv, idx] != unit)
     if missing.size:
         return NoInverse(int(missing[0]))
 
     # Light's test over greedily picked generators; each is checked as soon
     # as it is picked, so a bad table stops at its first failing generator.
+    # Row x of a block holds (x*a)*y, then x*(a*y), for every y.
     for a in greedy_generators(t, unit, (1 << n) - 1):
-        if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+        if not all((t[t[i:i + step, a]] == t[i:i + step, t[a]]).all() for i in blocks):
             triple = _first_nonassociative(t)
             if triple is None:
                 return InternalInvariant(
@@ -274,13 +289,18 @@ def _symmetric_table(n: int) -> np.ndarray:
     # Permutations of 0..n-1 in lexicographic order; mul(p, q) applies q
     # first and then p, i.e. (p*q)(i) = p[q[i]].  Lexicographic order is
     # the order of the base-n codes, so a product's index is its code's
-    # rank.  One row at a time: the whole m x m x n gather would be large.
-    perms = np.array(symmetric_elements(n), dtype=np.int64)
-    w = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = perms @ w
+    # rank, read from an n^n lookup.  A block of rows takes its codes,
+    # uint16 as n^n <= 46,656, one digit p[q[k]] per pass.
+    perms = np.array(symmetric_elements(n), dtype=np.uint16)
+    rank = np.zeros(n ** n, dtype=TABLE_DTYPE)
+    rank[perms @ n ** np.arange(n - 1, -1, -1)] = np.arange(len(perms))
     t = np.empty((len(perms), len(perms)), dtype=TABLE_DTYPE)
-    for a, p in enumerate(perms):
-        t[a] = np.searchsorted(codes, p[perms] @ w)
+    step = max(1, CHECK_CELLS // len(t))
+    for i in range(0, len(t), step):
+        codes = perms[i:i + step, perms[:, 0]]
+        for k in range(1, n):
+            codes = codes * n + perms[i:i + step, perms[:, k]]
+        rank.take(codes, out=t[i:i + step])
     return t
 
 

@@ -2,6 +2,7 @@ import gc
 import itertools
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -96,22 +97,45 @@ def test_every_catalog_table_is_associative_by_the_oracle(spec):
     assert oracles.naive_first_nonassociative(oracles.table_rows(g)) is None
 
 
-@pytest.mark.parametrize(
+def block_ends(monkeypatch, n: int, block_rows: int | None) -> list[int]:
+    """Set group_mod.CHECK_CELLS to block_rows rows of an order-n table
+    plus one entry (None keeps the default, one block at these orders) and
+    return the last line of the first block and of the table, which sits in
+    a trailing partial block when the step does not divide n; a line is a
+    row or a column, as the check reads blocks of either."""
+    if block_rows is not None:
+        monkeypatch.setattr(group_mod, "CHECK_CELLS", block_rows * n + 1)
+    step = max(1, group_mod.CHECK_CELLS // n)
+    return [min(step, n) - 1, n - 1]
+
+
+BLOCKS = pytest.mark.parametrize("block_rows", [1, 5, None],
+                                 ids=["one_row", "five_rows_plus_one", "default"])
+SMALL_SPECS = pytest.mark.parametrize(
     "spec",
     [GroupSpec.symmetric(4), GroupSpec.dihedral(6),
      GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2))],
     ids=lambda s: s.describe(),
 )
-def test_corruptions_report_the_oracles_first_triple(spec):
+
+
+@BLOCKS
+@SMALL_SPECS
+def test_corruptions_report_the_oracles_first_triple(monkeypatch, spec, block_rows):
     """One-cell changes off the unit's row and column that keep every
     column's unit entry: the identity and the inverses survive, so only
-    associativity can fail, and it must fail at the oracle's triple."""
+    associativity can fail, and it must fail at the oracle's triple.  The
+    checks read the table in blocks of block_rows rows, and the first
+    changes fall in a row that ends a block."""
     g = build(spec)
+    ends = [r for r in block_ends(monkeypatch, g.order, block_rows) if r != g.unit]
     rng = np.random.default_rng(g.order)
     others = [x for x in range(g.order) if x != g.unit]
-    for _ in range(60):
+    for trial in range(60):
         rows = oracles.table_rows(g)
         i, j = (int(x) for x in rng.choice(others, size=2))
+        if trial < 6:
+            i = ends[trial % len(ends)]
         if rows[i][j] == g.unit:
             continue
         rows[i][j] = int(rng.choice([v for v in others if v != rows[i][j]]))
@@ -171,18 +195,18 @@ def test_unit_and_inverses_match_the_oracle(spec):
         assert unit_and_inverses(table) == oracles.naive_unit_and_inverses(table)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [GroupSpec.symmetric(4), GroupSpec.dihedral(6),
-     GroupSpec.product(GroupSpec.q8(), GroupSpec.cyclic(2))],
-    ids=lambda s: s.describe(),
-)
-def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(spec):
+@BLOCKS
+@SMALL_SPECS
+def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(monkeypatch, spec,
+                                                                      block_rows):
     """Seeded changes to a relabeled table: one cell of the unit's row or
     column (no unit is left), or the unit entry of one or two columns off
-    it (those columns have no left inverse; the first must be named)."""
+    it (those columns have no left inverse; the first must be named).  The
+    inverses are read in blocks of block_rows columns, and the first
+    changes fall in a line that ends a block."""
     g = build(spec)
     n = g.order
+    ends = block_ends(monkeypatch, n, block_rows)
     rng = np.random.default_rng(n)
     for trial in range(60):
         perm = rng.permutation(n)
@@ -194,6 +218,11 @@ def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(spec):
         else:
             xs = rng.choice([x for x in range(n) if x != unit], size=trial % 3, replace=False)
             cells = [([r[x] for r in rows].index(unit), int(x)) for x in xs]
+        end = ends[trial % 2]
+        if trial < 6 and trial % 3 == 0:
+            cells = [(end, unit) if trial else (unit, end)]  # the unit's column or row
+        elif trial < 6 and end != unit and end not in xs:
+            cells[0] = ([r[end] for r in rows].index(unit), end)  # the unit entry of column end
         for i, j in cells:
             rows[i][j] = int(rng.choice([v for v in range(n) if v != rows[i][j]]))
         want = oracles.naive_unit_and_inverses(rows)
@@ -212,6 +241,40 @@ def test_single_cell_corruption_rejected(n, data):
     t[i][j] = v
     with pytest.raises(GroupTheoryError):
         from_cayley_table(n, t)
+
+
+def test_validation_holds_the_int32_copy_and_blocks_only(monkeypatch):
+    """from_cayley_table's peak on S6 and Q8 x C2^7 (order 1,024), accepted
+    and with one cell changed off the unit's row and column: the table's
+    int32 copy plus four int64 entries per entry of a block."""
+    q = GroupSpec.q8()
+    for _ in range(7):
+        q = GroupSpec.product(q, GroupSpec.cyclic(2))
+
+    def peak(n, table):
+        tracemalloc.start()
+        try:
+            try:
+                from_cayley_table(n, table)
+            except NonAssociative:
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for g in (build(GroupSpec.symmetric(6)), build(q)):
+        n = g.order
+        assert g.unit == 0 and g.inv[n - 1] != 1
+        table = np.array(g.mul)
+        bad = table.copy()
+        bad[n - 1, 1] = bad[n - 1, 1] % (n - 1) + 1  # neither the unit nor itself
+        with pytest.raises(NonAssociative):
+            from_cayley_table(n, bad)
+        bound = 4 * n * n + 32 * group_mod.CHECK_CELLS
+        assert peak(n, table) <= bound and peak(n, bad) <= bound, n
+    # the measure sees one block holding the whole table
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", n * n)
+    assert peak(n, table) > bound
 
 
 def test_export_roundtrip(s3):
@@ -268,7 +331,9 @@ def test_symmetric_lex_order_and_composition():
         index = {p: i for i, p in enumerate(perms)}
         want = [[index[oracles.permutation_compose(p, q)] for q in perms]  # q, then p
                 for p in perms]
-        g = build(GroupSpec.symmetric(n))  # the table of group._symmetric_table
+        t = group_mod._symmetric_table(n)
+        assert t.dtype == group_mod.TABLE_DTYPE and t.tolist() == want, n
+        g = build(GroupSpec.symmetric(n))
         assert g.unit == 0 and g.mul.tolist() == want, n
 
 
