@@ -109,8 +109,8 @@ def block_ends(monkeypatch, n: int, block_rows: int | None) -> list[int]:
     return [min(step, n) - 1, n - 1]
 
 
-BLOCKS = pytest.mark.parametrize("block_rows", [1, 5, None],
-                                 ids=["one_row", "five_rows_plus_one", "default"])
+# block_ends' block_rows: one row, five rows plus one entry, the default
+BLOCK_ROWS = [1, 5, None]
 SMALL_SPECS = pytest.mark.parametrize(
     "spec",
     [GroupSpec.symmetric(4), GroupSpec.dihedral(6),
@@ -119,16 +119,21 @@ SMALL_SPECS = pytest.mark.parametrize(
 )
 
 
-@BLOCKS
 @SMALL_SPECS
-def test_corruptions_report_the_oracles_first_triple(monkeypatch, spec, block_rows):
+def test_corruptions_report_the_oracles_first_triple(monkeypatch, spec):
     """One-cell changes off the unit's row and column that keep every
     column's unit entry: the identity and the inverses survive, so only
     associativity can fail, and it must fail at the oracle's triple.  The
-    checks read the table in blocks of block_rows rows, and the first
-    changes fall in a row that ends a block."""
+    checks read the table in blocks of each of BLOCK_ROWS rows, and the
+    first changes fall in a row that ends a block."""
     g = build(spec)
-    ends = [r for r in block_ends(monkeypatch, g.order, block_rows) if r != g.unit]
+    for block_rows in BLOCK_ROWS:
+        with monkeypatch.context() as mp:
+            corrupt_off_the_unit(mp, g, block_rows)
+
+
+def corrupt_off_the_unit(mp, g, block_rows: int | None) -> None:
+    ends = [r for r in block_ends(mp, g.order, block_rows) if r != g.unit]
     rng = np.random.default_rng(g.order)
     others = [x for x in range(g.order) if x != g.unit]
     for trial in range(60):
@@ -141,7 +146,7 @@ def test_corruptions_report_the_oracles_first_triple(monkeypatch, spec, block_ro
         rows[i][j] = int(rng.choice([v for v in others if v != rows[i][j]]))
         with pytest.raises(NonAssociative) as exc:
             from_cayley_table(g.order, rows)
-        assert exc.value.triple == oracles.naive_first_nonassociative(rows), (i, j)
+        assert exc.value.triple == oracles.naive_first_nonassociative(rows), (block_rows, i, j)
 
 
 # the smallest loop that is not a group: a Latin square with unit 0
@@ -195,18 +200,22 @@ def test_unit_and_inverses_match_the_oracle(spec):
         assert unit_and_inverses(table) == oracles.naive_unit_and_inverses(table)
 
 
-@BLOCKS
 @SMALL_SPECS
-def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(monkeypatch, spec,
-                                                                      block_rows):
+def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(monkeypatch, spec):
     """Seeded changes to a relabeled table: one cell of the unit's row or
     column (no unit is left), or the unit entry of one or two columns off
     it (those columns have no left inverse; the first must be named).  The
-    inverses are read in blocks of block_rows columns, and the first
-    changes fall in a line that ends a block."""
+    inverses are read in blocks of each of BLOCK_ROWS columns, and the
+    first changes fall in a line that ends a block."""
     g = build(spec)
+    for block_rows in BLOCK_ROWS:
+        with monkeypatch.context() as mp:
+            remove_the_unit_or_an_inverse(mp, g, block_rows)
+
+
+def remove_the_unit_or_an_inverse(mp, g, block_rows: int | None) -> None:
     n = g.order
-    ends = block_ends(monkeypatch, n, block_rows)
+    ends = block_ends(mp, n, block_rows)
     rng = np.random.default_rng(n)
     for trial in range(60):
         perm = rng.permutation(n)
@@ -227,7 +236,7 @@ def test_corruptions_removing_the_unit_or_an_inverse_match_the_oracle(monkeypatc
             rows[i][j] = int(rng.choice([v for v in range(n) if v != rows[i][j]]))
         want = oracles.naive_unit_and_inverses(rows)
         assert want[0] == ("NoIdentity" if trial % 3 == 0 else "NoInverse")
-        assert unit_and_inverses(rows) == want, cells
+        assert unit_and_inverses(rows) == want, (block_rows, cells)
 
 
 @given(st.integers(2, 8), st.data())
