@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, ElemSet, set_of
+from .carrier import Carrier, ElemSet, membership_grid, set_of
 from .errors import (
     CarrierMismatch,
     FamilyNotClosed,
@@ -54,7 +54,7 @@ from .errors import (
 from .group import CHECK_CELLS, MAX_GROUP_ORDER, Group, conjugates, greedy_generators
 from .numutil import is_prime, padic_val
 from .report import Check
-from .subgroup import left_coset_numbering, left_index, require_nested_subgroups, subgroup_set
+from .subgroup import left_coset_roots, left_index, require_nested_subgroups, subgroup_set
 
 
 # Entries the largest temporary of one translation_batch call may hold: a
@@ -251,7 +251,7 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
     require_nested_subgroups(g, h, k)
     require_nested_subgroups(g, l, k)
 
-    roots, coset = left_coset_numbering(g, l, k)
+    roots, coset = left_coset_roots(g, l, k)
     table = coset[g.mul[h.as_array()[:, None], roots]]
     return make_action(g, h, Carrier(len(roots)), table, tuple(roots.tolist()))
 
@@ -353,10 +353,7 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     if any(h.card != k for h in hs):
         raise ValueError("the subgroups of a batch must have one order")
     dt = g.mul.dtype
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(h.bits.to_bytes(width, "little") for h in hs), np.uint8)
-    mask = np.unpackbits(packed.reshape(c, width), axis=1, count=n,
-                         bitorder="little").view(bool)
+    mask = membership_grid((h.bits for h in hs), n)
     ci = np.arange(c)[:, None]
     m = (np.flatnonzero(mask).reshape(c, k) - ci * n).astype(dt)  # members, ascending
     cj = ci[..., None]
@@ -370,8 +367,8 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     root = g.columns()[m].min(axis=1)  # root[i, x]: the least of x * H_i
     own = root == np.arange(n, dtype=dt)
     index = own.sum(axis=1)
-    s = int(index[0])
-    _require(index == s, hs, f"[G : H] == {s}, the first subgroup's index,")
+    s = int(np.count_nonzero(g.mul[:, m[0]].min(axis=1) == np.arange(n)))  # from the table
+    _require(index == s, hs, f"[G : H] == {s}, the table's count, on the cached columns")
     t1 = clock()
 
     roots = np.flatnonzero(own).reshape(c, s) - ci * n

@@ -113,6 +113,15 @@ def singleton(carrier: Carrier, i: int) -> ElemSet:
     return ElemSet(carrier, 1 << i)
 
 
+def membership_grid(bits: Iterable[int], size: int) -> np.ndarray:
+    """The boolean grid of members: one row per set of indicator bits in
+    ``bits``, one column per point of a carrier of ``size`` points."""
+    width = (size + 7) // 8
+    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=size,
+                         bitorder="little").view(bool)
+
+
 def set_of(carrier: Carrier, points: Iterable[int]) -> ElemSet:
     bits = 0
     for i in points:

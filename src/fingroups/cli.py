@@ -41,7 +41,7 @@ from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_chec
 from .cyclic import order
 from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec, quote_input
 from .group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, Group, GroupSpec, build, from_cayley_table
-from .report import Check, Report
+from .report import Check, Report, tally
 from .subgroup import closure
 from .suite import catalog_specs, verify_group
 from . import oracle as oracle_mod
@@ -347,9 +347,8 @@ def cmd_orbits(args) -> int:
     by_orbit = np.argsort(least, kind="stable")
     cuts = np.flatnonzero(np.diff(least[by_orbit])) + 1
     orbits = [orb.tolist() for orb in np.split(by_orbit, cuts)]
-    ok = orbit_stabilizer_counts(act)[3]
-    good = int(np.count_nonzero(ok))
-    c = Check("orbit_stabilizer", good == ok.size, good, ok.size, {"orbits": orbits})
+    c = tally("orbit_stabilizer", orbit_stabilizer_counts(act)[3])
+    c.witness = {"orbits": orbits}
     c.ms = (time.perf_counter() - t0) * 1000.0
     rep.checks.append(c)
 

@@ -22,9 +22,9 @@ import numpy as np
 from .carrier import ElemSet, set_of
 from .errors import InternalInvariant, InvalidSubgroup, NotNormal
 from .group import Group, conjugates, from_cayley_table
-from .report import Check
+from .report import Check, tally
 from .subgroup import (
-    left_coset_numbering,
+    left_coset_roots,
     require_nested_subgroups,
     right_index,
     subgroup_set,
@@ -101,7 +101,7 @@ def quotient_group(g: Group, h: ElemSet, k: ElemSet) -> QuotientGroup:
     if not is_normal(g, h, k):
         raise NotNormal("subgroup is not normal in the ambient group")
 
-    roots, proj = left_coset_numbering(g, h, k)
+    roots, proj = left_coset_roots(g, h, k)
     qgroup = from_cayley_table(len(roots), proj[g.mul[np.ix_(roots, roots)]])
 
     # the right cosets are counted apart from the roots the quotient is built on
@@ -123,27 +123,17 @@ def quotient_morphism_check(q: QuotientGroup) -> list[Check]:
 
     lhs = proj[g.mul[np.ix_(km, km)]]
     rhs = q.group.mul[np.ix_(proj[km], proj[km])]
-    morph_ok = np.array_equal(lhs, rhs)
-    witness = None
-    if not morph_ok:
-        i, j = np.argwhere(lhs != rhs)[0]
-        witness = [int(km[i]), int(km[j])]
 
-    unit_img = {int(proj[x]) for x in h}
-    kernel_ok = unit_img == {q.group.unit}
+    unit_img = sorted({int(proj[x]) for x in h})
 
     # embed(project(x)) must lie in xH, i.e. x^-1 * root in H
     root_pts = np.asarray([q.embed(int(proj[x])) for x in k])
     in_coset = h.mask()[g.mul[g.inv[km], root_pts]]
-    coset_ok = bool(in_coset.all())
 
     return [
-        Check("quotient_morphism", bool(morph_ok),
-              int(np.count_nonzero(lhs == rhs)), int(lhs.size), witness),
-        Check("quotient_kernel_to_unit", kernel_ok,
-              sorted(unit_img), [q.group.unit]),
-        Check("quotient_root_in_own_coset", coset_ok,
-              int(np.count_nonzero(in_coset)), int(in_coset.size)),
+        tally("quotient_morphism", lhs == rhs, lambda i, j: [int(km[i]), int(km[j])]),
+        Check("quotient_kernel_to_unit", unit_img == [q.group.unit], unit_img, [q.group.unit]),
+        tally("quotient_root_in_own_coset", in_coset),
     ]
 
 

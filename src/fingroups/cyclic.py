@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 from .carrier import ElemSet
 from .group import Group
 from .numutil import is_prime
-from .report import Check
+from .report import Check, tally
 
 
 def power(g: Group, a: int, n: int) -> int:
@@ -55,48 +57,21 @@ def phi(n: int) -> int:
 
 def phi_theorem_checks(bound: int) -> list[Check]:
     """Multiplicativity on coprime pairs and the prime-power formula,
-    exhaustively below the bound."""
+    exhaustively below the bound.  A failure's witness is the first pair
+    [m, n] in lexicographic order, or [p, e - 1] for the first p^e."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    table = [phi(n) for n in range(bound + 1)]
+    table = np.array([phi(n) for n in range(bound + 1)])
 
-    mult_total = mult_good = 0
-    mult_witness = None
-    for m in range(1, bound + 1):
-        for n in range(m, bound // m + 1):
-            if m * n > bound or gcd(m, n) != 1:
-                continue
-            mult_total += 1
-            if table[m * n] == table[m] * table[n]:
-                mult_good += 1
-            elif mult_witness is None:
-                mult_witness = [m, n]
+    # the coprime pairs m <= n with m * n <= bound, row-major over (m, n)
+    m, n = np.arange(1, isqrt(bound) + 1)[:, None], np.arange(1, bound + 1)
+    m, n = (a + 1 for a in np.nonzero((m <= n) & (m * n <= bound) & (np.gcd(m, n) == 1)))
+    mult = tally("phi_multiplicative", table[m * n] == table[m] * table[n],
+                 lambda i: [int(m[i]), int(n[i])])
 
-    pp_total = pp_good = 0
-    pp_witness = None
-    p = 2
-    while p <= bound:
-        if is_prime(p):
-            q = p * p
-            k = 0
-            while q <= bound:
-                pp_total += 1
-                if table[q] == q - q // p:
-                    pp_good += 1
-                elif pp_witness is None:
-                    pp_witness = [p, k + 1]
-                q *= p
-                k += 1
-            # p itself: phi(p) == p - 1
-            pp_total += 1
-            if table[p] == p - 1:
-                pp_good += 1
-            elif pp_witness is None:
-                pp_witness = [p, 0]
-        p += 1
-
-    return [
-        Check("phi_multiplicative", mult_good == mult_total, mult_good, mult_total,
-              mult_witness),
-        Check("phi_prime_power", pp_good == pp_total, pp_good, pp_total, pp_witness),
-    ]
+    # each prime power p^e <= bound, by p and then e = 2, 3, ... and 1 last
+    p, e = np.array([(r, e) for r in filter(is_prime, range(2, bound + 1))
+                     for e in [*range(2, bound.bit_length()), 1] if r ** e <= bound]).T
+    q = p ** e
+    pp = tally("phi_prime_power", table[q] == q - q // p, lambda i: [int(p[i]), int(e[i]) - 1])
+    return [mult, pp]

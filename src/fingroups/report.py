@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 
 @dataclass
@@ -38,6 +40,19 @@ class Check:
         if with_timing:
             d["ms"] = round(self.ms, 3)
         return d
+
+
+def tally(name: str, ok, witness: Callable[..., Any] | None = None) -> Check:
+    """The Check over many instances, ``ok`` holding one verdict each: lhs
+    counts the instances that pass and rhs all of them.  The witness is
+    witness(*i) for the first failing index i in row-major order, or None
+    when no callable is given."""
+    ok = np.asarray(ok, dtype=bool)
+    good = int(np.count_nonzero(ok))
+    found = None
+    if good < ok.size and witness is not None:
+        found = witness(*(int(v) for v in np.unravel_index(np.argmin(ok), ok.shape)))
+    return Check(name, good == ok.size, good, ok.size, found)
 
 
 @dataclass

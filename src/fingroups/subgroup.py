@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .carrier import ElemSet, set_of
+from .carrier import ElemSet, membership_grid, set_of
 from .errors import CarrierMismatch, InvalidSubgroup
 from .group import Group, conjugates, greedy_generators, reach
 from .report import Check
@@ -76,27 +76,18 @@ def right_coset(g: Group, h: ElemSet, a: int) -> ElemSet:
     return set_of(g.carrier, (rows[x][a] for x in h))
 
 
-def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> np.ndarray:
-    """Minimum-index representative of xH for each x in the domain, -1
-    elsewhere: the smallest of the products x*y over y in h.  Requires h
-    to be a subgroup and the domain to be a union of left cosets (as any
-    subgroup containing h is); then every root lies in the domain and the
-    gather is at most |G| by |G|, the size of the table."""
-    table = np.full(g.order, -1, dtype=np.int64)
+def left_coset_roots(g: Group, h: ElemSet, domain: ElemSet) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending roots of the left cosets xH in the domain, and for each
+    point the position of its coset's root among them, -1 outside the
+    domain.  The root of xH is its least member, the least x*y over y in h.
+    Requires h to be a subgroup and the domain a union of left cosets (as
+    any subgroup containing h is); then every root lies in the domain and
+    the gather is at most |G| by |G|, the size of the table."""
     d = domain.as_array()
-    table[d] = g.mul[d[:, None], h.as_array()].min(axis=1)
-    return table
-
-
-def left_coset_numbering(g: Group, h: ElemSet, domain: ElemSet) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending coset roots of left_coset_roots, and for each point
-    the position of its coset's root among them (-1 outside the domain).
-    The roots are exactly the points that are their own root."""
-    root_of = left_coset_roots(g, h, domain)
-    roots = np.flatnonzero(root_of == np.arange(g.order))
+    root_of = g.mul[d[:, None], h.as_array()].min(axis=1)
+    roots = d[root_of == d]
     number = np.full(g.order, -1, dtype=np.int64)
-    inside = root_of >= 0
-    number[inside] = np.searchsorted(roots, root_of[inside])
+    number[d] = np.searchsorted(roots, root_of)
     return roots, number
 
 
@@ -200,10 +191,7 @@ def subgroup_sample(g: Group) -> list[ElemSet]:
             gen.append(x)
         cyc_of[x] = index[c.bits]
     m = len(gen)
-    width = (g.order + 7) // 8
-    packed = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in index), np.uint8)
-    member = np.unpackbits(packed.reshape(m, width), axis=1, count=g.order,
-                           bitorder="little").view(bool)
+    member = membership_grid(index, g.order)
     inside = member[:, gen].T  # inside[i, j]: cyclic subgroup i lies in j
     idx = np.arange(m)
     upper = idx[:, None] < idx

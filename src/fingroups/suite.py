@@ -5,9 +5,9 @@ know: the defining axioms and their one-sided consequences, Lagrange over
 a generated subgroup sample, orbit counting for conjugation and coset
 translation, the fixed-point congruence where a p-power acts, Cauchy and
 the full Sylow battery for every prime divisor, and the totient theorems.
-Checks are aggregated per theorem (counts of passing instances, and a
-witness for the first failure only) so reports stay readable; the
-per-instance loops live in the test suite.
+Checks are aggregated per theorem by report.tally (counts of passing
+instances, and a witness for the first failure only) so reports stay
+readable; the per-instance loops live in the test suite.
 
 Lagrange, translation and the congruence run over the sample in batches:
 the sample is sorted by order and membership, so each order is one
@@ -42,7 +42,7 @@ from .group import (
     from_cayley_table,
 )
 from .numutil import prime_divisors, prime_power_base
-from .report import Check, Report
+from .report import Check, Report, tally
 from .subgroup import subgroup_sample
 from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 
@@ -77,23 +77,22 @@ def catalog() -> list[tuple[str, Group]]:
     return [(spec.describe(), build(spec)) for spec in catalog_specs()]
 
 
-def _aggregate(name: str, blocks: list[tuple[list, object]]) -> Check:
-    """(good, total, first failing witness) over blocks of (subgroups,
-    verdicts): one verdict per subgroup, or a row of one per point, with
-    None for the subgroup of an action of the whole group.  The first
-    failure's witness is its subgroup's members, then its point."""
-    oks = [np.asarray(ok) for _, ok in blocks]
-    good = sum(int(np.count_nonzero(ok)) for ok in oks)
-    total = sum(ok.size for ok in oks)
-    witness = None
-    if good < total:
-        b = next(b for b, ok in enumerate(oks) if not ok.all())
-        i = int(np.argmin(oks[b].reshape(len(oks[b]), -1).all(axis=1)))
-        h, ok = blocks[b][0][i], oks[b][i]
-        witness = {} if h is None else {"subgroup": list(h.indices())}
-        if ok.ndim:
-            witness["point"] = int(np.argmin(ok))
-    return Check(name, good == total, good, total, witness)
+def _aggregate(name: str, blocks: list[tuple[list, np.ndarray]]) -> Check:
+    """The tally over blocks of (subgroups, verdicts), in order: one verdict
+    per subgroup, or a row of one per point.  A failure's witness is its
+    subgroup's members, then its point."""
+    def witness(i: int) -> dict:
+        for hs, ok in blocks:  # the block of instance i, then its place there
+            if i < ok.size:
+                r, z = divmod(i, ok.size // len(ok))
+                found = {"subgroup": list(hs[r].indices())}
+                if ok.ndim > 1:
+                    found["point"] = z
+                return found
+            i -= ok.size
+
+    return tally(name, np.concatenate([np.ones(0, bool), *(ok.ravel() for _, ok in blocks)]),
+                 witness)
 
 
 def verify_group(g: Group, label: str) -> Report:
@@ -104,12 +103,9 @@ def verify_group(g: Group, label: str) -> Report:
         check.ms = (time.perf_counter() - t0) * 1000.0
         rep.checks.append(check)
 
+    rep.checks += check_identities(g)  # each law timed alone
+    laws = {c.name: c.ok for c in rep.checks}
     t0 = time.perf_counter()
-    laws = {}
-    for c in check_identities(g):
-        add(c, t0)
-        laws[c.name] = c.ok
-        t0 = time.perf_counter()
     # Every row and every column of the table is a permutation of the carrier.
     rows_ok = laws["identity:left_cancellation"]
     cols_ok = laws["identity:right_cancellation"]
@@ -143,8 +139,8 @@ def verify_group(g: Group, label: str) -> Report:
 
     t0 = time.perf_counter()
     conj = conjugation_action(g, full)
-    add(_aggregate("orbit_stabilizer:conjugation",
-                   [([None], [orbit_stabilizer_counts(conj)[3]])]), t0)
+    add(tally("orbit_stabilizer:conjugation", orbit_stabilizer_counts(conj)[3],
+              lambda z: {"point": z}), t0)
     p_whole = prime_power_base(g.order)
     if p_whole is not None:
         t0 = time.perf_counter()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations, islice, product
+from math import gcd
 
 # the error class and the size bound, not logic, come from the package
 from fingroups.errors import ParseError
@@ -386,6 +387,79 @@ def phi_formula(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def naive_phi_theorem_checks(bound: int, phi) -> list[tuple]:
+    """phi_theorem_checks by its original two loops, over the function
+    phi, as (name, ok, passing, total, witness) for each of its checks."""
+    table = [phi(n) for n in range(bound + 1)]
+
+    mult_total = mult_good = 0
+    mult_witness = None
+    for m in range(1, bound + 1):
+        for n in range(m, bound // m + 1):
+            if m * n > bound or gcd(m, n) != 1:
+                continue
+            mult_total += 1
+            if table[m * n] == table[m] * table[n]:
+                mult_good += 1
+            elif mult_witness is None:
+                mult_witness = [m, n]
+
+    pp_total = pp_good = 0
+    pp_witness = None
+    for p in range(2, bound + 1):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        q = p * p
+        k = 0
+        while q <= bound:
+            pp_total += 1
+            if table[q] == q - q // p:
+                pp_good += 1
+            elif pp_witness is None:
+                pp_witness = [p, k + 1]
+            q *= p
+            k += 1
+        # p itself: phi(p) == p - 1
+        pp_total += 1
+        if table[p] == p - 1:
+            pp_good += 1
+        elif pp_witness is None:
+            pp_witness = [p, 0]
+
+    return [
+        ("phi_multiplicative", mult_good == mult_total, mult_good, mult_total, mult_witness),
+        ("phi_prime_power", pp_good == pp_total, pp_good, pp_total, pp_witness),
+    ]
+
+
+def naive_identity_laws(rows: list[list[int]], unit: int, inv: list[int]) -> list[tuple]:
+    """check_identities' nine laws by loops over the rows and the given
+    inverses, as (name, ok, passing, total, witness): each law's instances
+    in the row-major order of its grid, the witness the first failing
+    instance's index."""
+    r = range(len(rows))
+    sorted_rows = [sorted(row) for row in rows]
+    sorted_cols = [sorted(rows[x][y] for x in r) for y in r]
+    laws = {
+        "right_unit": {(x,): rows[x][unit] == x for x in r},
+        "unit_self_inverse": {(0,): inv[unit] == unit},
+        "right_inverse": {(x,): rows[x][inv[x]] == unit for x in r},
+        "inverse_involution": {(x,): inv[inv[x]] == x for x in r},
+        "inverse_of_product": {(b, a): inv[rows[b][a]] == rows[inv[a]][inv[b]]
+                               for b in r for a in r},
+        "left_cancellation": {(x, j): sorted_rows[x][j] == j for x in r for j in r},
+        "right_cancellation": {(i, y): sorted_cols[y][i] == i for i in r for y in r},
+        "solve_right_inverse": {(a, b): rows[rows[b][inv[a]]][a] == b for a in r for b in r},
+        "solve_right_multiply": {(a, b): rows[rows[b][a]][inv[a]] == b for a in r for b in r},
+    }
+    out = []
+    for name, grid in laws.items():
+        fails = [i for i, ok in grid.items() if not ok]
+        out.append((f"identity:{name}", not fails, len(grid) - len(fails), len(grid),
+                    list(fails[0]) if fails else None))
+    return out
 
 
 def permutation_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

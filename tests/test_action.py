@@ -696,6 +696,23 @@ def test_a_corrupted_column_cache_never_passes_unnoticed(monkeypatch, s4):
     assert faults == {"[G : H]", "each acting element permutes the cosets", "(x*y).z"}
 
 
+def test_a_batch_of_one_subgroup_counts_its_index_on_the_table(monkeypatch, s4):
+    # a batch of one subgroup has no second index in its chunk to compare
+    # with: a corrupted column cache must raise, or leave the index right
+    lone = [h for h in subgroup_sample(s4) if h.card in (1, s4.order)]
+    assert len(lone) == 2
+    columns = s4.columns()
+    for seed in range(40):
+        for swap in (False, True):
+            monkeypatch.setattr(s4, "_columns", corrupted_columns(columns, seed, swap))
+            for h in lone:
+                try:
+                    index = action_mod.translation_batch(s4, [h]).index.tolist()
+                except InternalInvariant:
+                    continue
+                assert index == [s4.order // h.card], (seed, swap, h.card)
+
+
 def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
     spec = GroupSpec.q8()
     for _ in range(5):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fingroups import Check, GroupSpec, Report, build, closure, set_of, subgroup_sample
+from fingroups import Carrier, Check, GroupSpec, Report, build, closure, set_of, subgroup_sample
 from fingroups import action as action_mod
 from fingroups import cli as cli_mod
 from fingroups import suite as suite_mod
@@ -29,7 +29,7 @@ from fingroups.errors import (
     ParseError,
     UnsupportedSpec,
 )
-from fingroups.group import spec_order
+from fingroups.report import tally
 from fingroups.suite import catalog_specs, verify_group
 from fingroups.sylow import TUPLE_CAP_ENV
 
@@ -383,6 +383,32 @@ def test_render_text_marks_failures():
     assert "pass" in text and "FAIL" in text
 
 
+def test_tally_counts_and_names_the_first_row_major_failure():
+    ok = np.ones((3, 4), dtype=bool)
+    ok[2, 0] = ok[1, 3] = False
+    assert tally("t", ok, lambda i, j: [i, j]) == Check("t", False, 10, 12, [1, 3])
+    assert tally("t", ok.T, lambda i, j: [i, j]) == Check("t", False, 10, 12, [0, 2])
+    assert tally("t", ok) == Check("t", False, 10, 12)
+    assert tally("t", ok[0], lambda z: z) == Check("t", True, 4, 4)
+    assert tally("t", np.ones(0, dtype=bool), lambda z: z) == Check("t", True, 0, 0)
+
+
+def test_aggregate_names_the_first_failure_of_a_later_block():
+    c = Carrier(6)
+    first = [set_of(c, [0]), set_of(c, [1])]
+    later = [set_of(c, [0, 2]), set_of(c, [0, 3]), set_of(c, [0, 4])]
+    # blocks of rows 4 and 3 points wide; the later one fails at (1, 2) and (2, 0)
+    ok = np.ones((3, 3), dtype=bool)
+    ok[1, 2] = ok[2, 0] = False
+    got = suite_mod._aggregate("a", [(first, np.ones((2, 4), dtype=bool)), (later, ok)])
+    assert got == Check("a", False, 15, 17, {"subgroup": [0, 3], "point": 2})
+    # one verdict per subgroup: the witness is the subgroup alone
+    got = suite_mod._aggregate("a", [(first, np.array([True, True])),
+                                     (later, np.array([True, False, False]))])
+    assert got == Check("a", False, 3, 5, {"subgroup": [0, 3]})
+    assert suite_mod._aggregate("a", []) == Check("a", True, 0, 0)
+
+
 def test_verify_group_all_pass(q8):
     rep = verify_group(q8, "q8")
     assert rep.ok
@@ -734,7 +760,7 @@ def small_or_refused(ref: str) -> bool:
     """False only for grammar naming a group of order above 64, left out to
     keep the run short; refused grammar and non-grammar stay in."""
     try:
-        return spec_order(parse_group_ref(ref)) <= 64
+        return build(parse_group_ref(ref)).order <= 64
     except (ValueError, GroupTheoryError):
         return True
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,10 @@ from fingroups import (
     subgroup_sample,
 )
 from fingroups.conjnormal import conjugacy_family
-from fingroups import subgroup as subgroup_mod
+from fingroups import conjnormal as conjnormal_mod
 from fingroups.errors import InternalInvariant, InvalidSubgroup, NotNormal
 from fingroups.group import conjugates
+from fingroups.report import Check
 
 import oracles
 
@@ -243,6 +246,24 @@ def test_morphism_checks_pass(s4):
             assert q.group.order == left_index(s4, cand, full)
 
 
+@pytest.mark.parametrize("x", [1, 5, 17])
+def test_a_corrupted_projection_names_the_first_failing_pair(s4, x):
+    # x sent to the next quotient point: the morphism fails first at the
+    # row-major first pair (a, b) of K with proj(a*b) != proj(a)proj(b)
+    full = s4.full_set()
+    v4 = next(h for h in subgroup_sample(s4) if h.card == 4 and is_normal(s4, h, full))
+    q = quotient_group(s4, v4, full)
+    proj = q.proj_table.copy()
+    proj[x] = (proj[x] + 1) % q.group.order
+    morph, kernel, coset = quotient_morphism_check(dataclasses.replace(q, proj_table=proj))
+    rows, qrows, km = s4.rows(), q.group.rows(), list(full)
+    fails = [[a, b] for a in km for b in km if proj[rows[a][b]] != qrows[proj[a]][proj[b]]]
+    assert morph == Check("quotient_morphism", False, 24 * 24 - len(fails), 24 * 24, fails[0])
+    assert kernel.ok == (x not in v4)
+    own = [rows[s4.inv[a]][q.roots[proj[a]]] in v4 for a in km]
+    assert coset == Check("quotient_root_in_own_coset", False, sum(own), 24)
+
+
 def test_quotient_order_is_checked_against_the_right_cosets(monkeypatch, s4):
     # left_coset_roots made to return A4's roots for V4: the quotient comes
     # out a valid group of order 2, and the right cosets count 6
@@ -250,8 +271,8 @@ def test_quotient_order_is_checked_against_the_right_cosets(monkeypatch, s4):
     sample = subgroup_sample(s4)
     v4 = next(h for h in sample if h.card == 4 and is_normal(s4, h, full))
     a4 = next(h for h in sample if h.card == 12)
-    real = subgroup_mod.left_coset_roots
-    monkeypatch.setattr(subgroup_mod, "left_coset_roots", lambda g, h, d: real(g, a4, d))
+    real = conjnormal_mod.left_coset_roots
+    monkeypatch.setattr(conjnormal_mod, "left_coset_roots", lambda g, h, d: real(g, a4, d))
     with pytest.raises(InternalInvariant, match="subgroup index"):
         quotient_group(s4, v4, full)
 

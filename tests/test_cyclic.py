@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,8 +14,11 @@ from fingroups import (
     symmetric_elements,
 )
 from fingroups.numutil import is_prime, prime_divisors
+from fingroups.report import Check
 
 import oracles
+
+cyclic_mod = importlib.import_module("fingroups.cyclic")  # the package's cyclic is the function
 
 
 # -- iterated powers -----------------------------------------------------
@@ -108,6 +113,23 @@ def test_phi_theorem_checks():
     checks = phi_theorem_checks(120)
     assert [c.name for c in checks] == ["phi_multiplicative", "phi_prime_power"]
     assert all(c.ok for c in checks)
+
+
+def test_phi_theorem_checks_match_the_loops():
+    for bound in [*range(2, 131), 240, 1024]:
+        want = [Check(*c) for c in oracles.naive_phi_theorem_checks(bound, phi)]
+        assert phi_theorem_checks(bound) == want, bound
+
+
+@pytest.mark.parametrize("wrong", [6, 9, 12, 25, 30, 49, 97])
+def test_phi_theorem_checks_match_the_loops_on_a_wrong_phi(monkeypatch, wrong):
+    def bad(n):
+        return phi(n) + (n == wrong)
+
+    monkeypatch.setattr(cyclic_mod, "phi", bad)
+    got = phi_theorem_checks(120)
+    assert got == [Check(*c) for c in oracles.naive_phi_theorem_checks(120, bad)]
+    assert not all(c.ok for c in got)
 
 
 def test_phi_theorem_bound_validation():

@@ -2,6 +2,7 @@ import gc
 import itertools
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 
@@ -26,7 +27,7 @@ from fingroups.errors import (
     UnsupportedSpec,
 )
 from fingroups import group as group_mod
-from fingroups.group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, MAX_SYMMETRIC_DEGREE, spec_order
+from fingroups.group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, MAX_SYMMETRIC_DEGREE
 from fingroups.suite import catalog_specs, verify_group
 
 import oracles
@@ -191,7 +192,7 @@ def unit_and_inverses(rows: list[list[int]]):
     return ("unit", g.unit, g.inv.tolist())
 
 
-@pytest.mark.parametrize("spec", [s for s in catalog_specs() if spec_order(s) <= 24],
+@pytest.mark.parametrize("spec", [s for s in catalog_specs() if build(s).order <= 24],
                          ids=lambda s: s.describe())
 def test_unit_and_inverses_match_the_oracle(spec):
     rows = oracles.table_rows(build(spec))
@@ -394,7 +395,7 @@ def test_order_bound_refuses_before_any_table(monkeypatch, spec, order):
 
     for name in ("_cyclic_table", "_dihedral_table", "_product_table", "from_cayley_table"):
         monkeypatch.setattr(group_mod, name, no_table)
-    assert spec_order(spec) == order > MAX_GROUP_ORDER
+    assert order > MAX_GROUP_ORDER
     with pytest.raises(UnsupportedSpec, match=f"order {order} exceeds"):
         build(spec)
 
@@ -411,7 +412,7 @@ def test_order_bound_admits_up_to_the_maximum(monkeypatch):
         build(GroupSpec.cyclic(MAX_GROUP_ORDER))
     with pytest.raises(UnsupportedSpec):
         build(GroupSpec.cyclic(MAX_GROUP_ORDER + 1))
-    assert spec_order(GroupSpec.symmetric(MAX_SYMMETRIC_DEGREE)) <= MAX_GROUP_ORDER
+    assert build(GroupSpec.symmetric(MAX_SYMMETRIC_DEGREE)).order <= MAX_GROUP_ORDER
 
 
 def nested_spec(levels):
@@ -431,7 +432,7 @@ def test_product_nesting_is_bounded_for_specs_built_in_code():
     for _ in range(64):
         shared = GroupSpec.product(shared, shared)
     with pytest.raises(UnsupportedSpec, match="nest at most"):
-        spec_order(shared)
+        build(shared)
 
 
 def shared_spec(levels: int, leaf: GroupSpec) -> GroupSpec:
@@ -448,11 +449,11 @@ def test_a_part_shared_at_every_level_is_built_once(monkeypatch):
     validate = group_mod.from_cayley_table
     monkeypatch.setattr(group_mod, "from_cayley_table",
                         lambda n, table: sizes.append(n) or validate(n, table))
-    assert spec_order(spec) == 1
     assert build(spec).order == 1
     assert sizes == [1] * (MAX_PRODUCT_DEPTH + 1)
     # with a part of order 2 the orders square at each level
-    assert spec_order(shared_spec(5, GroupSpec.cyclic(2))) == 2**32
+    with pytest.raises(UnsupportedSpec, match=f"order {2**32} exceeds"):
+        build(shared_spec(5, GroupSpec.cyclic(2)))
     with pytest.raises(UnsupportedSpec, match=f"order {2**16} exceeds"):
         build(shared_spec(4, GroupSpec.cyclic(2)))
     sizes.clear()
@@ -550,6 +551,42 @@ def test_identity_laws(spec):
     checks = check_identities(g)
     assert [c.name for c in checks] == LAW_NAMES
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(4), GroupSpec.cyclic(12)],
+                         ids=lambda s: s.describe())
+def test_identity_witnesses_on_a_table_corrupted_after_validation(spec, swap):
+    # one entry overwritten, or two columns exchanged (every row stays a
+    # permutation); the inverses stay those of the valid table
+    g = build(spec)
+    failed = 0
+    for seed in range(10):
+        t = g.mul.copy()
+        r, c, v = np.random.default_rng(seed).integers(g.order, size=3)
+        shift = 1 + v % (g.order - 1)  # to another column, or another value
+        if swap:
+            d = (c + shift) % g.order
+            t[:, [c, d]] = t[:, [d, c]]
+        else:
+            t[r, c] = (t[r, c] + shift) % g.order
+        got = check_identities(group_mod.Group(g.carrier, g.unit, g.inv.copy(), t))
+        want = oracles.naive_identity_laws(t.tolist(), g.unit, g.inv.tolist())
+        assert [(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in got] == want, seed
+        failed += sum(not c.ok for c in got)
+    assert failed
+
+
+def test_each_identity_law_is_timed_alone(monkeypatch, s4):
+    # a fake clock reading k * k seconds at its k-th read: the law between
+    # reads k and k + 1 takes 2k + 1 s, in check_identities and in verify
+    want = [1000.0 * (2 * k + 1) for k in range(len(LAW_NAMES))]
+    for run in (check_identities, lambda g: verify_group(g, "s4").checks[:len(LAW_NAMES)]):
+        reads = (float(k * k) for k in itertools.count())
+        monkeypatch.setattr(time, "perf_counter", lambda: next(reads))
+        checks = run(s4)
+        assert [c.name for c in checks] == LAW_NAMES
+        assert [c.ms for c in checks] == want
 
 
 def test_latin_square(s4):
