@@ -367,7 +367,7 @@ def cmd_quotient(args) -> int:
     h = closure(g, _parse_points(g, args.gens))
     quot = quotient_group(g, h, g.full_set())
     rep = Report(group=label, order=g.order)
-    table = quot.group.export_table()
+    table = quot.group.export_table().tolist()
     rep.checks.append(
         Check("quotient_order", quot.group.order * h.card == g.order,
               quot.group.order * h.card, g.order,

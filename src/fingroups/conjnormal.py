@@ -2,10 +2,10 @@
 
 One convention: conjugating y by x gives x * y * x^-1, and every
 conjugate is read off group.conjugates, one grid per call.  So
-conjugate_set(g, h, x) is x H x^-1.  Normality and the normalizer pass the
-inverses of K as the conjugators and so test x^-1 * y * x over K; normality
-of H in K only demands that x^-1 H x lie inside H for every x in K, and
-equality then follows because conjugation preserves cardinality.
+conjugate_set(g, h, x) is x H x^-1.  Normality and the normalizer read one
+(|K|, |H|) grid, which says for each x in K whether x^-1 H x lies inside H:
+H is normal in K when every x passes, and the normalizer is the x that
+pass.  Containment is enough, since conjugation preserves cardinality.
 
 Quotients are concrete groups: the carrier re-indexes the minimum-index
 coset representatives, multiplication is multiply-then-take-root, and the
@@ -46,25 +46,24 @@ def conjugacy_family(g: Group, k: ElemSet, base: ElemSet) -> list[ElemSet]:
     return [set_of(base.carrier, m) for m in sorted(distinct.values())]
 
 
+def _normalizes(g: Group, h: ElemSet, xs: np.ndarray) -> np.ndarray:
+    """For each x in xs, whether x^-1 * y * x lies in H for every y in H."""
+    return h.mask()[conjugates(g, g.inv[xs], h.as_array())].all(axis=1)
+
+
 def is_normal(g: Group, h: ElemSet, k: ElemSet) -> bool:
-    """Whether x^-1 * y * x lies in H for every x in K and y in H.  For
-    subgroups that is H normal in K: containment one way is enough, since
-    conjugation is a bijection and the cardinalities match."""
+    """Whether x^-1 H x lies inside H for every x in K: for subgroups, H
+    normal in K."""
     if not h.bits or not k.bits:
         return not h.bits
-    return bool(h.mask()[conjugates(g, g.inv[k.as_array()], h.as_array())].all())
+    return bool(_normalizes(g, h, k.as_array()).all())
 
 
 def normalizer(g: Group, h: ElemSet, k: ElemSet) -> ElemSet:
-    """The x in K for which x^-1 * y * x lies in H exactly when y does, for
-    every y in K: one (|K|, |K|) comparison.  For subgroups H inside K that
-    is x H x^-1 == H; the agreement test is quantified over K, matching the
-    containment context in which the normalizer gets used."""
+    """The x in K with x^-1 H x inside H, so x H x^-1 == H for H inside K."""
     require_nested_subgroups(g, h, k)
     km = k.as_array()
-    hmask = h.mask()
-    agree = hmask[conjugates(g, g.inv[km], km)] == hmask[km]
-    return set_of(g.carrier, km[agree.all(axis=1)].tolist())
+    return set_of(g.carrier, km[_normalizes(g, h, km)].tolist())
 
 
 @dataclass(eq=False)

@@ -105,9 +105,9 @@ class Group:
             self._columns.setflags(write=False)
         return self._columns
 
-    def export_table(self) -> list[list[int]]:
-        """The Cayley table, suitable to feed back into from_cayley_table."""
-        return self.mul.tolist()
+    def export_table(self) -> np.ndarray:
+        """A writable copy of the Cayley table, for from_cayley_table."""
+        return self.mul.copy()
 
     def __repr__(self) -> str:
         return f"Group(order={self.order}, unit={self.unit})"

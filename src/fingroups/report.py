@@ -23,7 +23,7 @@ class Check:
     lhs: Any
     rhs: Any
     witness: Any = None
-    ms: float = 0.0
+    ms: float = field(default=0.0, compare=False)  # a timing, not part of the verdict
 
     @property
     def status(self) -> str:

@@ -163,9 +163,5 @@ def verify_group(g: Group, label: str) -> Report:
         rep.checks += [order_check, *counting]
         rep.certificates.append(cert.to_certificate_dict())
 
-    t0 = time.perf_counter()
-    for c in phi_theorem_checks(max(2, g.order)):
-        add(c, t0)
-        t0 = time.perf_counter()
-
+    rep.checks += phi_theorem_checks(max(2, g.order))  # each check timed alone
     return rep

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from fingroups import (
     quotient_morphism_check,
     set_of,
     subgroup_sample,
+    sylow_subgroup,
 )
 from fingroups.conjnormal import conjugacy_family
 from fingroups import conjnormal as conjnormal_mod
 from fingroups.errors import InternalInvariant, InvalidSubgroup, NotNormal
 from fingroups.group import conjugates
+from fingroups.numutil import prime_divisors
 from fingroups.report import Check
 
 import oracles
@@ -180,6 +183,40 @@ def test_conjugation_layer_matches_naive(spec, seed):
             else:
                 with pytest.raises(InvalidSubgroup):
                     normalizer(g, h, k)
+
+
+@pytest.mark.parametrize("spec, seed", CONJ_GROUPS,
+                         ids=[f"{s.describe()}-seed{n}" for s, n in CONJ_GROUPS])
+def test_normality_on_the_sylow_chains_matches_naive(spec, seed):
+    """normalizer and is_normal in the whole group against the oracles, for
+    every member of the Sylow chain of every prime, sampled or not."""
+    g = relabeled(spec, seed) if seed else build(spec)
+    rows = oracles.table_rows(g)
+    full = g.full_set()
+    kset = frozenset(full.indices())
+    for p in prime_divisors(g.order):
+        for hi in sylow_subgroup(g, full, p).chain:
+            hset = frozenset(hi.indices())
+            want = oracles.naive_normalizer(rows, g.unit, hset, kset)
+            assert frozenset(normalizer(g, hi, full).indices()) == want, (p, hset)
+            assert is_normal(g, hi, full) == oracles.naive_is_normal(rows, g.unit, hset, kset)
+
+
+def test_normalizer_reads_a_grid_over_h_not_over_k():
+    """On C1024 with |H| = 2 the grid of conjugates holds 2,048 cells; one of
+    |K|^2 = 2^20 cells would peak at several MiB."""
+    g = build(GroupSpec.cyclic(1024))
+    h = members(g, [0, 512])
+    full = g.full_set()
+    normalizer(g, h, full)  # proves H and K subgroups, outside the measure
+    tracemalloc.start()
+    try:
+        got = normalizer(g, h, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.card == 1024
+    assert peak < 1 << 20
 
 
 # -- quotients -----------------------------------------------------------

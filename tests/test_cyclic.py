@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from fingroups import (
 )
 from fingroups.numutil import is_prime, prime_divisors
 from fingroups.report import Check
+from fingroups.suite import verify_group
 
 import oracles
 
@@ -130,6 +133,19 @@ def test_phi_theorem_checks_match_the_loops_on_a_wrong_phi(monkeypatch, wrong):
     got = phi_theorem_checks(120)
     assert got == [Check(*c) for c in oracles.naive_phi_theorem_checks(120, bad)]
     assert not all(c.ok for c in got)
+
+
+def test_each_phi_check_is_timed_alone(monkeypatch, s4):
+    # a fake clock reading k * k seconds at its k-th read: the check between
+    # reads k and k + 1 takes 2k + 1 s, the phi table counting with the first
+    reads = (float(k * k) for k in itertools.count())
+    monkeypatch.setattr(time, "perf_counter", lambda: next(reads))
+    assert [c.ms for c in phi_theorem_checks(120)] == [1000.0, 3000.0]
+    # verify keeps those stamps: two checks timed from three reads in a row
+    mult, pp = verify_group(s4, "s4").checks[-2:]
+    assert (mult.name, pp.name) == ("phi_multiplicative", "phi_prime_power")
+    k = (mult.ms / 1000.0 - 1) / 2
+    assert k == int(k) and pp.ms == 1000.0 * (2 * k + 3)
 
 
 def test_phi_theorem_bound_validation():

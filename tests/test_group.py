@@ -294,6 +294,14 @@ def test_export_roundtrip(s3):
     assert np.array_equal(rebuilt.inv, s3.inv)
 
 
+def test_export_is_a_writable_copy(s4):
+    table = s4.export_table()
+    assert np.array_equal(table, s4.mul) and table.dtype.kind == "i"
+    assert not np.shares_memory(table, s4.mul)
+    table[0, 0] = 1  # writable, and the group's table is untouched
+    assert s4.mul[0, 0] == 0
+
+
 def test_tables_are_read_only(z6):
     with pytest.raises(ValueError):
         z6.mul[0, 0] = 3
