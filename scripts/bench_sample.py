@@ -8,7 +8,10 @@ and the Cauchy and Sylow order checks for each prime (cauchy_order[p=...],
 sylow_order[p=...]).  Its table layer is timed --repeat times too:
 build_ms lists the milliseconds resolve_group takes to build the group
 (build(spec) for catalog grammar), validate_ms those from_cayley_table
-takes to validate its table again.
+takes to validate its table again.  A report's lagrange time includes
+building the subgroup sample, which reports before the checks' ms added
+up to verify's wall time left out, so lagrange times in earlier
+BENCH_*.json runs are not comparable with new ones.
 Before timing, every sample subgroup's counts are compared route against
 route: translation_batch's index, orbit sizes, stabilizer orders and
 indices and fixed points against the single-instance functions'

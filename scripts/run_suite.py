@@ -5,6 +5,9 @@ Usage:
     python scripts/run_suite.py              # table of per-group results
     python scripts/run_suite.py --json       # one JSON report per line
     python scripts/run_suite.py --only s4 q8 # restrict to some references
+
+A group's ms is the sum of its checks' ms, which is the whole
+verify_group time.
 """
 
 import argparse

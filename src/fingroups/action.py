@@ -32,7 +32,6 @@ out raises InternalInvariant, naming the first subgroup at fault.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator, Sequence
@@ -53,7 +52,7 @@ from .errors import (
 )
 from .group import CHECK_CELLS, MAX_GROUP_ORDER, Group, conjugates, greedy_generators
 from .numutil import is_prime, padic_val
-from .report import Check
+from .report import Check, Clock
 from .subgroup import left_coset_roots, left_index, require_nested_subgroups, subgroup_set
 
 
@@ -295,15 +294,15 @@ class TranslationBatch:
     acting by translation on its s left cosets in G (the points, in
     ascending order of their roots): each index [G : H], each point's
     orbit size, stabilizer order and stabilizer index in H, as (c, s)
-    arrays, and the points each H fixes.  ``secs`` holds the seconds spent
-    on the indices, on the actions and on the fixed points."""
+    arrays, and the points each H fixes.  ``ms`` holds the laps spent on
+    the indices, on the actions and on the fixed points."""
 
     index: np.ndarray
     orbit: np.ndarray
     stab_order: np.ndarray
     stab_index: np.ndarray
     fixed: np.ndarray
-    secs: tuple[float, float, float]
+    ms: tuple[float, float, float]
 
 
 def sample_batches(g: Group, sample: Sequence[ElemSet]) -> Iterator[list[ElemSet]]:
@@ -345,8 +344,7 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     temporary holds at most c * k * |G| entries.  A set that is no subgroup
     raises InvalidSubgroup; indices that differ, a table that breaks a law
     or a stabilizer that is no subgroup raise InternalInvariant."""
-    clock = time.perf_counter
-    t0 = clock()
+    clock = Clock()
     n, k, c = g.order, hs[0].card, len(hs)
     if any(h.carrier != g.carrier for h in hs):
         raise CarrierMismatch("set does not live on the group's carrier")
@@ -369,7 +367,7 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     index = own.sum(axis=1)
     s = int(np.count_nonzero(g.mul[:, m[0]].min(axis=1) == np.arange(n)))  # from the table
     _require(index == s, hs, f"[G : H] == {s}, the table's count, on the cached columns")
-    t1 = clock()
+    laps = [clock.lap()]
 
     roots = np.flatnonzero(own).reshape(c, s) - ci * n
     number = np.empty((c, n), dtype=dt)  # number[i, r]: the point of the root r
@@ -416,8 +414,8 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     _require(closed, hs, "each stabilizer is a subgroup", rc)
     least = np.where(stab[:, None, :], prod[rc], n).min(axis=2)  # x's root modulo it
     stab_index = (least == m[rc]).sum(axis=1)[which].reshape(c, s)
-    t2 = clock()
+    laps.append(clock.lap())
 
     fixed = fixes.all(axis=1).sum(axis=1)
     return TranslationBatch(index, orbit, fixes.sum(axis=1), stab_index, fixed,
-                            (t1 - t0, t2 - t1, clock() - t2))
+                            (*laps, clock.lap()))

@@ -25,7 +25,6 @@ import json
 import os
 import re
 import sys
-import time
 from itertools import accumulate
 
 import numpy as np
@@ -41,7 +40,7 @@ from .conjnormal import conjugacy_family, quotient_group, quotient_morphism_chec
 from .cyclic import order
 from .errors import GroupTheoryError, InternalInvariant, ParseError, UnsupportedSpec, quote_input
 from .group import MAX_GROUP_ORDER, MAX_PRODUCT_DEPTH, Group, GroupSpec, build, from_cayley_table
-from .report import Check, Report, tally
+from .report import Check, Clock, Report, tally
 from .subgroup import closure
 from .suite import catalog_specs, verify_group
 from . import oracle as oracle_mod
@@ -275,14 +274,14 @@ def cmd_verify(args) -> int:
 
 def cmd_sylow(args) -> int:
     label, g = resolve_group(args.group)
+    clock = Clock()
     full = g.full_set()
     p = args.p
     cert, family, order_check, counting = sylow_battery(g, full, p)
-    rep = Report(group=label, order=g.order, checks=[order_check, *counting],
+    rep = Report(group=label, order=g.order, checks=clock.stamp(order_check, *counting),
                  certificates=[cert.to_certificate_dict()])
 
     if args.oracle:
-        t0 = time.perf_counter()
         brute = oracle_mod.sylow_family_bruteforce(g, full, p)
         agree = [s.indices() for s in family] == [s.indices() for s in brute]
         diff = None
@@ -295,9 +294,8 @@ def cmd_sylow(args) -> int:
                 "only_bruteforce": [list(ElemSet(g.carrier, b).indices())
                                     for b in sorted(theirs - ours)],
             }
-        c = Check("oracle_family_agreement", agree, len(family), len(brute), diff)
-        c.ms = (time.perf_counter() - t0) * 1000.0
-        rep.checks.append(c)
+        rep.checks += clock.stamp(
+            Check("oracle_family_agreement", agree, len(family), len(brute), diff))
 
     count = len(family)
     return _emit(rep, args.json, [
@@ -308,21 +306,20 @@ def cmd_sylow(args) -> int:
 
 def cmd_cauchy(args) -> int:
     label, g = resolve_group(args.group)
+    clock = Clock()
     p = args.p
     rep = Report(group=label, order=g.order)
     trace: list[str] = []
-    t0 = time.perf_counter()
     a = cauchy_element(g, g.full_set(), p, trace)
     got = order(g, a)
-    c = Check(f"cauchy_order[p={p}]", got == p, got, p, {"element": int(a)})
-    c.ms = (time.perf_counter() - t0) * 1000.0
-    rep.checks.append(c)
+    rep.checks += clock.stamp(Check(f"cauchy_order[p={p}]", got == p, got, p, {"element": int(a)}))
     rep.certificates.append(cauchy_certificate(p, a, trace))
     return _emit(rep, args.json, [f"  element {a} has order {p}"])
 
 
 def cmd_orbits(args) -> int:
     label, g = resolve_group(args.group)
+    clock = Clock()  # the check's time includes building the action
     acting = closure(g, _parse_points(g, args.acting_gens)) if args.acting_gens \
         else g.full_set()
 
@@ -341,7 +338,6 @@ def cmd_orbits(args) -> int:
         act = conjugation_action_on_subsets(g, acting, family)
 
     rep = Report(group=label, order=g.order)
-    t0 = time.perf_counter()
     # a point's column holds its orbit: label each orbit by its least point
     least = act.table.min(axis=0)
     by_orbit = np.argsort(least, kind="stable")
@@ -349,8 +345,7 @@ def cmd_orbits(args) -> int:
     orbits = [orb.tolist() for orb in np.split(by_orbit, cuts)]
     c = tally("orbit_stabilizer", orbit_stabilizer_counts(act)[3])
     c.witness = {"orbits": orbits}
-    c.ms = (time.perf_counter() - t0) * 1000.0
-    rep.checks.append(c)
+    rep.checks += clock.stamp(c)
 
     lines = []
     for i, orb in enumerate(orbits):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from math import gcd, isqrt
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .carrier import ElemSet
 from .group import Group
 from .numutil import is_prime
-from .report import Check, tally
+from .report import Check, Clock, tally
 
 
 def power(g: Group, a: int, n: int) -> int:
@@ -63,20 +62,18 @@ def phi_theorem_checks(bound: int) -> list[Check]:
     check's ms is its own time; the shared phi table counts with the first."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
-    t0 = time.perf_counter()
+    clock = Clock()
     table = np.array([phi(n) for n in range(bound + 1)])
 
     # the coprime pairs m <= n with m * n <= bound, row-major over (m, n)
     m, n = np.arange(1, isqrt(bound) + 1)[:, None], np.arange(1, bound + 1)
     m, n = (a + 1 for a in np.nonzero((m <= n) & (m * n <= bound) & (np.gcd(m, n) == 1)))
-    mult = tally("phi_multiplicative", table[m * n] == table[m] * table[n],
-                 lambda i: [int(m[i]), int(n[i])])
-    t1 = time.perf_counter()
+    checks = clock.stamp(tally("phi_multiplicative", table[m * n] == table[m] * table[n],
+                               lambda i: [int(m[i]), int(n[i])]))
 
     # each prime power p^e <= bound, by p and then e = 2, 3, ... and 1 last
     p, e = np.array([(r, e) for r in filter(is_prime, range(2, bound + 1))
                      for e in [*range(2, bound.bit_length()), 1] if r ** e <= bound]).T
     q = p ** e
-    pp = tally("phi_prime_power", table[q] == q - q // p, lambda i: [int(p[i]), int(e[i]) - 1])
-    mult.ms, pp.ms = (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0
-    return [mult, pp]
+    return checks + clock.stamp(
+        tally("phi_prime_power", table[q] == q - q // p, lambda i: [int(p[i]), int(e[i]) - 1]))

@@ -25,7 +25,6 @@ assumed, by check_identities.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
@@ -42,7 +41,7 @@ from .errors import (
     NonAssociative,
     UnsupportedSpec,
 )
-from .report import Check, tally
+from .report import Check, Clock, tally
 
 TABLE_DTYPE = np.int32
 
@@ -194,7 +193,9 @@ def from_cayley_table(n: int, table) -> Group:
         del t, table
         raise found
     unit, inv, t = found
-    return Group(Carrier(n), unit, inv, t)
+    g = Group(Carrier(n), unit, inv, t)
+    g._subgroup_bits.add(g.full_set().bits)  # is_subgroup's unit and range, both seen
+    return g
 
 
 def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryError:
@@ -439,12 +440,10 @@ def check_identities(g: Group) -> list[Check]:
     inv = g.inv
     idx = np.arange(n, dtype=TABLE_DTYPE)
     checks: list[Check] = []
-    stamps = [time.perf_counter()]
+    clock = Clock()
 
     def law(name: str, ok_grid) -> None:
-        checks.append(tally(f"identity:{name}", ok_grid, lambda *i: list(i)))
-        stamps.append(time.perf_counter())
-        checks[-1].ms = (stamps[-1] - stamps[-2]) * 1000.0
+        checks.extend(clock.stamp(tally(f"identity:{name}", ok_grid, lambda *i: list(i))))
 
     law("right_unit", t[idx, g.unit] == idx)
     law("unit_self_inverse", inv[[g.unit]] == g.unit)

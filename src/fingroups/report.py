@@ -8,6 +8,7 @@ checks and certificates into a Report with a stable JSON form.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -53,6 +54,23 @@ def tally(name: str, ok, witness: Callable[..., Any] | None = None) -> Check:
     if good < ok.size and witness is not None:
         found = witness(*(int(v) for v in np.unravel_index(np.argmin(ok), ok.shape)))
     return Check(name, good == ok.size, good, ok.size, found)
+
+
+class Clock:
+    """The one timer of the checks: each lap or stamp takes the ms since the
+    previous one, or since the clock was made, so they add up to its span."""
+
+    def __init__(self) -> None:
+        self._last = time.perf_counter()
+
+    def lap(self) -> float:
+        self._last, last = time.perf_counter(), self._last
+        return (self._last - last) * 1000.0
+
+    def stamp(self, *checks: Check) -> list[Check]:
+        """The checks, the first given the lap's ms that theirs do not hold."""
+        checks[0].ms += self.lap() - sum(c.ms for c in checks)
+        return list(checks)
 
 
 @dataclass

@@ -20,8 +20,6 @@ out (in the table, its cached columns or the batch) InternalInvariant.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .action import (
@@ -42,7 +40,7 @@ from .group import (
     from_cayley_table,
 )
 from .numutil import prime_divisors, prime_power_base
-from .report import Check, Report, tally
+from .report import Check, Clock, Report, tally
 from .subgroup import subgroup_sample
 from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 
@@ -96,32 +94,28 @@ def _aggregate(name: str, blocks: list[tuple[list, np.ndarray]]) -> Check:
 
 
 def verify_group(g: Group, label: str) -> Report:
+    clock = Clock()  # stamps what is appended, so the checks' ms add up to the call's
     rep = Report(group=label, order=g.order)
     full = g.full_set()
 
-    def add(check: Check, t0: float) -> None:
-        check.ms = (time.perf_counter() - t0) * 1000.0
-        rep.checks.append(check)
-
-    rep.checks += check_identities(g)  # each law timed alone
+    rep.checks += clock.stamp(*check_identities(g))  # each law timed alone
     laws = {c.name: c.ok for c in rep.checks}
-    t0 = time.perf_counter()
     # Every row and every column of the table is a permutation of the carrier.
     rows_ok = laws["identity:left_cancellation"]
     cols_ok = laws["identity:right_cancellation"]
-    add(Check("latin_square", rows_ok and cols_ok, int(rows_ok), int(cols_ok)), t0)
+    rep.checks += clock.stamp(Check("latin_square", rows_ok & cols_ok, int(rows_ok), int(cols_ok)))
 
-    t0 = time.perf_counter()
     try:
         from_cayley_table(g.order, g.export_table())
-        add(Check("table_roundtrip", True, 1, 1), t0)
+        roundtrip = Check("table_roundtrip", True, 1, 1)
     except GroupTheoryError as e:
-        add(Check("table_roundtrip", False, 0, 1, str(e)), t0)
+        roundtrip = Check("table_roundtrip", False, 0, 1, str(e))
+    rep.checks += clock.stamp(roundtrip)
 
-    # Lagrange, translation and the congruence, over the sample in batches
-    # of one order; each check's time is its part of every batch.
+    # Lagrange, translation and the congruence over the sample in batches of
+    # one order, each timed by its part of every batch, lagrange with the sample.
     blocks: list[list] = [[], [], []]
-    secs = [0.0, 0.0, 0.0]
+    ms = [0.0, 0.0, 0.0]
     for hs in sample_batches(g, subgroup_sample(g)):
         n, k = g.order, hs[0].card
         b = translation_batch(g, hs)
@@ -130,38 +124,36 @@ def verify_group(g: Group, label: str) -> Report:
         p = prime_power_base(k)
         if p:
             blocks[2].append((hs, b.orbit.shape[1] % p == b.fixed % p))
-        secs = [t + dt for t, dt in zip(secs, b.secs)]
+        ms = [t + dt for t, dt in zip(ms, b.ms)]
     names = ("lagrange", "orbit_stabilizer:translation", "mod_p_fixed_points:translation")
     lagrange, trans, congruence = (_aggregate(*nb) for nb in zip(names, blocks))
-    for c, dt in zip((lagrange, trans, congruence), secs):
-        c.ms = dt * 1000.0
+    lagrange.ms, trans.ms, congruence.ms = ms
+    clock.stamp(lagrange, trans, congruence)
     rep.checks.append(lagrange)
 
-    t0 = time.perf_counter()
     conj = conjugation_action(g, full)
-    add(tally("orbit_stabilizer:conjugation", orbit_stabilizer_counts(conj)[3],
-              lambda z: {"point": z}), t0)
+    rep.checks += clock.stamp(tally("orbit_stabilizer:conjugation",
+                                    orbit_stabilizer_counts(conj)[3], lambda z: {"point": z}))
     p_whole = prime_power_base(g.order)
     if p_whole is not None:
-        t0 = time.perf_counter()
         c = mod_p_fixed_point_check(conj, p_whole)
         c.name = "mod_p_fixed_points:conjugation"
-        add(c, t0)
+        rep.checks += clock.stamp(c)
 
-    rep.checks += [trans, congruence]
+    rep.checks += [trans, congruence]  # stamped with lagrange
 
     for p in prime_divisors(g.order):
-        t0 = time.perf_counter()
         trace: list[str] = []
         a = cauchy_element(g, full, p, trace)
-        add(Check(f"cauchy_order[p={p}]", order(g, a) == p, order(g, a), p), t0)
+        got = order(g, a)
+        rep.checks += clock.stamp(Check(f"cauchy_order[p={p}]", got == p, got, p))
         rep.certificates.append(cauchy_certificate(p, a, trace))
 
         cert, _, order_check, counting = sylow_battery(g, full, p)
         for c in counting:
             c.name = f"{c.name}[p={p}]"
-        rep.checks += [order_check, *counting]
+        rep.checks += clock.stamp(order_check, *counting)
         rep.certificates.append(cert.to_certificate_dict())
 
-    rep.checks += phi_theorem_checks(max(2, g.order))  # each check timed alone
+    rep.checks += clock.stamp(*phi_theorem_checks(max(2, g.order)))  # each check timed alone
     return rep

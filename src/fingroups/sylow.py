@@ -24,7 +24,6 @@ actions rather than divided out of cardinalities.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,7 @@ from .errors import (
 )
 from .group import Group, GroupSpec, build
 from .numutil import is_prime, padic_val
-from .report import Check
+from .report import Check, Clock
 from .subgroup import is_subgroup, require_nested_subgroups, subgroup_set
 
 TUPLE_CAP_ENV = "GRP_MAX_TUPLE_CARRIER"
@@ -413,16 +412,11 @@ def sylow_battery(
     the divides checks, then the mod-p checks.  The counting checks are
     named without p, so each caller names them as it prints them.  The
     first check of each of the three stages carries the stage's time."""
-    t0 = time.perf_counter()
+    clock = Clock()
     cert = sylow_subgroup(g, k, p)
-    order_check = Check(f"sylow_order[p={p}]", cert.subgroup.card == p**cert.n,
-                        cert.subgroup.card, p**cert.n)
-    t1 = time.perf_counter()
+    [order_check] = clock.stamp(Check(f"sylow_order[p={p}]", cert.subgroup.card == p**cert.n,
+                                      cert.subgroup.card, p**cert.n))
     family = sylow_family(g, k, p, cert)
-    divides = sylow_count_divides_check(g, k, p, cert, family)
-    t2 = time.perf_counter()
-    mod_p = sylow_count_mod_p_check(g, k, p, cert, family)
-    t3 = time.perf_counter()
-    for first, start, end in ((order_check, t0, t1), (divides[0], t1, t2), (mod_p[0], t2, t3)):
-        first.ms = (end - start) * 1000.0
+    divides = clock.stamp(*sylow_count_divides_check(g, k, p, cert, family))
+    mod_p = clock.stamp(*sylow_count_mod_p_check(g, k, p, cert, family))
     return cert, family, order_check, divides + mod_p

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
@@ -605,6 +606,25 @@ def test_orbits_conjugation(capsys):
     doc = json.loads(out)
     parts = doc["checks"][0]["witness"]["orbits"]
     assert sorted(map(sorted, parts)) == [[0], [1, 2, 5], [3, 4]]
+
+
+def test_orbits_check_times_building_the_action(capsys, monkeypatch):
+    # a fake clock that moves only while the group is resolved (7 s, before
+    # the command's clock starts) and while the action is built (5 s)
+    now = [0.0]
+
+    def slow(fn, secs):
+        def run(*args):
+            now[0] += secs
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(cli_mod, "resolve_group", slow(cli_mod.resolve_group, 7.0))
+    monkeypatch.setattr(cli_mod, "conjugation_action", slow(cli_mod.conjugation_action, 5.0))
+    code, out, _ = run_cli(capsys, "orbits", "s3", "--json")
+    assert code == 0
+    assert [c["ms"] for c in json.loads(out)["checks"]] == [5000.0]
 
 
 def test_orbits_translation(capsys):

@@ -26,7 +26,7 @@ from fingroups import (
 from fingroups.conjnormal import conjugacy_family
 from fingroups import conjnormal as conjnormal_mod
 from fingroups.errors import InternalInvariant, InvalidSubgroup, NotNormal
-from fingroups.group import conjugates
+from fingroups.group import Group, conjugates
 from fingroups.numutil import prime_divisors
 from fingroups.report import Check
 
@@ -212,6 +212,26 @@ def test_normalizer_reads_a_grid_over_h_not_over_k():
     tracemalloc.start()
     try:
         got = normalizer(g, h, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.card == 1024
+    assert peak < 1 << 20
+
+
+def test_a_validated_table_records_its_carrier_as_a_subgroup():
+    """Validation has seen the unit and every entry in range, all that
+    is_subgroup asks of the whole carrier, so the first normalizer on a
+    fresh C1024 proves H alone; proving the carrier by its (|G|, |G|)
+    gather would peak at several MiB.  A Group built directly records
+    nothing."""
+    g = build(GroupSpec.cyclic(1024))
+    full = g.full_set()
+    assert g._subgroup_bits == {full.bits}
+    assert Group(g.carrier, g.unit, g.inv.copy(), g.mul.copy())._subgroup_bits == set()
+    tracemalloc.start()
+    try:
+        got = normalizer(g, members(g, [0, 512]), full)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

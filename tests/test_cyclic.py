@@ -138,14 +138,19 @@ def test_phi_theorem_checks_match_the_loops_on_a_wrong_phi(monkeypatch, wrong):
 def test_each_phi_check_is_timed_alone(monkeypatch, s4):
     # a fake clock reading k * k seconds at its k-th read: the check between
     # reads k and k + 1 takes 2k + 1 s, the phi table counting with the first
-    reads = (float(k * k) for k in itertools.count())
-    monkeypatch.setattr(time, "perf_counter", lambda: next(reads))
+    reads = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)) ** 2)
     assert [c.ms for c in phi_theorem_checks(120)] == [1000.0, 3000.0]
-    # verify keeps those stamps: two checks timed from three reads in a row
+    # in verify, of n reads, the phi clock starts at read n - 4 and stamps
+    # at n - 3 and n - 2, and verify stamps both at the last; the second
+    # keeps its time, the first takes the rest of verify's lap from its
+    # previous stamp at read n - 5
+    reads = itertools.count()
     mult, pp = verify_group(s4, "s4").checks[-2:]
+    n = next(reads)
     assert (mult.name, pp.name) == ("phi_multiplicative", "phi_prime_power")
-    k = (mult.ms / 1000.0 - 1) / 2
-    assert k == int(k) and pp.ms == 1000.0 * (2 * k + 3)
+    assert pp.ms == 1000.0 * (2 * (n - 3) + 1)
+    assert mult.ms + pp.ms == 1000.0 * ((n - 1) ** 2 - (n - 5) ** 2)
 
 
 def test_phi_theorem_bound_validation():

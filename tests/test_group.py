@@ -587,14 +587,31 @@ def test_identity_witnesses_on_a_table_corrupted_after_validation(spec, swap):
 
 def test_each_identity_law_is_timed_alone(monkeypatch, s4):
     # a fake clock reading k * k seconds at its k-th read: the law between
-    # reads k and k + 1 takes 2k + 1 s, in check_identities and in verify
-    want = [1000.0 * (2 * k + 1) for k in range(len(LAW_NAMES))]
-    for run in (check_identities, lambda g: verify_group(g, "s4").checks[:len(LAW_NAMES)]):
-        reads = (float(k * k) for k in itertools.count())
-        monkeypatch.setattr(time, "perf_counter", lambda: next(reads))
-        checks = run(s4)
-        assert [c.name for c in checks] == LAW_NAMES
-        assert [c.ms for c in checks] == want
+    # reads k and k + 1 takes 2k + 1 s
+    reads = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)) ** 2)
+    checks = check_identities(s4)
+    assert [c.name for c in checks] == LAW_NAMES
+    assert [c.ms for c in checks] == [1000.0 * (2 * k + 1) for k in range(len(LAW_NAMES))]
+    # in verify, whose clock reads first, the laws run one read later: every
+    # law after the first keeps its time, and the first takes the rest of
+    # verify's lap up to its stamp of the laws at read len(LAW_NAMES) + 2
+    reads = itertools.count()
+    checks = verify_group(s4, "s4").checks[:len(LAW_NAMES)]
+    assert [c.name for c in checks] == LAW_NAMES
+    assert [c.ms for c in checks[1:]] == [1000.0 * (2 * k + 3) for k in range(1, len(LAW_NAMES))]
+    assert sum(c.ms for c in checks) == 1000.0 * (len(LAW_NAMES) + 2) ** 2
+
+
+def test_verify_check_times_add_up_to_its_clock_span(monkeypatch, s4):
+    # a fake clock reading k * k seconds at its k-th read; verify's clock
+    # reads first (k = 0) and stamps last, and every read is on a clock
+    reads = itertools.count()
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(reads)) ** 2)
+    ms = [c.ms for c in verify_group(s4, "s4").checks]
+    last = next(reads) - 1
+    assert min(ms) >= 0
+    assert sum(ms) == 1000.0 * last ** 2
 
 
 def test_latin_square(s4):
