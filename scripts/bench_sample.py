@@ -8,7 +8,9 @@ and the Cauchy and Sylow order checks for each prime (cauchy_order[p=...],
 sylow_order[p=...]).  Its table layer is timed --repeat times too:
 build_ms lists the milliseconds resolve_group takes to build the group
 (build(spec) for catalog grammar), validate_ms those from_cayley_table
-takes to validate its table again.  A report's lagrange time includes
+takes to validate its table again.  peak_mib lists, per invocation, the
+tracemalloc peak of one more verify after the timed runs, in MiB.  A
+report's lagrange time includes
 building the subgroup sample, which reports before the checks' ms added
 up to verify's wall time left out, so lagrange times in earlier
 BENCH_*.json runs are not comparable with new ones.
@@ -43,6 +45,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 DEFAULT_REFS = (
@@ -130,6 +133,10 @@ def main() -> int:
                 return 1
             if min(times) == times[-1]:
                 best = rep
+        tracemalloc.start()
+        verify_group(g, label)
+        peak_mib = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+        tracemalloc.stop()
         ms = {c.name: round(c.ms, 1) for c in best.checks
               if c.name in ("lagrange", "orbit_stabilizer:translation",
                             "mod_p_fixed_points:translation")
@@ -137,10 +144,12 @@ def main() -> int:
         groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
                        "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
+                       "peak_mib": [peak_mib],
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
               f"best {min(times):8.3f} s  build {min(build_ms):8.2f} ms  "
-              f"validate {min(validate_ms):8.2f} ms  routes agree: {agree}")
+              f"validate {min(validate_ms):8.2f} ms  peak {peak_mib:7.2f} MiB  "
+              f"routes agree: {agree}")
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
@@ -150,7 +159,7 @@ def main() -> int:
     for ref, new in groups.items():  # runs add up; the best run so far is kept
         old = runs.get(ref)
         if old is not None:
-            for key in ("runs_s", "build_ms", "validate_ms"):
+            for key in ("runs_s", "build_ms", "validate_ms", "peak_mib"):
                 new[key] = old.get(key, []) + new[key]
             if old["best_s"] < new["best_s"]:
                 new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]

@@ -138,7 +138,7 @@ def _composes(ta: np.ndarray, table: np.ndarray, ay: np.ndarray) -> bool:
     for i in range(0, len(table), step):
         ys = ay[i:i + step]
         want = table[ys] if step > 1 else table[ys[0]]  # a row is a view
-        if not (ta[table[i:i + step]] == want).all():
+        if not (ta.take(table[i:i + step]) == want).all():
             return False
     return True
 

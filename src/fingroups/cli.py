@@ -359,17 +359,17 @@ def cmd_orbits(args) -> int:
 
 def cmd_quotient(args) -> int:
     label, g = resolve_group(args.group)
+    clock = Clock()  # quotient_order's time includes building the quotient
     h = closure(g, _parse_points(g, args.gens))
     quot = quotient_group(g, h, g.full_set())
     rep = Report(group=label, order=g.order)
     table = quot.group.export_table().tolist()
-    rep.checks.append(
+    rep.checks += clock.stamp(
         Check("quotient_order", quot.group.order * h.card == g.order,
               quot.group.order * h.card, g.order,
               {"table": table, "roots": list(quot.roots)})
     )
-    for c in quotient_morphism_check(quot):
-        rep.checks.append(c)
+    rep.checks += clock.stamp(*quotient_morphism_check(quot))
     return _emit(rep, args.json, [
         f"  quotient order {quot.group.order}, coset roots {list(quot.roots)}",
         *("  " + " ".join(f"{v:3d}" for v in row) for row in table),

@@ -22,7 +22,7 @@ import numpy as np
 from .carrier import ElemSet, set_of
 from .errors import InternalInvariant, InvalidSubgroup, NotNormal
 from .group import Group, conjugates, from_cayley_table
-from .report import Check, tally
+from .report import Check, Clock, tally
 from .subgroup import (
     left_coset_roots,
     require_nested_subgroups,
@@ -119,21 +119,21 @@ def quotient_morphism_check(q: QuotientGroup) -> list[Check]:
     h = q.normal_sub
     km = k.as_array()
     proj = q.proj_table
+    clock = Clock()
 
     lhs = proj[g.mul[np.ix_(km, km)]]
     rhs = q.group.mul[np.ix_(proj[km], proj[km])]
+    checks = clock.stamp(tally("quotient_morphism", lhs == rhs,
+                               lambda i, j: [int(km[i]), int(km[j])]))
 
     unit_img = sorted({int(proj[x]) for x in h})
+    checks += clock.stamp(Check("quotient_kernel_to_unit", unit_img == [q.group.unit],
+                                unit_img, [q.group.unit]))
 
     # embed(project(x)) must lie in xH, i.e. x^-1 * root in H
     root_pts = np.asarray([q.embed(int(proj[x])) for x in k])
     in_coset = h.mask()[g.mul[g.inv[km], root_pts]]
-
-    return [
-        tally("quotient_morphism", lhs == rhs, lambda i, j: [int(km[i]), int(km[j])]),
-        Check("quotient_kernel_to_unit", unit_img == [q.group.unit], unit_img, [q.group.unit]),
-        tally("quotient_root_in_own_coset", in_coset),
-    ]
+    return checks + clock.stamp(tally("quotient_root_in_own_coset", in_coset))
 
 
 def image_subgroup(q: QuotientGroup, l: ElemSet) -> ElemSet:

@@ -23,6 +23,7 @@ actions rather than divided out of cardinalities.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ DEFAULT_TUPLE_CAP = 10**6
 def tuple_cap() -> int:
     """Size bound for materializing the product-one tuple family; the
     environment may lower it, never raise it (a Cauchy run at the default
-    peaks at about 70 MiB at p = 5)."""
+    peaks at about 31 MiB traced, at p = 3 or p = 5)."""
     raw = os.environ.get(TUPLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TUPLE_CAP
@@ -94,30 +95,40 @@ class TupleCarrier:
     """The length-p tuples over a subgroup whose product is the unit
     (|H|^(p-1) of them): tuple r is the one whose trailing p-1 coordinates
     have mixed-radix rank r over the ascending members.  They are held as
-    one C-contiguous (p, |H|^(p-1)) array in the group's dtype, one row per
-    coordinate; ``tuples`` is its transpose, one row per tuple."""
+    one C-contiguous (p, |H|^(p-1)) array in the narrowest unsigned dtype
+    that holds the group's labels (uint8 up to order 256, else uint16), one
+    row per coordinate; ``tuples`` is its transpose, one row per tuple."""
 
     members: tuple[int, ...]
     tuples: np.ndarray
 
 
 def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
-    """Materialize the product-one tuple family over a subgroup.  Each of
-    the |H|^(p-1) choices of trailing coordinates determines the head.
-    Coordinate j >= 1 repeats the members along axis j-1 of the rank's
-    (|H|,)*(p-1) grid; the head inverts the tail's prefix products, each
-    got from the last by one row gather, about |H|^(p-1) table reads."""
+    """Materialize the product-one tuple family over a subgroup, in the
+    dtype TupleCarrier names.  The |H|^(p-1) choices of tail each fix the
+    head.  Coordinate j >= 1 repeats the members along axis j-1 of the
+    rank's (|H|,)*(p-1) grid; the head inverts the tail's prefix products,
+    each one row gather of the member columns from the last, in that dtype."""
     m = h.card
-    mem = h.as_array().astype(g.mul.dtype)
-    cols = np.empty((p, m ** (p - 1)), dtype=g.mul.dtype)
+    dt = np.min_scalar_type(g.order - 1)
+    mem = h.as_array().astype(dt)
+    cols = np.empty((p, m ** (p - 1)), dtype=dt)
     for j in range(1, p):
         cols[j].reshape(m ** (j - 1), m, -1)[...] = mem[:, None]
-    by_member = g.mul[:, mem]  # column k multiplies on the right by member k
     prod = mem
-    for _ in range(p - 2):
-        prod = by_member[prod].ravel()
-    cols[0] = g.inv[prod]
+    if p > 2:
+        by_member = g.mul[:, mem].astype(dt)  # column k multiplies on the right by member k
+        for _ in range(p - 2):
+            prod = by_member.take(prod, axis=0).ravel()
+    g.inv.take(prod, out=cols[0], mode="clip")
     return TupleCarrier(h.indices(), cols.T)
+
+
+@functools.cache
+def cyclic_of_prime(p: int) -> Group:
+    """Z_p, built and validated once per prime; under the tuple cap Cauchy
+    brings only p <= 7 here."""
+    return build(GroupSpec.cyclic(p))
 
 
 def rotation_action(tc: TupleCarrier) -> Action:
@@ -125,21 +136,22 @@ def rotation_action(tc: TupleCarrier) -> Action:
     rotation, which preserves the product-one condition.  Rotating tuple r
     left by one moves its head to the end of the tail, so its image is
     tuple (r mod m^(p-2))*m + pos(head), with m = |H| and pos a rank lookup
-    over the members; shift k is its k-th power, held in intp, the index
-    dtype of numpy's gathers.  Each coordinate of the images, gathered into
-    one buffer, is checked against the next coordinate of the tuples."""
+    over the members; shift k is its k-th power.  Lookup and table are
+    int32, which holds any index under the tuple cap (10^6 at most; the
+    environment can only lower it).  Each coordinate of the images,
+    gathered into one buffer, is checked against the next of the tuples."""
     cols = tc.tuples.T
     p, n = cols.shape
     m = len(tc.members)
-    rank = np.zeros(tc.members[-1] + 1, dtype=np.intp)  # rank[x]: member x's position
+    rank = np.zeros(tc.members[-1] + 1, dtype=np.int32)  # rank[x]: member x's position
     rank[list(tc.members)] = np.arange(m)
-    table = np.empty((p, n), dtype=np.intp)
+    table = np.empty((p, n), dtype=np.int32)
     table[0] = np.arange(n)
     sigma = table[1]
     # A head outside the members gets an in-range rank; the check fails.
     rank.take(cols[0], out=sigma, mode="clip")
     tails = sigma.reshape(m, -1)  # one row per first tail coordinate, which
-    tails += np.arange(0, n, m)  # drops out as the rest moves up one place
+    tails += np.arange(0, n, m, dtype=np.int32)  # drops out as the rest moves up one place
     image = np.empty(n, dtype=cols.dtype)
     for j in range(p):  # sigma is in range, so clip mode only spares a buffer
         cols[j].take(sigma, out=image, mode="clip")
@@ -147,7 +159,7 @@ def rotation_action(tc: TupleCarrier) -> Action:
             raise InternalInvariant("rotation left the product-one family")
     for k in range(2, p):
         sigma.take(table[k - 1], out=table[k], mode="clip")
-    zp = build(GroupSpec.cyclic(p))
+    zp = cyclic_of_prime(p)
     return make_action(zp, zp.full_set(), Carrier(n), table)
 
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fingroups import Carrier, Check, GroupSpec, Report, build, closure, set_of, subgroup_sample
 from fingroups import action as action_mod
 from fingroups import cli as cli_mod
+from fingroups import conjnormal as conjnormal_mod
 from fingroups import suite as suite_mod
 from fingroups.cli import (
     build_parser,
@@ -684,6 +685,29 @@ def test_quotient_z12(capsys):
     doc = json.loads(out)
     byname = {c["name"]: c for c in doc["checks"]}
     assert byname["quotient_order"]["witness"]["roots"] == [0, 1, 2, 3]
+
+
+def test_quotient_check_times_building_the_quotient(capsys, monkeypatch):
+    # a fake clock that moves only while the group is resolved (7 s, before
+    # the command's clock starts), while the quotient is built (5 s) and
+    # while each tally of the morphism checks is taken (2 s)
+    now = [0.0]
+
+    def slow(fn, secs):
+        def run(*args):
+            now[0] += secs
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(cli_mod, "resolve_group", slow(cli_mod.resolve_group, 7.0))
+    monkeypatch.setattr(cli_mod, "quotient_group", slow(cli_mod.quotient_group, 5.0))
+    monkeypatch.setattr(conjnormal_mod, "tally", slow(conjnormal_mod.tally, 2.0))
+    code, out, _ = run_cli(capsys, "quotient", "z12", "--gens", "4", "--json")
+    assert code == 0
+    assert [(c["name"], c["ms"]) for c in json.loads(out)["checks"]] == [
+        ("quotient_order", 5000.0), ("quotient_morphism", 2000.0),
+        ("quotient_kernel_to_unit", 0.0), ("quotient_root_in_own_coset", 2000.0)]
 
 
 def test_quotient_non_normal_is_input_error(capsys):

@@ -119,7 +119,9 @@ def assert_rotation_matches_naive(g, h, p):
     tuples, table = oracles.naive_rotation_table(
         oracles.table_rows(g), g.unit, list(h.indices()), p
     )
-    assert tc.tuples.dtype == g.mul.dtype and tc.tuples.shape == (len(tuples), p)
+    assert tc.tuples.dtype == np.min_scalar_type(g.order - 1)
+    assert tc.tuples.shape == (len(tuples), p)
+    assert act.table.dtype == np.int32
     assert tc.tuples.T.flags.c_contiguous  # one row per coordinate
     assert tc.tuples.tolist() == [list(t) for t in tuples]
     assert act.table.tolist() == table
@@ -143,6 +145,36 @@ def test_rotation_action_matches_naive_on_a_proper_subgroup(z6, s4):
     h = sylow_subgroup(s4, s4.full_set(), 2).subgroup
     assert h.indices() == (0, 1, 6, 7, 16, 17, 22, 23)
     assert_rotation_matches_naive(s4, h, 2)
+
+
+@pytest.mark.parametrize("n, p, dtype", [(129, 2, np.uint16), (129, 3, np.uint16),
+                                         (128, 2, np.uint8)],
+                         ids=["order258-p2", "order258-p3", "order256-p2"])
+def test_rotation_action_matches_naive_at_the_tuple_dtype_boundary(n, p, dtype):
+    # order 256 is the last whose labels fit a byte
+    g = build(GroupSpec.dihedral(n))
+    assert np.min_scalar_type(g.order - 1) == dtype
+    assert_rotation_matches_naive(g, g.full_set(), p)
+
+
+def test_rotation_action_builds_the_acting_group_once_per_prime(monkeypatch):
+    built = []
+
+    def counting_build(spec):
+        built.append(spec.describe())
+        return build(spec)
+
+    monkeypatch.setattr(sylow_mod, "build", counting_build)
+    sylow_mod.cyclic_of_prime.cache_clear()
+    try:
+        for spec, p in [(GroupSpec.cyclic(6), 2), (GroupSpec.cyclic(6), 3),
+                        (GroupSpec.dihedral(3), 3), (GroupSpec.dihedral(3), 2)] * 2:
+            g = build(spec)
+            act = rotation_action(product_one_tuples(g, g.full_set(), p))
+            assert act.group is sylow_mod.cyclic_of_prime(p) and act.group.order == p
+    finally:
+        sylow_mod.cyclic_of_prime.cache_clear()
+    assert sorted(built) == ["cyclic:2", "cyclic:3"]
 
 
 def relabeled(spec, seed):
@@ -215,10 +247,9 @@ def test_cauchy_z6_tie_break(z6):
 
 
 def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
-    # C5xC5 at p = 5: 390,625 tuples of 5 coordinates, held as 4-byte
-    # entries beside the rotation's 8-byte index table, 12 bytes per
-    # coordinate; the whole run peaks at 14.8 (40.4 when make_action
-    # copied the table and checked it in whole-table gathers)
+    # C5xC5 at p = 5: 390,625 tuples of 5 coordinates, held as 1-byte
+    # entries beside the rotation's 4-byte index table, 5 bytes per
+    # coordinate; the whole run peaks at 7.8
     g = build(GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)))
     h = g.full_set()
     assert cauchy_element(g, h, 5) == 1
@@ -228,7 +259,7 @@ def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
+    assert peak <= 9 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
 
 
 def test_tuple_cap_may_be_set_to_its_ceiling(monkeypatch):
