@@ -8,9 +8,11 @@ and the Cauchy and Sylow order checks for each prime (cauchy_order[p=...],
 sylow_order[p=...]).  Its table layer is timed --repeat times too:
 build_ms lists the milliseconds resolve_group takes to build the group
 (build(spec) for catalog grammar), validate_ms those from_cayley_table
-takes to validate its table again.  peak_mib lists, per invocation, the
-tracemalloc peak of one more verify after the timed runs, in MiB.  A
-report's lagrange time includes
+takes to validate its table again.  faults lists each timed verify's
+minor page faults (the process's ru_minflt delta), beside runs_s; a
+temporary the allocator has to map afresh on every run shows here.
+peak_mib lists, per invocation, the tracemalloc peak of one more verify
+after the timed runs, in MiB.  A report's lagrange time includes
 building the subgroup sample, which reports before the checks' ms added
 up to verify's wall time left out, so lagrange times in earlier
 BENCH_*.json runs are not comparable with new ones.
@@ -43,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import sys
 import time
 import tracemalloc
@@ -123,11 +126,13 @@ def main() -> int:
             from_cayley_table(g.order, g.mul)
             build_ms.append(round((t1 - t0) * 1e3, 2))
             validate_ms.append(round((time.perf_counter() - t1) * 1e3, 2))
-        times, best = [], None
+        times, faults, best = [], [], None
         for _ in range(args.repeat):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             rep = verify_group(g, label)
             times.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             if not rep.ok:
                 print(f"FAIL {label}: {[c.name for c in rep.checks if not c.ok]}")
                 return 1
@@ -143,6 +148,7 @@ def main() -> int:
               or c.name.startswith(("cauchy_order[", "sylow_order["))}
         groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
+                       "faults": faults,
                        "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
                        "peak_mib": [peak_mib],
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
@@ -159,7 +165,7 @@ def main() -> int:
     for ref, new in groups.items():  # runs add up; the best run so far is kept
         old = runs.get(ref)
         if old is not None:
-            for key in ("runs_s", "build_ms", "validate_ms", "peak_mib"):
+            for key in ("runs_s", "faults", "build_ms", "validate_ms", "peak_mib"):
                 new[key] = old.get(key, []) + new[key]
             if old["best_s"] < new["best_s"]:
                 new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]

@@ -7,16 +7,19 @@ must stay in range.  Each acting element must act bijectively and the
 composition law must hold across the acting subgroup.
 
 Both laws are checked on a generating set only (Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, ch. 4).  If each generator a
-permutes the points and (a*y).z == a.(y.z) for every acting y,
-then every acting element, a positive word in the generators, acts as the
-composite of their permutations, and the law follows by induction on word
-length; the unit then acts as a permutation equal to its own square, the
-identity.  Generators are picked greedily as in group.from_cayley_table,
-at most log2 of the acting order plus one.  A table that fails is rescanned
-element by element, so its error names the same first witness as a check
-of every element would.  Tables are validated in place, in their own
-integer dtype, and never copied.
+Handbook of Computational Group Theory, ch. 4), after the unit's row is
+checked to be the identity.  If (a*y).z == a.(y.z) for each generator a,
+every acting y and every point z, then at y = a^-1 it reads
+a.(a^-1.z) = e.z = z, so a's row maps onto the points and, the points
+being finite, permutes them; every acting element, a positive word in the
+generators, then acts as the composite of their permutations, and the law
+follows by induction on word length.  Generators are picked greedily as in
+group.from_cayley_table, at most log2 of the acting order plus one, and
+the Action records their rows: a point each of them fixes is fixed by
+every acting element, so fixed_points reads those rows alone.  A table
+that fails is rescanned element by element, so its error names the same
+first witness as a check of every element would.  Tables are validated in
+place, in their own integer dtype, and never copied.
 
 The counting results: the orbit of a point has the same size as the index
 of its stabilizer, hence divides the acting order; and when the acting
@@ -67,12 +70,14 @@ class Action:
     """A validated action of ``acting`` (a subgroup of ``group``) on the
     abstract point carrier ``points``.  ``table`` has one row per acting
     element, ordered by ``acting.as_array()``.  ``point_labels``, when
-    present, says what each point stands for (a coset root, a subgroup, ...)."""
+    present, says what each point stands for (a coset root, a subgroup, ...).
+    ``gen_rows`` are the rows of the generators make_action proved."""
 
     group: Group
     acting: ElemSet
     points: Carrier
     table: np.ndarray
+    gen_rows: tuple[int, ...]
     point_labels: tuple | None = None
 
 
@@ -86,16 +91,16 @@ def make_action(
     """Validate an action table: one row per acting element, ordered by
     ``acting.as_array()``, one column per point.
 
-    Only greedily picked generators a of the acting subgroup are checked,
-    each as soon as it is picked: its row must permute the points, and
-    (a*y).z == a.(y.z) must hold for every acting y and every point z.
-    A trivial acting subgroup checks its unit row the same way.  When a
+    The unit's row must be the identity, and (a*y).z == a.(y.z) must hold
+    for each greedily picked generator a, every acting y and every point z;
+    the generators' rows are recorded as gen_rows.  When the unit or a
     generator fails, every acting element is rescanned in full:
     NotBijective(x) names the first element that fails to permute the
     points, and otherwise NotMorphism(x, y, z) the first triple breaking
     the composition law.  InternalInvariant if the rescan finds neither.
     The table is held as given and made read-only once it passes; one of
-    no integer dtype raises PointOutOfRange.
+    no integer dtype, or with an entry outside the points, raises
+    PointOutOfRange.
     """
     h = subgroup_set(g, acting)
     m = h.as_array()
@@ -110,25 +115,21 @@ def make_action(
         raise PointOutOfRange("action table leaves the point carrier")
 
     row = np.cumsum(h.mask()) - 1  # row[x] is x's row, for x in h
-    gens = greedy_generators(g.mul, g.unit, h.bits) if h.card > 1 else (g.unit,)
-    for a in gens:
-        ta = table[row[a]]
-        hit = np.zeros(s, dtype=bool)
-        hit[ta] = True
-        if not (hit.all() and _composes(ta, table, row[g.mul[a, m]])):
-            err = _first_action_violation(g, table, m, row)
-            if err is None:
-                raise InternalInvariant(
-                    f"generator {a} fails to act, but the full rescan finds no violation")
-            raise err
-
-    # The unit acts trivially as a consequence of bijectivity plus the
-    # composition law; keep the assertion anyway.
-    if s and not np.array_equal(table[row[g.unit]], np.arange(s)):
-        raise InternalInvariant("unit fails to act as the identity")
+    gen_rows: list[int] = []
+    ok = np.array_equal(table[row[g.unit]], np.arange(s))
+    for a in greedy_generators(g.mul, g.unit, h.bits) if ok else ():
+        gen_rows.append(int(row[a]))
+        if not (ok := _composes(table[row[a]], table, row[g.mul[a, m]])):
+            break
+    if not ok:
+        err = _first_action_violation(g, table, m, row)
+        if err is None:
+            raise InternalInvariant(
+                "the unit or a generator fails to act, but the full rescan finds no violation")
+        raise err
 
     table.setflags(write=False)
-    return Action(g, acting, points, table, point_labels)
+    return Action(g, acting, points, table, tuple(gen_rows), point_labels)
 
 
 def _composes(ta: np.ndarray, table: np.ndarray, ay: np.ndarray) -> bool:
@@ -178,10 +179,13 @@ def stabilizer(act: Action, a: int) -> ElemSet:
 
 
 def fixed_points(act: Action) -> ElemSet:
-    """Points fixed by the entire acting subgroup, compared in the table's
-    dtype (which holds every point of a table make_action passed)."""
-    grid = act.table == np.arange(act.points.size, dtype=act.table.dtype)
-    return set_of(act.points, np.flatnonzero(grid.all(axis=0)).tolist())
+    """Points fixed by the entire acting subgroup, compared row by row in
+    the table's dtype (which holds every point of a table make_action passed)."""
+    pts = np.arange(act.points.size, dtype=act.table.dtype)
+    fixed = np.ones(act.points.size, dtype=bool)
+    for r in act.gen_rows:
+        fixed &= act.table[r] == pts
+    return set_of(act.points, np.flatnonzero(fixed).tolist())
 
 
 def _orbit_stabilizer_sides(orb, idx, h: int):

@@ -133,32 +133,40 @@ def cyclic_of_prime(p: int) -> Group:
 
 def rotation_action(tc: TupleCarrier) -> Action:
     """The cyclic group of order p acting on the tuple family by index
-    rotation, which preserves the product-one condition.  Rotating tuple r
-    left by one moves its head to the end of the tail, so its image is
-    tuple (r mod m^(p-2))*m + pos(head), with m = |H| and pos a rank lookup
-    over the members; shift k is its k-th power.  Lookup and table are
-    int32, which holds any index under the tuple cap (10^6 at most; the
-    environment can only lower it).  Each coordinate of the images,
-    gathered into one buffer, is checked against the next of the tuples."""
+    rotation, which preserves the product-one condition.  With m = |H|,
+    tuple r has tail digits d_1 ... d_(p-1) (d_1 the most significant) and
+    head rank d_0, looked up over the members.  Rotating it left by k
+    places makes the tuple whose tail digits are d_(k+1) ... d_(p-1), d_0,
+    d_1 ... d_(k-1), of rank
+
+        (r mod m^(p-1-k)) * m^k + d_0 * m^(k-1) + (r div m^(p-k)),
+
+    so row k is written in place from the head ranks by one multiply and
+    one add of a digit grid m times smaller, with no gather and no n-sized
+    temporary.  Lookup and table are int32, which holds any index under the
+    tuple cap (10^6 at most; the environment can only lower it).  Each
+    coordinate of the images under row 1, gathered into one buffer, is
+    checked against the next of the tuples; make_action's law then checks
+    each row k + 1 against row 1 applied to row k."""
     cols = tc.tuples.T
     p, n = cols.shape
     m = len(tc.members)
     rank = np.zeros(tc.members[-1] + 1, dtype=np.int32)  # rank[x]: member x's position
     rank[list(tc.members)] = np.arange(m)
     table = np.empty((p, n), dtype=np.int32)
-    table[0] = np.arange(n)
-    sigma = table[1]
+    table[0] = np.arange(n, dtype=np.int32)
     # A head outside the members gets an in-range rank; the check fails.
-    rank.take(cols[0], out=sigma, mode="clip")
-    tails = sigma.reshape(m, -1)  # one row per first tail coordinate, which
-    tails += np.arange(0, n, m, dtype=np.int32)  # drops out as the rest moves up one place
+    rank.take(cols[0], out=table[1], mode="clip")
+    for k in range(p - 1, 0, -1):  # row 1 holds the head ranks until last
+        np.multiply(table[1], m ** (k - 1), out=table[k])
+        digits = table[k].reshape(m ** (k - 1), m, -1)  # (d_1..d_(k-1), d_k, the rest)
+        digits += np.add.outer(np.arange(m ** (k - 1), dtype=np.int32),
+                               np.arange(0, n, m ** k, dtype=np.int32))[:, None]
     image = np.empty(n, dtype=cols.dtype)
-    for j in range(p):  # sigma is in range, so clip mode only spares a buffer
-        cols[j].take(sigma, out=image, mode="clip")
+    for j in range(p):  # row 1 is in range, so clip mode only spares a buffer
+        cols[j].take(table[1], out=image, mode="clip")
         if not np.array_equal(image, cols[(j + 1) % p]):
             raise InternalInvariant("rotation left the product-one family")
-    for k in range(2, p):
-        sigma.take(table[k - 1], out=table[k], mode="clip")
     zp = cyclic_of_prime(p)
     return make_action(zp, zp.full_set(), Carrier(n), table)
 

@@ -130,22 +130,30 @@ def assert_verdict_matches_oracle(g, acting, table):
     return want
 
 
-def mutations(rng, table, count):
+def unit_row(g, acting):
+    """The row of the unit in an action table of the acting subgroup."""
+    return int(np.searchsorted(acting.as_array(), g.unit))
+
+
+def mutations(rng, table, count, unit):
     """Seeded changes to the acting rows: one cell changed, which breaks
     its row's bijection, and two cells of one row swapped, which keeps it
-    and can break only the composition law."""
+    and can break only the composition law; each in a random row, then in
+    the unit's row (row ``unit``), which make_action checks first."""
     s = table.shape[1]
     if s < 2:
         return
     for _ in range(count):
         x = int(rng.choice(len(table)))
         z, w = rng.choice(s, 2, replace=False)
-        changed = table.copy()
-        changed[x, z] = (changed[x, z] + rng.integers(1, s)) % s
-        yield changed
-        swapped = table.copy()
-        swapped[x, [z, w]] = swapped[x, [w, z]]
-        yield swapped
+        shift = rng.integers(1, s)
+        for r in (x, unit):
+            changed = table.copy()
+            changed[r, z] = (changed[r, z] + shift) % s
+            yield changed
+            swapped = table.copy()
+            swapped[r, [z, w]] = swapped[r, [w, z]]
+            yield swapped
 
 
 def test_make_action_matches_the_oracle_on_verify_actions_and_mutations(small_catalog):
@@ -160,7 +168,7 @@ def test_make_action_matches_the_oracle_on_verify_actions_and_mutations(small_ca
         for act in acts:
             assert act.table.shape == (act.acting.card, act.points.size), label
             assert assert_verdict_matches_oracle(g, act.acting, act.table) is None, label
-            for bad in mutations(rng, act.table, 2):
+            for bad in mutations(rng, act.table, 2, unit_row(g, act.acting)):
                 got = assert_verdict_matches_oracle(g, act.acting, bad)
                 verdicts.add(got and got[0])
     assert verdicts == {None, "bijective", "morphism"}
@@ -259,7 +267,7 @@ def test_int32_and_int64_tables_get_the_same_verdict(monkeypatch, spec, cells):
     rng = np.random.default_rng(19)
     verdicts = set()
     for grp, acting, built in cases:
-        for table in [built, *mutations(rng, built, 3)]:
+        for table in [built, *mutations(rng, built, 3, unit_row(grp, acting))]:
             got = []
             for dt in (np.int32, np.int64):
                 t = table.astype(dt)
@@ -274,6 +282,28 @@ def test_int32_and_int64_tables_get_the_same_verdict(monkeypatch, spec, cells):
                 oracles.table_rows(grp), table.tolist(), acting.indices())
             verdicts.add(got[0] and got[0][0])
     assert verdicts == {None, "bijective", "morphism"}
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint64],
+                         ids=lambda dt: np.dtype(dt).name)
+@pytest.mark.parametrize("entry", [-1, 3], ids=["negative", "point_count"])
+def test_an_entry_outside_the_points_is_refused_in_every_dtype(z2, dtype, entry):
+    # an unsigned table holds -1 as its largest value
+    table = np.array([[0, 1, 2], [1, 0, entry]]).astype(dtype)
+    with pytest.raises(PointOutOfRange, match="leaves the point carrier"):
+        make_action(z2, z2.full_set(), Carrier(3), table)
+    assert table.flags.writeable
+
+
+def test_a_negative_entry_is_refused_where_the_points_outnumber_the_dtype(z2):
+    # 300 points in int8, whose entries stop at 127: a -1 read unsigned is
+    # 255, past the dtype yet below the point count
+    table = np.tile(np.arange(300) % 128, (2, 1)).astype(np.int8)
+    assert action_verdict(z2, z2.full_set(), table) == ("bijective", 0)
+    table[1, 5] = -1
+    with pytest.raises(PointOutOfRange, match="leaves the point carrier"):
+        make_action(z2, z2.full_set(), Carrier(300), table)
 
 
 # -- orbits, stabilizers, fixed points -----------------------------------
@@ -385,7 +415,7 @@ def test_single_point_check_rejects_a_point_outside_the_action(s4):
 def unchecked_action(g, table):
     """An Action that skips make_action, so its table need not be one."""
     table = np.asarray(table, dtype=np.int64)
-    return Action(g, g.full_set(), Carrier(table.shape[1]), table)
+    return Action(g, g.full_set(), Carrier(table.shape[1]), table, tuple(range(len(table))))
 
 
 def test_all_point_checks_flag_what_naive_flags_on_a_non_action():
@@ -410,6 +440,33 @@ def test_all_point_checks_refuse_a_stabilizer_that_is_no_subgroup():
         orbit_stabilizer_counts(act)
     with pytest.raises(InvalidSubgroup):
         orbit_stabilizer_check(act, 0)
+
+
+def test_fixed_points_read_from_the_generators_match_the_all_rows_scan(tuple_route_families):
+    # each catalog group's conjugation action, its Sylow steps' coset
+    # translations and the rotation of each product-one family verify builds
+    def actions():
+        for _, g in catalog():
+            full = g.full_set()
+            yield conjugation_action(g, full)
+            for p in prime_divisors(g.order):
+                for hi in sylow_subgroup(g, full, p).chain[:-1]:
+                    yield left_translation_action(g, hi, hi, full)
+        for g, h, p in tuple_route_families:
+            yield rotation_action(product_one_tuples(g, h, p))
+
+    for act in actions():
+        assert len(act.gen_rows) < len(act.table)
+        want = np.flatnonzero((act.table == np.arange(act.points.size)).all(axis=0))
+        assert fixed_points(act).indices() == tuple(want.tolist())
+
+
+def test_a_trivial_acting_group_fixes_every_point(s3):
+    e = singleton(s3.carrier, s3.unit)
+    for act in (conjugation_action(s3, e), left_translation_action(s3, e, e, s3.full_set()),
+                make_action(s3, e, Carrier(4), np.arange(4)[None])):
+        assert act.gen_rows == ()
+        assert fixed_points(act).card == act.points.size
 
 
 def test_conjugation_table_matches_naive_on_the_catalog():

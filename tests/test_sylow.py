@@ -177,6 +177,43 @@ def test_rotation_action_builds_the_acting_group_once_per_prime(monkeypatch):
     assert sorted(built) == ["cyclic:2", "cyclic:3"]
 
 
+def assert_rows_match_sigma_powers_and_rotated_tuples(tc, act, seed):
+    """Each row k of the rotation table against two slow paths: row 1
+    applied k times by gathers, and, on a seeded sample of ranks r, the
+    one rank whose tuple in tc.tuples is tuple r rotated left by k."""
+    table = act.table
+    p, n = table.shape
+    sigma = table[1].astype(np.intp)
+    powers = [np.arange(n), sigma]
+    for _ in range(2, p):
+        powers.append(sigma[powers[-1]])
+    assert np.array_equal(table, np.array(powers))
+    rng = np.random.default_rng(seed)
+    for r in rng.choice(n, min(n, 6), replace=False):
+        t = tc.tuples[r].tolist()
+        for k in range(1, p):
+            rotated = np.array(t[k:] + t[:k], dtype=tc.tuples.dtype)
+            at = np.flatnonzero((tc.tuples == rotated).all(axis=1))
+            assert at.tolist() == [table[k, r]], (r, k)
+
+
+def test_rotation_rows_match_two_slow_paths_on_every_family_verify_builds(tuple_route_families):
+    assert len(tuple_route_families) == 68
+    for i, (g, h, p) in enumerate(tuple_route_families):
+        tc = product_one_tuples(g, h, p)
+        assert_rows_match_sigma_powers_and_rotated_tuples(tc, rotation_action(tc), i)
+
+
+@pytest.mark.parametrize("n, p", [(30, 5), (999, 3)], ids=["cyclic30-p5", "cyclic999-p3"])
+def test_rotation_rows_match_two_slow_paths_on_the_largest_families_under_the_cap(n, p):
+    # 30^4 = 810,000 and 999^2 = 998,001 tuples: the largest the cap admits
+    # at p = 5 and at p = 3, where the next order p divides is past it
+    g = build(GroupSpec.cyclic(n))
+    tc = product_one_tuples(g, g.full_set(), p)
+    assert len(tc.tuples) <= DEFAULT_TUPLE_CAP < (n + p) ** (p - 1)
+    assert_rows_match_sigma_powers_and_rotated_tuples(tc, rotation_action(tc), n)
+
+
 def relabeled(spec, seed):
     """The group of spec with element a renamed perm[a], perm seeded."""
     t = build(spec).mul
@@ -249,7 +286,7 @@ def test_cauchy_z6_tie_break(z6):
 def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
     # C5xC5 at p = 5: 390,625 tuples of 5 coordinates, held as 1-byte
     # entries beside the rotation's 4-byte index table, 5 bytes per
-    # coordinate; the whole run peaks at 7.8
+    # coordinate; the whole run peaks at 7.6
     g = build(GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)))
     h = g.full_set()
     assert cauchy_element(g, h, 5) == 1
