@@ -11,6 +11,12 @@ build_ms lists the milliseconds resolve_group takes to build the group
 takes to validate its table again.  faults lists each timed verify's
 minor page faults (the process's ru_minflt delta), beside runs_s; a
 temporary the allocator has to map afresh on every run shows here.
+Each group's table is also written to a file, one line per row, and
+read back --repeat times by resolve_group(path), the reader and table
+validation: read_ms lists those times and read_faults their minor page
+faults.  The reads run in rounds, each reading every group's file in
+the order named, as the ingest benchmark reads S6, S5xC2 and D6xD6, so
+each read follows the others' and meets the allocator as they left it.
 peak_mib lists, per invocation, the tracemalloc peak of one more verify
 after the timed runs, in MiB.  A report's lagrange time includes
 building the subgroup sample, which reports before the checks' ms added
@@ -47,6 +53,7 @@ import os
 import platform
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -110,9 +117,25 @@ def main() -> int:
 
     batched = hasattr(action, "translation_batch")
     refs = args.refs or DEFAULT_REFS
+    resolved = {ref: resolve_group(ref) for ref in refs}
+    read_ms = {ref: [] for ref in refs}
+    read_faults = {ref: [] for ref in refs}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for k, (ref, (_, g)) in enumerate(resolved.items()):
+            paths[ref] = Path(tmp) / f"table{k}.txt"
+            rows = [" ".join(map(str, row)) for row in g.mul.tolist()]
+            paths[ref].write_text("\n".join([str(g.order), *rows]) + "\n")
+        for _ in range(args.repeat):
+            for ref, path in paths.items():
+                f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = time.perf_counter()
+                resolve_group(str(path))
+                read_ms[ref].append(round((time.perf_counter() - t0) * 1e3, 2))
+                read_faults[ref].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+
     groups = {}
-    for ref in refs:
-        label, g = resolve_group(ref)
+    for ref, (label, g) in resolved.items():
         sample = subgroup_sample(g)
         agree = routes_agree(g, sample) if batched else None
         if agree is False:
@@ -150,11 +173,13 @@ def main() -> int:
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
                        "faults": faults,
                        "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
+                       "read_ms": read_ms[ref], "read_faults": read_faults[ref],
                        "peak_mib": [peak_mib],
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
               f"best {min(times):8.3f} s  build {min(build_ms):8.2f} ms  "
-              f"validate {min(validate_ms):8.2f} ms  peak {peak_mib:7.2f} MiB  "
+              f"validate {min(validate_ms):8.2f} ms  read {min(read_ms[ref]):8.2f} ms  "
+              f"peak {peak_mib:7.2f} MiB  "
               f"routes agree: {agree}")
 
     out = Path(args.out)
@@ -165,7 +190,8 @@ def main() -> int:
     for ref, new in groups.items():  # runs add up; the best run so far is kept
         old = runs.get(ref)
         if old is not None:
-            for key in ("runs_s", "faults", "build_ms", "validate_ms", "peak_mib"):
+            for key in ("runs_s", "faults", "build_ms", "validate_ms", "read_ms",
+                        "read_faults", "peak_mib"):
                 new[key] = old.get(key, []) + new[key]
             if old["best_s"] < new["best_s"]:
                 new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]

@@ -59,20 +59,45 @@ _COMMENT = re.compile(r"#[^\n]*")
 # The longest file read, in bytes: a zero-padded order-1024 table is 5.2 MB.
 MAX_FILE_BYTES = 8 * 2**20
 
+# The bytes of whole lines the reader tokenises at once; a longer line is a
+# block of its own.  A block's temporaries, a few MiB, stay small enough for
+# the allocator to hand the same pages to the next read instead of mapping
+# fresh ones (at 512 KiB an S6 read faults again); smaller blocks pay
+# numpy's per-call overhead once more per block.
+READ_BLOCK_BYTES = 256 * 2**10
 
-def _read_text(path: str) -> str:
-    """The file's text, without a leading byte-order mark, from at most
-    MAX_FILE_BYTES + 1 bytes read.  ParseError, at the line and byte column
-    of the fault, for a longer file or one that is not UTF-8."""
+
+def _read_body(path: str) -> tuple[bytes, bytes, str | None]:
+    """(data, buf, body) for a file of at most MAX_FILE_BYTES: its bytes,
+    the bytes to tokenise, and the text those stand for.  An ASCII file
+    with no "#" is tokenised as read (body None).  Any other file loses a
+    leading byte-order mark and its comments, which keeps every line feed,
+    and is encoded with "replace", one "?" byte per non-ASCII character, so
+    a byte's offset in its line is its column.  ParseError, at the line and
+    byte column of the fault, for a longer file or one that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_FILE_BYTES + 1)
-    try:
-        if len(data) <= MAX_FILE_BYTES:
-            return data.decode("utf-8").removeprefix("\ufeff")
+    if len(data) > MAX_FILE_BYTES:
         k, message = MAX_FILE_BYTES, f"file exceeds the maximum of {MAX_FILE_BYTES} bytes"
-    except UnicodeDecodeError as e:
-        k, message = e.start, "file is not UTF-8 text"
+    elif data.isascii() and b"#" not in data:
+        return data, data, None
+    else:
+        try:
+            body = _COMMENT.sub("", data.decode("utf-8").removeprefix("\ufeff"))
+            return data, body.encode("ascii", "replace"), body
+        except UnicodeDecodeError as e:
+            k, message = e.start, "file is not UTF-8 text"
     raise ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
+
+
+def _number(tok: str) -> int | None:
+    """tok's value if it is ASCII digits 0-9 within int()'s digit limit."""
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
 
 
 def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
@@ -82,108 +107,125 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     array is built, and the size line is checked against MAX_GROUP_ORDER
     before anything sized by it is allocated.
 
-    One vectorised pass finds the tokens, the lines and each entry's value
-    from its last len(str(n - 1)) digits, so leading zeros are read too.
-    It finds the first fault in the order a token-by-token read would: the
+    The file is read in blocks of whole lines, READ_BLOCK_BYTES or one
+    line at least.  In each block a vectorised pass finds the tokens, the
+    lines and each entry's value from its last len(str(n - 1)) digits, so
+    leading zeros are read too, and writes the values into the table.
+    Only the row count, the first fault and the table carry from one
+    block to the next: what scales with the file is its bytes, the table
+    and, unless the file is ASCII with no "#", the text _read_body makes.
+    Faults come in the order a token-by-token read would meet them: the
     size line, then the row count, then row by row a wrong entry count
     before the first bad entry.  Only the offending token is read again,
     to word its message."""
-    text = _read_text(path)
+    data, buf, body = _read_body(path)
+    whole = np.frombuffer(buf, dtype=np.uint8)
+    n = rows = lines_before = lo = 0
+    fault = None  # the first miscounted row or bad entry, raised once rows are counted
+    while lo < len(buf):
+        hi = buf.find(b"\n", lo + READ_BLOCK_BYTES - 1) + 1 or len(buf)
+        block = whole[lo:hi]
+        # a token runs from a rising to a falling edge of the padded token
+        # mask: the separators are " " and "\t\n\v\f\r", bytes 9 to 13
+        inside = np.zeros(block.size + 2, dtype=bool)
+        np.greater(block, 32, out=inside[1:-1])
+        low = np.flatnonzero(block < 32)  # line feeds, other blanks, control bytes
+        code = block[low]
+        inside[low + 1] = (code < 9) | (code > 13)
+        feeds = low[code == 10]
+        feeds += lo
+        edge = inside[1:] > inside[:-1]
+        starts = np.flatnonzero(edge)
+        np.less(inside[1:], inside[:-1], out=edge)
+        width = np.flatnonzero(edge)
+        width -= starts
+        starts += lo
+        # tokens per line: how many start before each line feed, differenced
+        per_line = np.diff(np.searchsorted(starts, feeds), prepend=0, append=starts.size)
+        lines = np.flatnonzero(per_line)  # the block's lines that hold tokens
 
-    # Deleting comments keeps every line feed, and "replace" makes each
-    # non-ASCII character one "?" byte, so a byte's offset is its column.
-    body = _COMMENT.sub("", text)
-    buf = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
-    # a token runs from a rising to a falling edge of the padded token mask:
-    # the separators are " " and "\t\n\v\f\r", bytes 9 to 13
-    inside = np.zeros(buf.size + 2, dtype=bool)
-    np.greater(buf, 32, out=inside[1:-1])
-    low = np.flatnonzero(buf < 32)  # line feeds, other blanks, control bytes
-    code = buf[low]
-    inside[low + 1] = (code < 9) | (code > 13)
-    feeds = low[code == 10]
-    edge = inside[1:] > inside[:-1]
-    starts = np.flatnonzero(edge)
-    np.less(inside[1:], inside[:-1], out=edge)
-    width = np.flatnonzero(edge)
-    width -= starts
-    # tokens per line: how many start before each line feed, differenced
-    per_line = np.diff(np.searchsorted(starts, feeds), prepend=0, append=starts.size)
-    lines = np.flatnonzero(per_line)  # the lines that hold tokens, 0-based
+        def fail(k: int, message: str) -> ParseError:
+            line = int(np.searchsorted(feeds, starts[k]))
+            line_start = feeds[line - 1] + 1 if line else lo
+            return ParseError(lines_before + line + 1, int(starts[k] - line_start) + 1, message)
 
-    def fail(k: int, message: str) -> ParseError:
-        line = int(np.searchsorted(feeds, starts[k]))
-        line_start = feeds[line - 1] + 1 if line else 0
-        return ParseError(line + 1, int(starts[k] - line_start) + 1, message)
+        def token(k: int) -> str:
+            a, b = int(starts[k]), int(starts[k] + width[k])
+            return data[a:b].decode() if body is None else body[a:b]
 
-    def want_int(k: int) -> int:
-        tok = body[starts[k]:starts[k] + width[k]]
-        if tok.isascii() and tok.isdigit():  # ASCII 0-9 only
-            try:
-                return int(tok)
-            except ValueError:  # past Python's digit limit
-                pass
-        raise fail(k, f"expected an integer, got {tok!r}")
+        if lines.size and not n:
+            if per_line[lines[0]] != 1:
+                raise fail(1, f"size line must hold one integer, got {token(1)!r}")
+            n = _number(token(0))
+            if n is None:
+                raise fail(0, f"expected an integer, got {token(0)!r}")
+            if n < 1:
+                raise fail(0, f"size must be positive, got {n}")
+            if n > MAX_GROUP_ORDER:
+                raise fail(0, f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
+            digits = len(str(n - 1))
+            table = np.empty(n * n, dtype=np.int64)
+            starts, width, lines = starts[1:], width[1:], lines[1:]  # the entries
+        if rows + lines.size > n:
+            raise fail(int(per_line[lines[:n - rows]].sum()), "unexpected content after the table")
 
-    last_line = feeds.size + (not text.endswith("\n"))
-    if lines.size == 0:
+        if fault is None and lines.size:
+            # An entry's value is read by Horner's rule from the window of
+            # its last d bytes; the size line comes first and is no narrower,
+            # so every window lies in the file.  An entry is bad if that
+            # value is n or more, if it holds a byte that is no digit, or,
+            # when wider than d, if a byte before its last d is not "0" or
+            # int() refuses that many digits.
+            at = starts + width
+            at -= digits
+            values = np.zeros(width.size, dtype=np.min_scalar_type(10**digits - 1))
+            top = np.zeros(width.size, dtype=np.uint8)  # the largest "digit" read
+            for c in range(digits):
+                column = whole[c:].take(at)
+                column -= ord("0")  # uint8: any byte but a digit is above 9
+                column *= width >= digits - c  # zero the bytes before the entry
+                values *= 10
+                values += column
+                np.maximum(top, column, out=top)
+            bad = (values >= n) | (top > 9)
+            wide = np.flatnonzero(width > digits)
+            if wide.size:  # reduce over each [start, end - d), dropping the gaps between
+                prefixes = np.stack([starts[wide], at[wide]], axis=1).ravel()
+                prefixes -= lo
+                bad[wide] |= np.logical_or.reduceat(block != ord("0"), prefixes)[::2]
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if limit:
+                    bad[wide] |= width[wide] > limit
+
+            counts = per_line[lines]
+            miscounted = np.flatnonzero(counts != n)
+            wrong = np.flatnonzero(bad)
+            if miscounted.size:
+                r = miscounted[0]
+                k = int(counts[:r].sum())  # the row's first entry
+                if not wrong.size or wrong[0] >= k:  # no bad entry in an earlier row
+                    fault = fail(k + min(n, int(counts[r]) - 1),
+                                 f"row has {counts[r]} entries, expected {n}")
+            if fault is None and wrong.size:
+                k = int(wrong[0])
+                tok = token(k)
+                v = _number(tok)
+                fault = fail(k, f"expected an integer, got {tok!r}" if v is None
+                             else f"entry {v} out of range [0, {n})")
+            if fault is None:
+                table[rows * n:(rows + lines.size) * n] = values
+        rows += lines.size
+        lines_before += feeds.size
+        lo = hi
+
+    last_line = lines_before + (not data.endswith(b"\n"))
+    if not n:
         raise ParseError(last_line, 1, "no table found")
-    if per_line[lines[0]] != 1:
-        raise fail(1, f"size line must hold one integer, "
-                      f"got {body[starts[1]:starts[1] + width[1]]!r}")
-    n = want_int(0)
-    if n < 1:
-        raise fail(0, f"size must be positive, got {n}")
-    if n > MAX_GROUP_ORDER:
-        raise fail(0, f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
-
-    rows = lines[1:]
-    if rows.size < n:
-        raise ParseError(last_line, 1, f"expected {n} table rows, found {rows.size}")
-    if rows.size > n:
-        raise fail(1 + int(per_line[rows[:n]].sum()), "unexpected content after the table")
-
-    # Entry j is token j + 1.  Its value is read by Horner's rule from the
-    # window of its last d bytes; the size line comes first and is no
-    # narrower, so every window lies in the file.  An entry is bad if that
-    # value is n or more, if it holds a byte that is no digit, or, when
-    # wider than d, if a byte before its last d is not "0" or int() refuses
-    # that many digits.
-    digits = len(str(n - 1))
-    entry_starts, entry_widths = starts[1:], width[1:]
-    at = entry_starts + entry_widths
-    at -= digits
-    values = np.zeros(entry_widths.size, dtype=np.min_scalar_type(10**digits - 1))
-    top = np.zeros(entry_widths.size, dtype=np.uint8)  # the largest "digit" read
-    for c in range(digits):
-        column = buf[c:].take(at)
-        column -= ord("0")  # uint8: any byte but a digit is above 9
-        column *= entry_widths >= digits - c  # zero the bytes before the entry
-        values *= 10
-        values += column
-        np.maximum(top, column, out=top)
-    bad = (values >= n) | (top > 9)
-    wide = np.flatnonzero(entry_widths > digits)
-    if wide.size:  # reduce over each [start, end - d), dropping the gaps between
-        prefixes = np.stack([entry_starts[wide], at[wide]], axis=1).ravel()
-        bad[wide] |= np.logical_or.reduceat(buf != ord("0"), prefixes)[::2]
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit:
-            bad[wide] |= entry_widths[wide] > limit
-
-    counts = per_line[rows]
-    miscounted = np.flatnonzero(counts != n)
-    wrong = np.flatnonzero(bad)
-    if miscounted.size:
-        r = miscounted[0]
-        k = 1 + int(counts[:r].sum())  # the row's first token
-        if not wrong.size or wrong[0] + 1 >= k:  # no bad entry in an earlier row
-            raise fail(k + min(n, int(counts[r]) - 1),
-                       f"row has {counts[r]} entries, expected {n}")
-    if wrong.size:
-        k = 1 + int(wrong[0])
-        raise fail(k, f"entry {want_int(k)} out of range [0, {n})")
-    return n, values.astype(np.int64).reshape(n, n)
+    if rows < n:
+        raise ParseError(last_line, 1, f"expected {n} table rows, found {rows}")
+    if fault is not None:
+        raise fault
+    return n, table.reshape(n, n)
 
 
 _SHORTHAND = {"z": "cyclic", "d": "dihedral", "s": "symmetric"}

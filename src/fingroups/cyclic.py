@@ -19,10 +19,10 @@ def power(g: Group, a: int, n: int) -> int:
     if n < 0:
         raise ValueError("negative exponents are not needed; invert first")
     x = g.unit
-    row = g.rows()[a]
+    row = g.mul[a]
     for _ in range(n):
         x = row[x]
-    return x
+    return int(x)
 
 
 def cyclic(g: Group, a: int) -> ElemSet:
@@ -30,7 +30,7 @@ def cyclic(g: Group, a: int) -> ElemSet:
     by a starting from the unit, stopping at the first repeat.  The fuel
     bound is the carrier size, so this terminates even on garbage."""
     g.carrier.check_point(a)
-    row = g.rows()[a]
+    row = g.mul[a].tolist()
     bits = 0
     x = g.unit
     for _ in range(g.order):

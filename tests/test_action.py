@@ -207,6 +207,21 @@ def test_trivial_acting_subgroup_checks_its_unit_row(s3, unit_row, verdict):
     assert assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table) == verdict
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_table_whose_unit_row_alone_is_corrupted_is_refused(seed):
+    # the law is never checked at y = the unit, so the unit-first check
+    # must refuse it; relabeled, the unit's row is not row 0
+    g = relabeled(GroupSpec.symmetric(3), seed) if seed else build(GroupSpec.symmetric(3))
+    full = g.full_set()
+    table = np.array(left_translation_action(g, full, singleton(g.carrier, g.unit), full).table)
+    u = unit_row(g, full)
+    for other in range(len(table)):
+        if other != u:
+            bad = table.copy()
+            bad[u] = table[other]  # a permutation, but not the identity
+            assert assert_verdict_matches_oracle(g, full, bad) is not None
+
+
 def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatch, s3):
     # the generator check rejects the table; a full rescan that confirms
     # nothing means the library contradicts itself, never bad input

@@ -1,5 +1,6 @@
-"""Cayley-table files: the one-pass reader against the token loop it
-replaced, and the exit-code contract of `verify` on hostile files."""
+"""Cayley-table files: the block reader against the token loop it
+replaced, in blocks of the default size and of a few bytes, and the
+exit-code contract of `verify` on hostile files."""
 
 import io
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from fingroups import GroupSpec, build
+from fingroups import cli as cli_mod
 from fingroups.cli import main, parse_cayley_file, resolve_group
 from fingroups.errors import GroupTheoryError, ParseError
 from fingroups.suite import catalog_specs
@@ -148,6 +150,91 @@ HARD_CASES = {
 def test_hard_cases_match_the_token_loop(table_file, kind, text):
     table_file.write_bytes(text.encode())
     got = outcome(parse_cayley_file, table_file)
+    assert got[0] == kind
+    assert got == outcome(oracles.naive_parse_cayley_file, table_file)
+
+
+def outcome_in_blocks(path, block: int):
+    """The reader's outcome with blocks of whole lines of `block` bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_mod, "READ_BLOCK_BYTES", block)
+        return outcome(parse_cayley_file, path)
+
+
+@given(cayley_files(), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_parse_in_blocks_of_a_few_bytes_matches_the_token_loop(table_file, text, block):
+    # nearly every line is a block of its own, most rows are longer than a
+    # block, and every fault but one on the size line lies in a later block
+    table_file.write_bytes(text.encode())
+    assert outcome_in_blocks(table_file, block) == outcome(oracles.naive_parse_cayley_file,
+                                                           table_file)
+
+
+def late_edit(*edits, newline: str = "\n", end: str = "\n") -> str:
+    """The table of C12 with each edit applied to its list of lines (the
+    size line first), joined by newline and ended by end: the first block
+    of a few bytes holds only ASCII digits, blanks and line feeds."""
+    lines = cyclic_file(12, (0, 0), "0").splitlines()
+    for edit in edits:
+        edit(lines)
+    return newline.join(lines) + end
+
+
+def change_line(i: int, change):
+    def edit(lines):
+        lines[i] = change(lines[i])
+    return edit
+
+
+def replace_token(i: int, k: int, tok: str):
+    def edit(lines):
+        toks = lines[i].split(" ")
+        toks[k] = tok
+        lines[i] = " ".join(toks)
+    return edit
+
+
+def drop_last_entry(line: str) -> str:
+    return line.rsplit(" ", 1)[0]
+
+
+# What a reader in blocks must carry across them, each past the first block.
+LATE_CASES = {
+    "clean": ("rows", late_edit()),
+    "crlf_line_ends": ("rows", late_edit(newline="\r\n", end="\r\n")),
+    "no_trailing_line_feed": ("rows", late_edit(end="")),
+    "comment_after_a_row": ("rows", late_edit(change_line(9, lambda line: line + "  # \u03bb"))),
+    "comment_line_with_a_byte_order_mark": ("rows", late_edit(
+        lambda lines: lines.insert(9, "#\ufeff late"))),
+    "comment_line_as_the_last_line": ("rows", late_edit(lambda lines: lines.append("# end"),
+                                                        end="")),
+    "non_ascii_entry": ("error", late_edit(replace_token(9, 3, "\u00e9"))),
+    "non_ascii_blank": ("error", late_edit(replace_token(9, 3, "3\u00a04"))),
+    "byte_order_mark_before_a_row": ("error", late_edit(
+        change_line(9, lambda line: "\ufeff" + line))),
+    "entry_out_of_range": ("error", late_edit(replace_token(11, 5, "12"))),
+    "wide_entry_out_of_range": ("error", late_edit(replace_token(11, 5, "0013"))),
+    "wide_entry_in_range": ("rows", late_edit(replace_token(11, 5, "000004"))),
+    "short_row": ("error", late_edit(change_line(10, drop_last_entry))),
+    "short_row_after_a_bad_entry": ("error", late_edit(
+        replace_token(8, 2, "x"), change_line(10, drop_last_entry))),
+    "bad_entry_in_a_short_row": ("error", late_edit(
+        change_line(10, drop_last_entry), replace_token(10, 1, "x"))),
+    "missing_row_after_a_bad_entry": ("error", late_edit(
+        replace_token(4, 2, "99"), lambda lines: lines.pop(12))),
+    "extra_row_after_a_short_row": ("error", late_edit(
+        change_line(3, drop_last_entry), lambda lines: lines.append("0"))),
+    "extra_row_without_a_trailing_line_feed": ("error", late_edit(
+        lambda lines: lines.append("0 1"), end="")),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 40, 2**18], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("kind, text", LATE_CASES.values(), ids=LATE_CASES.keys())
+def test_late_content_in_blocks_matches_the_token_loop(table_file, kind, text, block):
+    table_file.write_bytes(text.encode())
+    got = outcome_in_blocks(table_file, block)
     assert got[0] == kind
     assert got == outcome(oracles.naive_parse_cayley_file, table_file)
 

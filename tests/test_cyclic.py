@@ -50,6 +50,15 @@ def test_power_adds_exponents(q8, a, m, n):
     assert q8.mul[power(q8, a, m), power(q8, a, n)] == power(q8, a, m + n)
 
 
+def test_power_and_cyclic_read_one_row_of_the_table():
+    # no g.rows(): a list of every row would be built for one of them
+    g = build(GroupSpec.symmetric(3))
+    assert [power(g, a, 2) for a in g.elements()] == [0, 0, 0, 4, 3, 0]
+    assert all(type(power(g, a, 5)) is int for a in g.elements())
+    assert [cyclic(g, a).card for a in g.elements()] == [1, 2, 2, 3, 3, 2]
+    assert g._rows is None
+
+
 # -- cyclic subgroups and element order ----------------------------------
 
 

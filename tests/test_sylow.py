@@ -299,6 +299,14 @@ def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
     assert peak <= 9 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
 
 
+def test_a_cauchy_run_leaves_the_table_as_an_array():
+    # the fixed tuples' order check reads each power from one row of g.mul;
+    # the whole table as Python lists would hold 30 MiB on C999
+    g = build(GroupSpec.cyclic(999))
+    assert cauchy_element(g, g.full_set(), 3) == 333
+    assert g._rows is None
+
+
 def test_tuple_cap_may_be_set_to_its_ceiling(monkeypatch):
     monkeypatch.setenv(TUPLE_CAP_ENV, "0" + str(DEFAULT_TUPLE_CAP))
     assert tuple_cap() == DEFAULT_TUPLE_CAP
