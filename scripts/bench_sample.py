@@ -117,15 +117,16 @@ def main() -> int:
 
     batched = hasattr(action, "translation_batch")
     refs = args.refs or DEFAULT_REFS
-    resolved = {ref: resolve_group(ref) for ref in refs}
     read_ms = {ref: [] for ref in refs}
     read_faults = {ref: [] for ref in refs}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
-        for k, (ref, (_, g)) in enumerate(resolved.items()):
+        for k, ref in enumerate(refs):
+            g = resolve_group(ref)[1]
             paths[ref] = Path(tmp) / f"table{k}.txt"
             rows = [" ".join(map(str, row)) for row in g.mul.tolist()]
             paths[ref].write_text("\n".join([str(g.order), *rows]) + "\n")
+        del g, rows  # the verify runs below meet no group but their own
         for _ in range(args.repeat):
             for ref, path in paths.items():
                 f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -135,7 +136,8 @@ def main() -> int:
                 read_faults[ref].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
 
     groups = {}
-    for ref, (label, g) in resolved.items():
+    for ref in refs:
+        label, g = resolve_group(ref)
         sample = subgroup_sample(g)
         agree = routes_agree(g, sample) if batched else None
         if agree is False:

@@ -67,24 +67,24 @@ MAX_FILE_BYTES = 8 * 2**20
 READ_BLOCK_BYTES = 256 * 2**10
 
 
-def _read_body(path: str) -> tuple[bytes, bytes, str | None]:
-    """(data, buf, body) for a file of at most MAX_FILE_BYTES: its bytes,
-    the bytes to tokenise, and the text those stand for.  An ASCII file
-    with no "#" is tokenised as read (body None).  Any other file loses a
-    leading byte-order mark and its comments, which keeps every line feed,
-    and is encoded with "replace", one "?" byte per non-ASCII character, so
-    a byte's offset in its line is its column.  ParseError, at the line and
-    byte column of the fault, for a longer file or one that is not UTF-8."""
+def _read_body(path: str) -> tuple[bytes, str]:
+    """(buf, body) for a file of at most MAX_FILE_BYTES: the text with a
+    leading byte-order mark removed and each comment made one blank, so
+    every line feed stays and the text ends in one when the file does,
+    and that text encoded with "replace", one "?" byte per non-ASCII
+    character, so a byte's offset in its line is its column.  ParseError,
+    at the line and byte column of the fault, for a longer file or one
+    that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
         k, message = MAX_FILE_BYTES, f"file exceeds the maximum of {MAX_FILE_BYTES} bytes"
-    elif data.isascii() and b"#" not in data:
-        return data, data, None
     else:
         try:
-            body = _COMMENT.sub("", data.decode("utf-8").removeprefix("\ufeff"))
-            return data, body.encode("ascii", "replace"), body
+            body = data.decode("utf-8").removeprefix("\ufeff")
+            if "#" in body:  # sub looks for it some 50 times slower than "in"
+                body = _COMMENT.sub(" ", body)
+            return body.encode("ascii", "replace"), body
         except UnicodeDecodeError as e:
             k, message = e.start, "file is not UTF-8 text"
     raise ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
@@ -112,13 +112,13 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     lines and each entry's value from its last len(str(n - 1)) digits, so
     leading zeros are read too, and writes the values into the table.
     Only the row count, the first fault and the table carry from one
-    block to the next: what scales with the file is its bytes, the table
-    and, unless the file is ASCII with no "#", the text _read_body makes.
+    block to the next: what scales with the file is the table and the
+    text _read_body makes, as str and as bytes.
     Faults come in the order a token-by-token read would meet them: the
     size line, then the row count, then row by row a wrong entry count
     before the first bad entry.  Only the offending token is read again,
     to word its message."""
-    data, buf, body = _read_body(path)
+    buf, body = _read_body(path)
     whole = np.frombuffer(buf, dtype=np.uint8)
     n = rows = lines_before = lo = 0
     fault = None  # the first miscounted row or bad entry, raised once rows are counted
@@ -150,8 +150,7 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
             return ParseError(lines_before + line + 1, int(starts[k] - line_start) + 1, message)
 
         def token(k: int) -> str:
-            a, b = int(starts[k]), int(starts[k] + width[k])
-            return data[a:b].decode() if body is None else body[a:b]
+            return body[int(starts[k]):int(starts[k] + width[k])]
 
         if lines.size and not n:
             if per_line[lines[0]] != 1:
@@ -218,7 +217,7 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
         lines_before += feeds.size
         lo = hi
 
-    last_line = lines_before + (not data.endswith(b"\n"))
+    last_line = lines_before + (not buf.endswith(b"\n"))
     if not n:
         raise ParseError(last_line, 1, "no table found")
     if rows < n:

@@ -227,6 +227,8 @@ LATE_CASES = {
         change_line(3, drop_last_entry), lambda lines: lines.append("0"))),
     "extra_row_without_a_trailing_line_feed": ("error", late_edit(
         lambda lines: lines.append("0 1"), end="")),
+    "missing_row_before_a_last_comment_line": ("error", late_edit(
+        lambda lines: lines.pop(12), lambda lines: lines.append("# end"), end="")),
 }
 
 
