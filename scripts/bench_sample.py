@@ -18,10 +18,17 @@ faults.  The reads run in rounds, each reading every group's file in
 the order named, as the ingest benchmark reads S6, S5xC2 and D6xD6, so
 each read follows the others' and meets the allocator as they left it.
 peak_mib lists, per invocation, the tracemalloc peak of one more verify
-after the timed runs, in MiB.  A report's lagrange time includes
-building the subgroup sample, which reports before the checks' ms added
-up to verify's wall time left out, so lagrange times in earlier
-BENCH_*.json runs are not comparable with new ones.
+after the timed runs, in MiB; it cannot see what the timed runs left
+cached on the group.  rss_mib lists, per invocation, the fresh-process
+peak: the peak resident set, in MiB, of a child process that imports
+fingroups from --src, resolves the group and verifies it once,
+interpreter and numpy included.  The child reads it as VmHWM from
+/proc/self/status (Linux): its ru_maxrss would start from this
+process's own peak, which the fork and exec carry over.
+A report's lagrange time includes building the subgroup sample, which
+reports before the checks' ms added up to verify's wall time left out,
+so lagrange times in earlier BENCH_*.json runs are not comparable with
+new ones.
 Before timing, every sample subgroup's counts are compared route against
 route: translation_batch's index, orbit sizes, stabilizer orders and
 indices and fixed points against the single-instance functions'
@@ -52,6 +59,7 @@ import json
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -65,6 +73,26 @@ DEFAULT_REFS = (
     "cyclic:120",
     "product:(q8,product:(z2,product:(z2,product:(z2,product:(z2,z2)))))",
 )
+
+
+FRESH_PEAK = """
+import re, sys
+sys.path.insert(0, sys.argv[1])
+from fingroups.cli import resolve_group
+from fingroups.suite import verify_group
+label, g = resolve_group(sys.argv[2])
+assert verify_group(g, label).ok
+with open("/proc/self/status") as fh:
+    print(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+def fresh_peak_mib(src: str, ref: str) -> float:
+    """The peak RSS of a fresh process that resolves ref and verifies it
+    once, in MiB."""
+    out = subprocess.run([sys.executable, "-c", FRESH_PEAK, src, ref],
+                         capture_output=True, text=True, check=True)
+    return round(int(out.stdout) / 1024, 2)
 
 
 def routes_agree(g, sample) -> bool:
@@ -167,6 +195,7 @@ def main() -> int:
         verify_group(g, label)
         peak_mib = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
         tracemalloc.stop()
+        rss_mib = fresh_peak_mib(os.path.abspath(args.src), ref)
         ms = {c.name: round(c.ms, 1) for c in best.checks
               if c.name in ("lagrange", "orbit_stabilizer:translation",
                             "mod_p_fixed_points:translation")
@@ -176,12 +205,12 @@ def main() -> int:
                        "faults": faults,
                        "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
                        "read_ms": read_ms[ref], "read_faults": read_faults[ref],
-                       "peak_mib": [peak_mib],
+                       "peak_mib": [peak_mib], "rss_mib": [rss_mib],
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
               f"best {min(times):8.3f} s  build {min(build_ms):8.2f} ms  "
               f"validate {min(validate_ms):8.2f} ms  read {min(read_ms[ref]):8.2f} ms  "
-              f"peak {peak_mib:7.2f} MiB  "
+              f"peak {peak_mib:7.2f} MiB  fresh {rss_mib:7.2f} MiB  "
               f"routes agree: {agree}")
 
     out = Path(args.out)
@@ -193,7 +222,7 @@ def main() -> int:
         old = runs.get(ref)
         if old is not None:
             for key in ("runs_s", "faults", "build_ms", "validate_ms", "read_ms",
-                        "read_faults", "peak_mib"):
+                        "read_faults", "peak_mib", "rss_mib"):
                 new[key] = old.get(key, []) + new[key]
             if old["best_s"] < new["best_s"]:
                 new["best_s"], new["checks_ms"] = old["best_s"], old["checks_ms"]

@@ -67,14 +67,14 @@ MAX_FILE_BYTES = 8 * 2**20
 READ_BLOCK_BYTES = 256 * 2**10
 
 
-def _read_body(path: str) -> tuple[bytes, str]:
+def _read_body(path: str) -> tuple[bytes, str] | ParseError:
     """(buf, body) for a file of at most MAX_FILE_BYTES: the text with a
     leading byte-order mark removed and each comment made one blank, so
     every line feed stays and the text ends in one when the file does,
     and that text encoded with "replace", one "?" byte per non-ASCII
-    character, so a byte's offset in its line is its column.  ParseError,
-    at the line and byte column of the fault, for a longer file or one
-    that is not UTF-8."""
+    character, so a byte's offset in its line is its column.  The
+    ParseError, at the line and byte column of the fault, for a longer file
+    or one that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:
@@ -87,7 +87,7 @@ def _read_body(path: str) -> tuple[bytes, str]:
             return body.encode("ascii", "replace"), body
         except UnicodeDecodeError as e:
             k, message = e.start, "file is not UTF-8 text"
-    raise ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
+    return ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
 
 
 def _number(tok: str) -> int | None:
@@ -118,10 +118,22 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     size line, then the row count, then row by row a wrong entry count
     before the first bad entry.  Only the offending token is read again,
     to word its message."""
-    buf, body = _read_body(path)
+    found = _read_body(path)
+    if not isinstance(found, ParseError):
+        found = _parse_table(*found)
+    if isinstance(found, ParseError):
+        # a caught rejection keeps the locals of every frame it passed alive,
+        # so each pass returns its fault, to be raised from this frame alone
+        raise found
+    return found
+
+
+def _parse_table(buf: bytes, body: str) -> tuple[int, np.ndarray] | ParseError:
+    """parse_cayley_file's block pass over _read_body's text: (n, table), or
+    the ParseError of the first fault."""
     whole = np.frombuffer(buf, dtype=np.uint8)
     n = rows = lines_before = lo = 0
-    fault = None  # the first miscounted row or bad entry, raised once rows are counted
+    fault = None  # the first miscounted row or bad entry, returned once rows are counted
     while lo < len(buf):
         hi = buf.find(b"\n", lo + READ_BLOCK_BYTES - 1) + 1 or len(buf)
         block = whole[lo:hi]
@@ -154,19 +166,19 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
 
         if lines.size and not n:
             if per_line[lines[0]] != 1:
-                raise fail(1, f"size line must hold one integer, got {token(1)!r}")
+                return fail(1, f"size line must hold one integer, got {token(1)!r}")
             n = _number(token(0))
             if n is None:
-                raise fail(0, f"expected an integer, got {token(0)!r}")
+                return fail(0, f"expected an integer, got {token(0)!r}")
             if n < 1:
-                raise fail(0, f"size must be positive, got {n}")
+                return fail(0, f"size must be positive, got {n}")
             if n > MAX_GROUP_ORDER:
-                raise fail(0, f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
+                return fail(0, f"size {n} exceeds the maximum of {MAX_GROUP_ORDER}")
             digits = len(str(n - 1))
             table = np.empty(n * n, dtype=np.int64)
             starts, width, lines = starts[1:], width[1:], lines[1:]  # the entries
         if rows + lines.size > n:
-            raise fail(int(per_line[lines[:n - rows]].sum()), "unexpected content after the table")
+            return fail(int(per_line[lines[:n - rows]].sum()), "unexpected content after the table")
 
         if fault is None and lines.size:
             # An entry's value is read by Horner's rule from the window of
@@ -219,11 +231,11 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
 
     last_line = lines_before + (not buf.endswith(b"\n"))
     if not n:
-        raise ParseError(last_line, 1, "no table found")
+        return ParseError(last_line, 1, "no table found")
     if rows < n:
-        raise ParseError(last_line, 1, f"expected {n} table rows, found {rows}")
+        return ParseError(last_line, 1, f"expected {n} table rows, found {rows}")
     if fault is not None:
-        raise fault
+        return fault
     return n, table.reshape(n, n)
 
 

@@ -10,6 +10,7 @@ from .carrier import ElemSet
 from .group import Group
 from .numutil import is_prime
 from .report import Check, Clock, tally
+from .subgroup import closure
 
 
 def power(g: Group, a: int, n: int) -> int:
@@ -19,26 +20,16 @@ def power(g: Group, a: int, n: int) -> int:
     if n < 0:
         raise ValueError("negative exponents are not needed; invert first")
     x = g.unit
-    row = g.mul[a]
+    row = g.rows()[a]
     for _ in range(n):
         x = row[x]
-    return int(x)
+    return x
 
 
 def cyclic(g: Group, a: int) -> ElemSet:
-    """The subgroup generated by a single element: iterate multiplication
-    by a starting from the unit, stopping at the first repeat.  The fuel
-    bound is the carrier size, so this terminates even on garbage."""
-    g.carrier.check_point(a)
-    row = g.mul[a].tolist()
-    bits = 0
-    x = g.unit
-    for _ in range(g.order):
-        if (bits >> x) & 1:
-            break
-        bits |= 1 << x
-        x = row[x]
-    return ElemSet(g.carrier, bits)
+    """The subgroup generated by a single element: closure(g, [a]) walks
+    a's powers from the unit to the first repeat, bounded by the carrier."""
+    return closure(g, [a])
 
 
 def order(g: Group, a: int) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class Group:
         self.mul = mul
         inv.setflags(write=False)
         mul.setflags(write=False)
-        self._rows: list[list[int]] | None = None
+        self._rows: list[memoryview] | None = None
         self._columns: np.ndarray | None = None
         # indicator bits of the sets is_subgroup or translation_batch proved subgroups
         self._subgroup_bits: set[int] = set()
@@ -89,11 +89,12 @@ class Group:
     def full_set(self) -> ElemSet:
         return full_set(self.carrier)
 
-    def rows(self) -> list[list[int]]:
-        """The multiplication table as plain lists; cached.  Handy for hot
-        Python loops where numpy scalar indexing is too slow."""
+    def rows(self) -> list[memoryview]:
+        """Read-only memoryviews of the table's rows, not a copy; cached.  A
+        view indexes to a Python int without numpy's scalar overhead, so hot
+        Python loops read rows()[x][y], and the group holds its table once."""
         if self._rows is None:
-            self._rows = self.mul.tolist()
+            self._rows = [memoryview(r) for r in self.mul]
         return self._rows
 
     def columns(self) -> np.ndarray:
@@ -112,7 +113,7 @@ class Group:
         return f"Group(order={self.order}, unit={self.unit})"
 
 
-def reach(gen_rows: list[list[int]], bits: int, frontier: list[int]) -> int:
+def reach(gen_rows: list[Sequence[int]], bits: int, frontier: list[int]) -> int:
     """Breadth-first closure under left multiplication: from the set
     ``bits`` (indicator bits), whose members still to multiply are
     ``frontier``, add gen * y for every generator row and point y reached
@@ -186,7 +187,7 @@ def from_cayley_table(n: int, table) -> Group:
         raise MalformedTable(f"entries must be integers, got dtype {t.dtype}")
     if t.size and (t.min() < 0 or t.max() >= n):
         raise MalformedTable(f"entries must lie in [0, {n})")
-    found = _axioms(t.astype(TABLE_DTYPE))
+    found = _axioms(t.astype(TABLE_DTYPE, order="C"))  # rows() views whole rows
     if isinstance(found, GroupTheoryError):
         # a caught rejection keeps this frame's locals alive with its
         # traceback, so the table is dropped before raising

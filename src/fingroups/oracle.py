@@ -13,13 +13,13 @@ from __future__ import annotations
 from .carrier import ElemSet
 from .errors import UnsupportedSpec
 from .group import Group
-from .numutil import is_prime
+from .numutil import is_prime, padic_val
 
 # Beyond this order the lattice enumeration stops being a sane cross-check.
 MAX_ORACLE_ORDER = 60
 
 
-def _close(rows: list[list[int]], start: list[int]) -> int:
+def _close(rows: list[memoryview], start: list[int]) -> int:
     """Indicator bits of the multiplicative closure of the start elements,
     by saturating pairwise products in both orders."""
     elems: list[int] = []
@@ -72,10 +72,5 @@ def sylow_family_bruteforce(g: Group, k: ElemSet, p: int) -> list[ElemSet]:
     subgroup lattice."""
     if not is_prime(p):
         raise UnsupportedSpec(f"{p} is not prime")
-    n = 0
-    u = k.card
-    while u % p == 0:
-        u //= p
-        n += 1
-    target = p**n
+    target = p ** padic_val(p, k.card)
     return [s for s in all_subgroups(g) if s.card == target and s.issubset(k)]

@@ -67,7 +67,7 @@ def oracle_subgroups(groups):
     out = {}
     for label, g in groups:
         if g.order <= 60:
-            out[label] = oracles.all_subgroups_naive(g.rows(), g.unit)
+            out[label] = oracles.all_subgroups_naive(oracles.table_rows(g), g.unit)
     return out
 
 
@@ -121,7 +121,7 @@ def test_criterion_03_orbit_stabilizer_and_mod_p(groups, samples):
 
 def test_criterion_04_cauchy(groups):
     for label, g in groups:
-        rows = g.rows()
+        rows = oracles.table_rows(g)
         full = g.full_set()
         for p in prime_divisors(g.order):
             a = cauchy_element(g, full, p)
@@ -185,7 +185,7 @@ def test_criterion_07_sylow_counting(groups, oracle_subgroups):
                 size = p ** padic_val(p, g.order)
                 want = {s for s in oracle_subgroups[label] if len(s) == size}
                 assert {frozenset(h.indices()) for h in fam} == want, (label, p)
-        if oracles.naive_is_abelian(g.rows()):
+        if oracles.naive_is_abelian(oracles.table_rows(g)):
             for p in prime_divisors(g.order):
                 assert counts[label, p] == 1, label
 
@@ -196,7 +196,7 @@ def test_criterion_07_sylow_counting(groups, oracle_subgroups):
     # the combinatorial scan over all C(24,8) subsets is a second,
     # assumption-free count of the S4 Sylow 2-subgroups
     s4 = dict(groups)["symmetric:4"]
-    scan = oracles.closed_subsets_of_size(s4.rows(), s4.unit, 8)
+    scan = oracles.closed_subsets_of_size(oracles.table_rows(s4), s4.unit, 8)
     assert len(scan) == 3
 
     elapsed = time.perf_counter() - t0

@@ -572,7 +572,7 @@ def test_translation_by_trivial_group(s3):
 
 
 def test_translation_matches_coset_arithmetic(s4):
-    rows = s4.rows()
+    rows = oracles.table_rows(s4)
     h = closure(s4, [3])
     l = closure(s4, [1, 2])
     act = left_translation_action(s4, h, l, s4.full_set())

@@ -269,20 +269,37 @@ def test_a_full_table_under_an_oversized_size_line_is_refused(tmp_path):
 
 
 def test_a_rejected_file_keeps_no_table_alive_in_its_traceback(tmp_path):
-    # a caller that keeps the error keeps every frame of its traceback
-    g = build(GroupSpec.symmetric(4))
-    rows = g.mul.tolist()
-    rows[5][7] = rows[5][8]  # no longer a Latin square
-    path = tmp_path / "bad.cayley"
-    path.write_text("24\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
-    with pytest.raises(GroupTheoryError) as exc:
-        resolve_group(str(path))
-    tb, held = exc.value.__traceback__.tb_next, []  # the library's frames
-    while tb is not None:
-        held += [(tb.tb_frame.f_code.co_name, name)
-                 for name, v in tb.tb_frame.f_locals.items()
-                 if isinstance(v, (np.ndarray, list)) and np.size(v) >= 24 * 24]
-        tb = tb.tb_next
+    # a caller that keeps the error keeps every frame of its traceback, so
+    # none may hold the table or the file's text, whichever check refused it
+    good = build(GroupSpec.symmetric(4)).mul.tolist()
+
+    def text(rows) -> bytes:
+        return ("24\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)).encode()
+
+    latin, last, short = ([row[:] for row in good] for _ in range(3))
+    latin[5][7] = latin[5][8]  # no longer a Latin square
+    last[23][5] = 24  # out of range, on the last row
+    short[3].pop()  # a miscounted row
+    files = {"latin": text(latin), "range": text(last), "after": text(good) + b"0\n",
+             "count": text(short), "bytes": b"1\n0\n" + b" " * cli_mod.MAX_FILE_BYTES}
+
+    def large(v) -> bool:
+        if isinstance(v, (bytes, str)):
+            return len(v) >= 24 * 24
+        return isinstance(v, (np.ndarray, list)) and np.size(v) >= 24 * 24
+
+    held = []
+    for name, data in files.items():
+        path = tmp_path / f"{name}.cayley"
+        path.write_bytes(data)
+        with pytest.raises(GroupTheoryError) as exc:
+            resolve_group(str(path))
+        assert isinstance(exc.value, ParseError) == (name != "latin"), name
+        tb = exc.value.__traceback__.tb_next  # the library's frames
+        while tb is not None:
+            held += [(name, tb.tb_frame.f_code.co_name, local)
+                     for local, v in tb.tb_frame.f_locals.items() if large(v)]
+            tb = tb.tb_next
     assert held == []
 
 

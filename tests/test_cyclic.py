@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fingroups import (
     GroupSpec,
     build,
+    closure,
     cyclic,
     order,
     phi,
@@ -51,12 +53,20 @@ def test_power_adds_exponents(q8, a, m, n):
 
 
 def test_power_and_cyclic_read_one_row_of_the_table():
-    # no g.rows(): a list of every row would be built for one of them
+    # rows() views the rows of g.mul: the table as Python lists would take
+    # about 32 MiB on C1024, its row views a few hundred KiB
     g = build(GroupSpec.symmetric(3))
     assert [power(g, a, 2) for a in g.elements()] == [0, 0, 0, 4, 3, 0]
     assert all(type(power(g, a, 5)) is int for a in g.elements())
     assert [cyclic(g, a).card for a in g.elements()] == [1, 2, 2, 3, 3, 2]
-    assert g._rows is None
+    g = build(GroupSpec.cyclic(1024))
+    tracemalloc.start()
+    try:
+        assert closure(g, [1]).card == 1024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- cyclic subgroups and element order ----------------------------------
@@ -92,7 +102,7 @@ def test_four_cycle_in_s4(s4):
 )
 def test_order_matches_naive_scan(spec):
     g = build(spec)
-    rows = g.rows()
+    rows = oracles.table_rows(g)
     want = oracles.element_orders(rows, g.unit)
     for a in g.elements():
         assert order(g, a) == want[a]

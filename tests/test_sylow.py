@@ -300,11 +300,16 @@ def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
 
 
 def test_a_cauchy_run_leaves_the_table_as_an_array():
-    # the fixed tuples' order check reads each power from one row of g.mul;
-    # the whole table as Python lists would hold 30 MiB on C999
+    # the fixed tuples' order check reads each power from a view of one row
+    # of g.mul; the whole table as Python lists would hold 30 MiB on C999
     g = build(GroupSpec.cyclic(999))
-    assert cauchy_element(g, g.full_set(), 3) == 333
-    assert g._rows is None
+    tracemalloc.start()
+    try:
+        assert cauchy_element(g, g.full_set(), 3) == 333
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 2 * 2**20, left
 
 
 def test_tuple_cap_may_be_set_to_its_ceiling(monkeypatch):
@@ -402,7 +407,7 @@ def test_huge_prime_is_rejected_by_the_order_bound(z6):
 )
 def test_cauchy_order_is_exact(spec):
     g = build(spec)
-    rows = g.rows()
+    rows = oracles.table_rows(g)
     for p in (2, 3, 5, 7):
         if g.order % p:
             continue
@@ -557,7 +562,7 @@ def test_s3_family_is_the_three_transposition_subgroups(s3):
     full = s3.full_set()
     fam = sylow_family(s3, full, 2, sylow_subgroup(s3, full, 2))
     got = {frozenset(h.indices()) for h in fam}
-    want = oracles.closed_subsets_of_size(s3.rows(), s3.unit, 2)
+    want = oracles.closed_subsets_of_size(oracles.table_rows(s3), s3.unit, 2)
     assert got == want
     assert len(fam) == 3
 
@@ -578,7 +583,7 @@ def test_family_deterministic_and_sylow(s4):
 def test_s5_prime_order_counts(s5):
     # for Sylow subgroups of prime order p, the family size is just
     # (number of order-p elements) / (p - 1); count the elements directly
-    rows = s5.rows()
+    rows = oracles.table_rows(s5)
     ords = oracles.element_orders(rows, s5.unit)
     for p in (3, 5):
         n_elements = sum(1 for o in ords.values() if o == p)
@@ -656,7 +661,7 @@ def test_verify_builds_each_family_once(s4, monkeypatch):
 
 def test_all_subgroups_s3_against_powerset(s3):
     """Order 6 is small enough to test every one of the 64 subsets."""
-    rows = s3.rows()
+    rows = oracles.table_rows(s3)
     want = set()
     for bits in range(1 << 6):
         sub = frozenset(i for i in range(6) if (bits >> i) & 1)
@@ -669,7 +674,7 @@ def test_all_subgroups_s3_against_powerset(s3):
 
 def test_all_subgroups_s4(s4):
     got = pkg_oracle.all_subgroups(s4)
-    want = oracles.all_subgroups_naive(s4.rows(), s4.unit)
+    want = oracles.all_subgroups_naive(oracles.table_rows(s4), s4.unit)
     assert {frozenset(h.indices()) for h in got} == want
     assert len(got) == 30
 
@@ -699,4 +704,4 @@ def test_bruteforce_family_matches_constructed(s4, q8, z12):
 
 def test_element_order_scan_consistency(s4):
     for a in s4.elements():
-        assert oracles.naive_order(s4.rows(), s4.unit, a) == order(s4, a)
+        assert oracles.naive_order(oracles.table_rows(s4), s4.unit, a) == order(s4, a)
