@@ -343,14 +343,15 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
 
     Each H is proven a subgroup (the unit and y * x^-1 for members x, y);
     [G : H] counts the x that are the least of x * H; the table of the
-    action passes make_action's laws on every acting element (each row a
-    permutation, the unit's the identity, (x*y).z == x.(y.z)); an orbit's
-    size counts the points whose column has the same least entry; and each
-    distinct stabilizer column is proven a subgroup and its index in H
-    counted by coset roots, as orbit_stabilizer_counts does.  Every
-    temporary holds at most c * k * |G| entries.  A set that is no subgroup
-    raises InvalidSubgroup; indices that differ, a table that breaks a law
-    or a stabilizer that is no subgroup raise InternalInvariant."""
+    action passes make_action's laws on every acting element (each image a
+    coset, the unit's row the identity, (x*y).z == x.(y.z), so each row is
+    onto by the law at y = x^-1); an orbit's size counts the points whose
+    column has the same least entry; and each distinct stabilizer column is
+    proven a subgroup and its index in H counted by coset roots, as
+    orbit_stabilizer_counts does.  Every temporary holds at most c * k * |G|
+    entries.  A set that is no subgroup raises InvalidSubgroup; indices
+    that differ, a table that breaks a law or a stabilizer that is no
+    subgroup raise InternalInvariant."""
     clock = Clock()
     n, k, c = g.order, hs[0].card, len(hs)
     if any(h.carrier != g.carrier for h in hs):
@@ -377,12 +378,12 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     laps = [clock.lap()]
 
     roots = np.flatnonzero(own).reshape(c, s) - ci * n
-    number = np.empty((c, n), dtype=dt)  # number[i, r]: the point of the root r
+    number = np.full((c, n), s, dtype=dt)  # number[i, r]: the point of the root r, s if none
     number[ci, roots] = np.arange(s, dtype=dt)
     table = _at(number, cj, _at(root, cj, _at(g.mul, m[:, :, None], roots[:, None, :])))
     pts = np.arange(s, dtype=dt)
     unit = row[:, g.unit]
-    _require(np.sort(table, axis=2) == pts, hs, "each acting element permutes the cosets")
+    _require(table < s, hs, "each acting element permutes the cosets")
     _require(table[ci[:, 0], unit] == pts, hs, "the unit acts as the identity")
     prod = _at(g.mul, m[:, :, None], m[:, None, :])  # the element m_a * m_b
     lifted = _at(row, cj, prod) + cj * k  # its row in the stacked (c * k, s) table

@@ -54,7 +54,7 @@ from .sylow import cauchy_certificate, cauchy_element, sylow_battery
 # Comments run from "#" to the end of the line.  Lines end at "\n" alone and
 # tokens are runs of anything but ASCII blanks and line feeds: str.splitlines
 # and \S also break at U+2028, U+0085, U+001C and others.
-_COMMENT = re.compile(r"#[^\n]*")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 # The longest file read, in bytes: a zero-padded order-1024 table is 5.2 MB.
 MAX_FILE_BYTES = 8 * 2**20
@@ -67,12 +67,10 @@ MAX_FILE_BYTES = 8 * 2**20
 READ_BLOCK_BYTES = 256 * 2**10
 
 
-def _read_body(path: str) -> tuple[bytes, str] | ParseError:
-    """(buf, body) for a file of at most MAX_FILE_BYTES: the text with a
-    leading byte-order mark removed and each comment made one blank, so
-    every line feed stays and the text ends in one when the file does,
-    and that text encoded with "replace", one "?" byte per non-ASCII
-    character, so a byte's offset in its line is its column.  The
+def _read_body(path: str) -> bytes | ParseError:
+    """The bytes of a UTF-8 file of at most MAX_FILE_BYTES, with a leading
+    byte-order mark removed and each comment made one blank, so every line
+    feed stays and the bytes end in one when the file does.  The
     ParseError, at the line and byte column of the fault, for a longer file
     or one that is not UTF-8."""
     with open(path, "rb") as fh:
@@ -81,10 +79,9 @@ def _read_body(path: str) -> tuple[bytes, str] | ParseError:
         k, message = MAX_FILE_BYTES, f"file exceeds the maximum of {MAX_FILE_BYTES} bytes"
     else:
         try:
-            body = data.decode("utf-8").removeprefix("\ufeff")
-            if "#" in body:  # sub looks for it some 50 times slower than "in"
-                body = _COMMENT.sub(" ", body)
-            return body.encode("ascii", "replace"), body
+            data.isascii() or data.decode("utf-8")  # checked, and the text dropped
+            data = data.removeprefix(b"\xef\xbb\xbf")
+            return _COMMENT.sub(b" ", data) if b"#" in data else data  # sub is 50x slower than "in"
         except UnicodeDecodeError as e:
             k, message = e.start, "file is not UTF-8 text"
     return ParseError(data.count(b"\n", 0, k) + 1, k - data.rfind(b"\n", 0, k), message)
@@ -112,15 +109,14 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     lines and each entry's value from its last len(str(n - 1)) digits, so
     leading zeros are read too, and writes the values into the table.
     Only the row count, the first fault and the table carry from one
-    block to the next: what scales with the file is the table and the
-    text _read_body makes, as str and as bytes.
+    block to the next: what scales with the file is the table and its bytes.
     Faults come in the order a token-by-token read would meet them: the
     size line, then the row count, then row by row a wrong entry count
-    before the first bad entry.  Only the offending token is read again,
-    to word its message."""
+    before the first bad entry.  Only the offending token and its line up
+    to it are decoded, to word its message and count its column."""
     found = _read_body(path)
     if not isinstance(found, ParseError):
-        found = _parse_table(*found)
+        found = _parse_table(found)
     if isinstance(found, ParseError):
         # a caught rejection keeps the locals of every frame it passed alive,
         # so each pass returns its fault, to be raised from this frame alone
@@ -128,9 +124,11 @@ def parse_cayley_file(path: str) -> tuple[int, np.ndarray]:
     return found
 
 
-def _parse_table(buf: bytes, body: str) -> tuple[int, np.ndarray] | ParseError:
-    """parse_cayley_file's block pass over _read_body's text: (n, table), or
-    the ParseError of the first fault."""
+def _parse_table(buf: bytes) -> tuple[int, np.ndarray] | ParseError:
+    """parse_cayley_file's block pass over _read_body's bytes: (n, table),
+    or the ParseError of the first fault.  A non-ASCII byte is no blank, so
+    it stays inside its token, and no token that holds one reads as a
+    number: a byte past "9" fails its digit window or its "0" prefix."""
     whole = np.frombuffer(buf, dtype=np.uint8)
     n = rows = lines_before = lo = 0
     fault = None  # the first miscounted row or bad entry, returned once rows are counted
@@ -158,11 +156,11 @@ def _parse_table(buf: bytes, body: str) -> tuple[int, np.ndarray] | ParseError:
 
         def fail(k: int, message: str) -> ParseError:
             line = int(np.searchsorted(feeds, starts[k]))
-            line_start = feeds[line - 1] + 1 if line else lo
-            return ParseError(lines_before + line + 1, int(starts[k] - line_start) + 1, message)
+            before = buf[feeds[line - 1] + 1 if line else lo:starts[k]].decode("utf-8")
+            return ParseError(lines_before + line + 1, len(before) + 1, message)  # in characters
 
         def token(k: int) -> str:
-            return body[int(starts[k]):int(starts[k] + width[k])]
+            return buf[int(starts[k]):int(starts[k] + width[k])].decode("utf-8")
 
         if lines.size and not n:
             if per_line[lines[0]] != 1:

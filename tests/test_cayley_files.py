@@ -4,6 +4,7 @@ exit-code contract of `verify` on hostile files."""
 
 import io
 import random
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -137,12 +138,15 @@ HARD_CASES = {
         ("error", "3\n0 1 2\n1 \u03bb\u03bc x\n2 0 1\n"),
     "too_few_rows_then_a_comment_without_a_line_feed":
         ("error", "3\n0 1 2\n1 2 0\n# no third row"),
-    # ":" and "?" (each non-ASCII character's stand-in) are the bytes 10 and
-    # 15 past "0", values a digit sum could take for entries of C20
+    # ":" is the byte 10 past "0", a value a digit sum could take for an
+    # entry of C20; a non-ASCII entry must fail whatever its bytes sum to
     "colon_that_a_digit_sum_would_read_as_10": ("error", cyclic_file(20, (7, 3), "0:")),
     "non_ascii_entry_that_a_digit_sum_would_read_as_15":
         ("error", cyclic_file(20, (7, 3), "\u00e9")),
     "ascii_control_byte_separates_nothing": ("error", cyclic_file(2, (1, 0), "1\x1c0")),
+    # the reported entry is the 7th character of its line but its 8th byte
+    "miscounted_row_reported_after_a_multi_byte_character":
+        ("error", "3\n0 1 2\n1 \u00e9 2 0\n2 0 1\n"),
 }
 
 
@@ -248,6 +252,24 @@ def test_a_clean_s6_file_parses_to_its_table(tmp_path):
     path.write_text(f"# the symmetric group S6\n720  # order\n{rows}", newline="")
     n, table = parse_cayley_file(str(path))
     assert n == 720 and table.dtype == np.int64 and np.array_equal(table, g.mul)
+
+
+def test_a_parse_holds_the_table_and_one_file_sized_buffer(tmp_path):
+    # the reader tokenises the file's bytes as read, so beside the table it
+    # holds one file-sized buffer and a block's token arrays
+    g = build(GroupSpec.symmetric(6))
+    path = tmp_path / "s6.cayley"
+    path.write_text("720\n" + "".join(" ".join(map(str, row)) + "\n" for row in g.mul.tolist()))
+    parse_cayley_file(str(path))  # warm up numpy's and the reader's one-time allocations
+    tracemalloc.start()
+    try:
+        n, table = parse_cayley_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 720 and np.array_equal(table, g.mul)
+    # the margin covers one block's token arrays, about 1 MiB at 256 KiB blocks
+    assert peak < table.nbytes + 2 * path.stat().st_size + 2 * 2**20, peak
 
 
 def test_a_file_with_leading_zeros_parses(tmp_path):

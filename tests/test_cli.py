@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from fingroups import Carrier, Check, GroupSpec, Report, build, closure, set_of, subgroup_sample
 from fingroups import action as action_mod
 from fingroups import cli as cli_mod
@@ -106,6 +107,18 @@ def test_parse_non_utf8_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert "UTF-8" in err
+
+
+def test_parse_non_utf8_byte_after_a_multi_byte_character(tmp_path):
+    # an encoding fault is placed by its byte column: the \xff is the 8th
+    # byte of its line, after the two bytes of an e-acute
+    path = tmp_path / "after_e_acute.cayley"
+    path.write_bytes(b"1\n0 # \xc3\xa9 \xff\n")
+    for parse in (parse_cayley_file, oracles.naive_parse_cayley_file):
+        with pytest.raises(ParseError) as exc:
+            parse(str(path))
+        assert (exc.value.line, exc.value.col) == (2, 8), parse
+        assert "UTF-8" in exc.value.detail
 
 
 def test_parse_utf8_file_with_byte_order_mark(tmp_path, capsys):
