@@ -19,7 +19,9 @@ the Action records their rows: a point each of them fixes is fixed by
 every acting element, so fixed_points reads those rows alone.  A table
 that fails is rescanned element by element, so its error names the same
 first witness as a check of every element would.  Tables are validated in
-place, in their own integer dtype, and never copied.
+place, in their own integer dtype, and never copied; each pass over them,
+the fixed points' too, reads at most CHECK_CELLS entries at a time: whole
+rows while they fit, and a longer row a range of columns at a time.
 
 The counting results: the orbit of a point has the same size as the index
 of its stabilizer, hence divides the acting order; and when the acting
@@ -111,12 +113,19 @@ def make_action(
         raise PointOutOfRange(
             f"table shape {table.shape} does not match ({h.card}, {s})"
         )
-    if s and table.size and (table.min() < 0 or table.max() >= s):
+    # Read unsigned, a negative entry is at least top, which no entry of the
+    # dtype reaches, so one max finds every entry outside the points.
+    top = 1 << 8 * table.itemsize - (table.dtype.kind == "i")
+    if table.size and table.view(f"u{table.itemsize}").max() >= min(s, top):
         raise PointOutOfRange("action table leaves the point carrier")
 
     row = np.cumsum(h.mask()) - 1  # row[x] is x's row, for x in h
     gen_rows: list[int] = []
-    ok = np.array_equal(table[row[g.unit]], np.arange(s))
+    # the unit's row against the points a block at a time, in the table's
+    # dtype; one that stops short of the last point holds no identity row
+    unit_row = table[row[g.unit]]
+    ok = s <= top and all((unit_row[i:i + CHECK_CELLS] == np.arange(
+        i, min(i + CHECK_CELLS, s), dtype=table.dtype)).all() for i in range(0, s, CHECK_CELLS))
     for a in greedy_generators(g.mul, g.unit, h.bits) if ok else ():
         gen_rows.append(int(row[a]))
         if not (ok := _composes(table[row[a]], table, row[g.mul[a, m]], row[g.unit])):
@@ -137,13 +146,19 @@ def _composes(ta: np.ndarray, table: np.ndarray, ay: np.ndarray, unit: int) -> b
     is the row of a and ay[i] the row of a*y for the y of row i.  The
     unit's row is skipped: with the unit acting as the identity, the law
     holds there by itself."""
-    step = max(1, CHECK_CELLS // max(table.shape[1], 1))
+    s = table.shape[1]
+    step = max(1, CHECK_CELLS // max(s, 1))
     for lo, hi in ((0, unit), (unit + 1, len(table))):
         for i in range(lo, hi, step):
-            j = min(i + step, hi)
-            want = table[ay[i:j]] if step > 1 else table[ay[i]]  # a row is a view
-            if not (ta.take(table[i:j]) == want).all():
-                return False
+            if step > 1:  # whole rows
+                j = min(i + step, hi)
+                if not (ta.take(table[i:j]) == table[ay[i:j]]).all():
+                    return False
+            else:  # one row, a range of columns at a time; a row is a view
+                for c in range(0, s, CHECK_CELLS):
+                    cols = slice(c, c + CHECK_CELLS)
+                    if not (ta.take(table[i, cols]) == table[ay[i], cols]).all():
+                        return False
     return True
 
 
@@ -182,13 +197,18 @@ def stabilizer(act: Action, a: int) -> ElemSet:
 
 
 def fixed_points(act: Action) -> ElemSet:
-    """Points fixed by the entire acting subgroup, compared row by row in
-    the table's dtype (which holds every point of a table make_action passed)."""
-    pts = np.arange(act.points.size, dtype=act.table.dtype)
-    fixed = np.ones(act.points.size, dtype=bool)
-    for r in act.gen_rows:
-        fixed &= act.table[r] == pts
-    return set_of(act.points, np.flatnonzero(fixed).tolist())
+    """Points fixed by the entire acting subgroup, read from the generators'
+    rows in blocks of at most CHECK_CELLS points, compared in the table's
+    dtype (which holds every point of a table make_action passed)."""
+    s = act.points.size
+    fixed: list[int] = []
+    for i in range(0, s, CHECK_CELLS):
+        pts = np.arange(i, min(i + CHECK_CELLS, s), dtype=act.table.dtype)
+        ok = np.ones(len(pts), dtype=bool)
+        for r in act.gen_rows:
+            ok &= act.table[r, i:i + CHECK_CELLS] == pts
+        fixed += pts[ok].tolist()
+    return set_of(act.points, fixed)
 
 
 def _orbit_stabilizer_sides(orb, idx, h: int):

@@ -16,8 +16,9 @@ closed under the product, so when every generator passes, every element
 does.  Generators are picked greedily, each the smallest element not yet
 reached, so a group needs at most log2(order) + 1 of them.  A table that
 fails the test is scanned row by row for its first violating triple.
-Each check reads the table in blocks of whole rows or columns, at most
-CHECK_CELLS entries (or one line) each, so none holds an n-by-n temporary.
+Each check, check_identities' laws too, reads the table in blocks of whole
+rows or columns, at most CHECK_CELLS entries each (one line at least), so
+none holds an n-by-n temporary.
 All the usual right-sided laws are consequences; they are re-verified, not
 assumed, by check_identities.
 """
@@ -41,7 +42,7 @@ from .errors import (
     NonAssociative,
     UnsupportedSpec,
 )
-from .report import Check, Clock, tally
+from .report import Check, Clock, tally_blocks
 
 TABLE_DTYPE = np.int32
 
@@ -55,8 +56,11 @@ MAX_SYMMETRIC_DEGREE = 6
 # row scan, which takes order^3.
 MAX_GROUP_ORDER = 1024
 
-# Entries one block of a table check or build holds at once, in whole rows
-# or columns (at least one): the axioms, S_n's table, make_action's laws.
+# Entries one block of a table check or build holds at once: whole rows or
+# columns of a Cayley table (at least one), for the axioms, the identity
+# laws and S_n's table; whole rows of an action table while they fit, else
+# a range of one row; a range of tuples of Cauchy's family, for one
+# coordinate (or, in the rotation's image check, for each of the p).
 CHECK_CELLS = 1 << 16
 
 # Products nest at most this deep, one level of parentheses each; the spec
@@ -434,27 +438,37 @@ def check_identities(g: Group) -> list[Check]:
 
     These are consequences, so on any validated group every check passes;
     running them is the point, since the construction never assumed them.
-    Each law's ms is the time taken to compute and tally that law alone.
+    Each n-by-n law is computed at most CHECK_CELLS entries at a time, in
+    whole rows of its grid, or in whole columns for right_cancellation,
+    which sorts the table's columns; a witness is still the first failure
+    in row-major order over the whole grid.  Each law's ms is the time
+    taken to compute and tally that law alone.
     """
     n = g.order
     t = g.mul
     inv = g.inv
     idx = np.arange(n, dtype=TABLE_DTYPE)
+    step = max(1, CHECK_CELLS // n)
+    blocks = range(0, n, step)
     checks: list[Check] = []
     clock = Clock()
 
-    def law(name: str, ok_grid) -> None:
-        checks.extend(clock.stamp(tally(f"identity:{name}", ok_grid, lambda *i: list(i))))
+    def law(name: str, boxes) -> None:
+        checks.extend(clock.stamp(tally_blocks(f"identity:{name}", boxes, lambda *i: list(i))))
 
-    law("right_unit", t[idx, g.unit] == idx)
-    law("unit_self_inverse", inv[[g.unit]] == g.unit)
-    law("right_inverse", t[idx, inv] == g.unit)
-    law("inverse_involution", inv[inv] == idx)
+    law("right_unit", [((0,), t[:, g.unit] == idx)])
+    law("unit_self_inverse", [((0,), inv[[g.unit]] == g.unit)])
+    law("right_inverse", [((0,), t[idx, inv] == g.unit)])
+    law("inverse_involution", [((0,), inv[inv] == idx)])
     # (x2*x1)^-1 == x1^-1 * x2^-1, laid out over (x2, x1)
-    law("inverse_of_product", inv[t] == t[np.ix_(inv, inv)].T)
-    law("left_cancellation", np.sort(t, axis=1) == idx[None, :])
-    law("right_cancellation", np.sort(t, axis=0) == idx[:, None])
+    law("inverse_of_product", (((i, 0), inv[t[i:i + step]] == t[inv[:, None], inv[i:i + step]].T)
+                               for i in blocks))
+    law("left_cancellation", (((i, 0), np.sort(t[i:i + step], axis=1) == idx) for i in blocks))
+    law("right_cancellation", (((0, i), np.sort(t[:, i:i + step], axis=0) == idx[:, None])
+                               for i in blocks))
     # (b * a^-1) * a == b and (b * a) * a^-1 == b, laid out over (a, b)
-    law("solve_right_inverse", t[t[:, inv].T, idx[:, None]] == idx[None, :])
-    law("solve_right_multiply", t[t.T, inv[:, None]] == idx[None, :])
+    law("solve_right_inverse", (((i, 0), t[t[:, inv[i:i + step]].T, idx[i:i + step, None]] == idx)
+                                for i in blocks))
+    law("solve_right_multiply", (((i, 0), t[t[:, i:i + step].T, inv[i:i + step, None]] == idx)
+                                 for i in blocks))
     return checks

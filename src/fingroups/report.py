@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -49,11 +49,27 @@ def tally(name: str, ok, witness: Callable[..., Any] | None = None) -> Check:
     witness(*i) for the first failing index i in row-major order, or None
     when no callable is given."""
     ok = np.asarray(ok, dtype=bool)
-    good = int(np.count_nonzero(ok))
-    found = None
-    if good < ok.size and witness is not None:
-        found = witness(*(int(v) for v in np.unravel_index(np.argmin(ok), ok.shape)))
-    return Check(name, good == ok.size, good, ok.size, found)
+    return tally_blocks(name, [((0,) * ok.ndim, ok)], witness)
+
+
+def tally_blocks(name: str, blocks: Iterable[tuple[tuple[int, ...], np.ndarray]],
+                 witness: Callable[..., Any] | None = None) -> Check:
+    """tally over a grid read in boxes that tile it, given as (start, ok)
+    with ``ok`` the verdicts of the box whose least index is ``start``.
+    The first failing index in row-major order over the whole grid is the
+    least of each box's own first, so boxes of whole rows or of whole
+    columns name the witness a single box would."""
+    good = total = 0
+    first = None
+    for start, ok in blocks:
+        passed = int(np.count_nonzero(ok))
+        good += passed
+        total += ok.size
+        if passed < ok.size and witness is not None:
+            at = np.unravel_index(np.argmin(ok), ok.shape)
+            at = tuple(s + int(v) for s, v in zip(start, at))
+            first = at if first is None else min(first, at)
+    return Check(name, good == total, good, total, None if first is None else witness(*first))
 
 
 class Clock:

@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedSpec,
     quote_input,
 )
-from .group import Group, GroupSpec, build
+from .group import CHECK_CELLS, Group, GroupSpec, build
 from .numutil import is_prime, padic_val
 from .report import Check, Clock
 from .subgroup import is_subgroup, require_nested_subgroups, subgroup_set
@@ -71,7 +71,7 @@ DEFAULT_TUPLE_CAP = 10**6
 def tuple_cap() -> int:
     """Size bound for materializing the product-one tuple family; the
     environment may lower it, never raise it (a Cauchy run at the default
-    peaks at about 31 MiB traced, at p = 3 or p = 5)."""
+    peaks at about 20 MiB traced, at p = 3 or p = 5)."""
     raw = os.environ.get(TUPLE_CAP_ENV)
     if raw is None:
         return DEFAULT_TUPLE_CAP
@@ -120,7 +120,8 @@ def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
         by_member = g.mul[:, mem].astype(dt)  # column k multiplies on the right by member k
         for _ in range(p - 2):
             prod = by_member.take(prod, axis=0).ravel()
-    g.inv.take(prod, out=cols[0], mode="clip")
+    for i in range(0, len(prod), CHECK_CELLS):
+        g.inv.take(prod[i:i + CHECK_CELLS], out=cols[0, i:i + CHECK_CELLS], mode="clip")
     return TupleCarrier(h.indices(), cols.T)
 
 
@@ -144,28 +145,35 @@ def rotation_action(tc: TupleCarrier) -> Action:
     so row k is written in place from the head ranks by one multiply and
     one add of a digit grid m times smaller, with no gather and no n-sized
     temporary.  Lookup and table are int32, which holds any index under the
-    tuple cap (10^6 at most; the environment can only lower it).  Each
-    coordinate of the images under row 1, gathered into one buffer, is
-    checked against the next of the tuples; make_action's law then checks
-    each row k + 1 against row 1 applied to row k."""
+    tuple cap (10^6 at most; the environment can only lower it).  The head
+    ranks are looked up, and each coordinate of the images under row 1 is
+    checked against the next of the tuples, CHECK_CELLS tuples at a time;
+    make_action's law then checks each row k + 1 against row 1 applied to
+    row k."""
     cols = tc.tuples.T
     p, n = cols.shape
     m = len(tc.members)
     rank = np.zeros(tc.members[-1] + 1, dtype=np.int32)  # rank[x]: member x's position
     rank[list(tc.members)] = np.arange(m)
     table = np.empty((p, n), dtype=np.int32)
-    table[0] = np.arange(n, dtype=np.int32)
     # A head outside the members gets an in-range rank; the check fails.
-    rank.take(cols[0], out=table[1], mode="clip")
+    for i in range(0, n, CHECK_CELLS):
+        table[0, i:i + CHECK_CELLS] = np.arange(i, min(i + CHECK_CELLS, n), dtype=np.int32)
+        rank.take(cols[0, i:i + CHECK_CELLS], out=table[1, i:i + CHECK_CELLS], mode="clip")
     for k in range(p - 1, 0, -1):  # row 1 holds the head ranks until last
         np.multiply(table[1], m ** (k - 1), out=table[k])
         digits = table[k].reshape(m ** (k - 1), m, -1)  # (d_1..d_(k-1), d_k, the rest)
         digits += np.add.outer(np.arange(m ** (k - 1), dtype=np.int32),
                                np.arange(0, n, m ** k, dtype=np.int32))[:, None]
-    image = np.empty(n, dtype=cols.dtype)
-    for j in range(p):  # row 1 is in range, so clip mode only spares a buffer
-        cols[j].take(table[1], out=image, mode="clip")
-        if not np.array_equal(image, cols[(j + 1) % p]):
+    # one gather of every coordinate per block converts its index once; row
+    # 1 is in range, so clip mode only spares a copy of the buffer
+    image = np.empty(p * min(n, CHECK_CELLS), dtype=cols.dtype)
+    for i in range(0, n, CHECK_CELLS):
+        sigma = table[1, i:i + CHECK_CELLS]
+        out = image[:p * len(sigma)].reshape(p, -1)
+        cols.take(sigma, axis=1, out=out, mode="clip")
+        if not ((out[:-1] == cols[1:, i:i + CHECK_CELLS]).all()
+                and (out[-1] == cols[0, i:i + CHECK_CELLS]).all()):
             raise InternalInvariant("rotation left the product-one family")
     zp = cyclic_of_prime(p)
     return make_action(zp, zp.full_set(), Carrier(n), table)

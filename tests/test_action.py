@@ -207,6 +207,18 @@ def test_trivial_acting_subgroup_checks_its_unit_row(s3, unit_row, verdict):
     assert assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table) == verdict
 
 
+@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 7, 1],
+                         ids=["one_block", "cells7", "cells1"])
+def test_the_unit_row_is_checked_in_every_block(monkeypatch, s3, cells):
+    # the unit alone acting leaves no generator whose law could catch a
+    # unit row that swaps the last two of 20 points, in the last block
+    monkeypatch.setattr(action_mod, "CHECK_CELLS", cells)
+    table = np.arange(20)[None]
+    table[0, [18, 19]] = [19, 18]
+    verdict = assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table)
+    assert verdict == ("morphism", (0, 0, 18))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_a_table_whose_unit_row_alone_is_corrupted_is_refused(seed):
     # the law is never checked at y = the unit, so the unit-first check
@@ -263,14 +275,16 @@ def test_a_table_of_no_integer_dtype_is_refused(z2, table):
     assert table.flags.writeable
 
 
-@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 50, 1],
-                         ids=["one_block", "blocks", "rows"])
+@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 50, 7, 1],
+                         ids=["one_block", "blocks", "columns", "rows"])
 @pytest.mark.parametrize("spec", [GroupSpec.symmetric(4), GroupSpec.q8()],
                          ids=lambda spec: spec.describe())
 def test_int32_and_int64_tables_get_the_same_verdict(monkeypatch, spec, cells):
     # the rotation of the product-one pairs, conjugation and translation
     # of a Sylow 2-subgroup's cosets, each as built and then mutated, and
-    # checked in one block, in blocks with a short last one, or row by row
+    # checked in one block, in blocks of whole rows with a short last one,
+    # in ranges of columns of each row wider than 7 points (24 on S4, 8 on
+    # Q8, the last range short), or one entry at a time
     monkeypatch.setattr(action_mod, "CHECK_CELLS", cells)
     g = build(spec)
     z2 = build(GroupSpec.cyclic(2))

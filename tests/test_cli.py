@@ -32,7 +32,7 @@ from fingroups.errors import (
     ParseError,
     UnsupportedSpec,
 )
-from fingroups.report import tally
+from fingroups.report import tally, tally_blocks
 from fingroups.suite import catalog_specs, verify_group
 from fingroups.sylow import TUPLE_CAP_ENV
 
@@ -406,6 +406,20 @@ def test_tally_counts_and_names_the_first_row_major_failure():
     assert tally("t", ok) == Check("t", False, 10, 12)
     assert tally("t", ok[0], lambda z: z) == Check("t", True, 4, 4)
     assert tally("t", np.ones(0, dtype=bool), lambda z: z) == Check("t", True, 0, 0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_tally_blocks_in_rows_or_columns_names_the_whole_grids_first_failure(width):
+    # in column boxes a later box can hold a failure on an earlier row
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        ok = rng.random((5, 7)) > 0.1
+        want = tally("t", ok, lambda i, j: [i, j])
+        rows = [((i, 0), ok[i:i + width]) for i in range(0, 5, width)]
+        cols = [((0, j), ok[:, j:j + width]) for j in range(0, 7, width)]
+        assert tally_blocks("t", rows, lambda i, j: [i, j]) == want
+        assert tally_blocks("t", cols, lambda i, j: [i, j]) == want
+        assert tally_blocks("t", cols) == tally("t", ok)
 
 
 def test_aggregate_names_the_first_failure_of_a_later_block():

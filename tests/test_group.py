@@ -574,25 +574,54 @@ def test_identity_laws(spec):
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("spec", [GroupSpec.symmetric(4), GroupSpec.cyclic(12)],
                          ids=lambda s: s.describe())
-def test_identity_witnesses_on_a_table_corrupted_after_validation(spec, swap):
+def test_identity_witnesses_on_a_table_corrupted_after_validation(monkeypatch, spec, swap):
     # one entry overwritten, or two columns exchanged (every row stays a
-    # permutation); the inverses stay those of the valid table
+    # permutation); the inverses stay those of the valid table.  The laws
+    # read the table in blocks of each of BLOCK_ROWS rows or columns, and
+    # the first changes fall in a line that ends a block.
     g = build(spec)
-    failed = 0
-    for seed in range(10):
-        t = g.mul.copy()
-        r, c, v = np.random.default_rng(seed).integers(g.order, size=3)
-        shift = 1 + v % (g.order - 1)  # to another column, or another value
-        if swap:
-            d = (c + shift) % g.order
-            t[:, [c, d]] = t[:, [d, c]]
-        else:
-            t[r, c] = (t[r, c] + shift) % g.order
-        got = check_identities(group_mod.Group(g.carrier, g.unit, g.inv.copy(), t))
-        want = oracles.naive_identity_laws(t.tolist(), g.unit, g.inv.tolist())
-        assert [(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in got] == want, seed
-        failed += sum(not c.ok for c in got)
-    assert failed
+    for block_rows in BLOCK_ROWS:
+        with monkeypatch.context() as mp:
+            ends = block_ends(mp, g.order, block_rows)
+            failed = 0
+            for seed in range(10):
+                t = g.mul.copy()
+                r, c, v = np.random.default_rng(seed).integers(g.order, size=3)
+                if seed < 4:
+                    r = c = ends[seed % 2]
+                shift = 1 + v % (g.order - 1)  # to another column, or another value
+                if swap:
+                    d = (c + shift) % g.order
+                    t[:, [c, d]] = t[:, [d, c]]
+                else:
+                    t[r, c] = (t[r, c] + shift) % g.order
+                got = check_identities(group_mod.Group(g.carrier, g.unit, g.inv.copy(), t))
+                want = oracles.naive_identity_laws(t.tolist(), g.unit, g.inv.tolist())
+                assert [(c.name, c.ok, c.lhs, c.rhs, c.witness) for c in got] == want, \
+                    (block_rows, seed)
+                failed += sum(not c.ok for c in got)
+            assert failed, block_rows
+
+
+def test_identity_laws_hold_blocks_only(monkeypatch):
+    """check_identities' traced peak on C1024 is a few bytes per entry of a
+    block, beside the table it reads; whole n-by-n laws peak at over twice
+    the table."""
+    g = build(GroupSpec.cyclic(1024))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert all(c.ok for c in check_identities(g))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 16 * group_mod.CHECK_CELLS
+    assert peak() <= bound < g.mul.nbytes
+    # the measure sees one block holding the whole table
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", g.order ** 2)
+    assert peak() > 2 * g.mul.nbytes
 
 
 def test_each_identity_law_is_timed_alone(monkeypatch, s4):

@@ -254,6 +254,59 @@ def test_rotation_rejects_a_corrupted_head(z6, head):
         rotation_action(TupleCarrier(tc.members, tuples))
 
 
+# CHECK_CELLS for the tuple route's passes and its action's checks: the
+# default (one block), blocks of 50 and 7 entries with a short last one,
+# and one entry a block
+ROUTE_CELLS = [sylow_mod.CHECK_CELLS, 50, 7, 1]
+ROUTE_CELLS_IDS = ["one_block", "cells50", "cells7", "cells1"]
+
+
+def route_in_blocks(mp, cells):
+    for mod in (sylow_mod, action_mod):
+        mp.setattr(mod, "CHECK_CELLS", cells)
+
+
+def tuple_route(g, h, p):
+    tc = product_one_tuples(g, h, p)
+    act = rotation_action(tc)
+    return (tc.tuples.tolist(), act.table.tolist(), fixed_points(act).indices(),
+            cauchy_element(g, h, p))
+
+
+@pytest.mark.parametrize("cells", ROUTE_CELLS, ids=ROUTE_CELLS_IDS)
+def test_the_tuple_route_in_blocks_matches_one_block_and_the_oracle(monkeypatch, cells):
+    # 625, 225, 36 and 8 tuples: none a multiple of 50 or 7
+    families = [(build(GroupSpec.cyclic(5)), None, 5), (build(GroupSpec.cyclic(15)), None, 3),
+                (build(GroupSpec.symmetric(3)), None, 3), (build(GroupSpec.q8()), None, 2)]
+    s4 = build(GroupSpec.symmetric(4))
+    families.append((s4, sylow_subgroup(s4, s4.full_set(), 2).subgroup, 2))
+    for g, h, p in families:
+        h = h or g.full_set()
+        want = tuple_route(g, h, p)
+        with monkeypatch.context() as mp:
+            route_in_blocks(mp, cells)
+            assert tuple_route(g, h, p) == want, g
+            assert_rotation_matches_naive(g, h, p)
+
+
+@pytest.mark.parametrize("coordinate", [0, 1, 2], ids=["head", "coordinate_1", "coordinate_2"])
+@pytest.mark.parametrize("cells", [50, 7], ids=["cells50", "cells7"])
+def test_rotation_rejects_a_corrupted_tuple_in_the_last_partial_block(monkeypatch, cells,
+                                                                      coordinate):
+    # C3xC3's last tuple, (8, 8, 8), is constant, so rotation fixes it and
+    # only its own place in the check can see a change to it
+    route_in_blocks(monkeypatch, cells)
+    g = build(GroupSpec.product(GroupSpec.cyclic(3), GroupSpec.cyclic(3)))
+    tc = product_one_tuples(g, g.full_set(), 3)
+    n = len(tc.tuples)
+    assert n % cells and n > cells  # the last tuple ends a short block after the first
+    assert tc.tuples[n - 1].tolist() == [8, 8, 8]
+    tuples = tc.tuples.copy()
+    tuples[n - 1, coordinate] = (tuples[n - 1, coordinate] + 1) % g.order  # another member
+    with pytest.raises(InternalInvariant, match="rotation left the product-one family"):
+        rotation_action(TupleCarrier(tc.members, tuples))
+
+
 # Tuple 0 is (0, 0, 0).  Rotation sends a tuple to the one whose tail is its
 # last coordinate then its head's rank, so each replacement of tuple 0 below
 # rotates onto tuple 1, (4, 0, 2), and no tuple rotates onto tuple 0; each
@@ -286,7 +339,8 @@ def test_cauchy_z6_tie_break(z6):
 def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
     # C5xC5 at p = 5: 390,625 tuples of 5 coordinates, held as 1-byte
     # entries beside the rotation's 4-byte index table, 5 bytes per
-    # coordinate; the whole run peaks at 7.6
+    # coordinate; the whole run peaks at 5.6, as every other pass over a
+    # coordinate or a row of the table reads a block of CHECK_CELLS entries
     g = build(GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)))
     h = g.full_set()
     assert cauchy_element(g, h, 5) == 1
@@ -296,7 +350,7 @@ def test_the_tuple_route_peaks_within_its_bytes_per_tuple_coordinate():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
+    assert peak <= 6 * 5 * 25 ** 4, peak / (5 * 25 ** 4)
 
 
 def test_a_cauchy_run_leaves_the_table_as_an_array():
