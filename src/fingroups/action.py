@@ -18,10 +18,10 @@ group.from_cayley_table, at most log2 of the acting order plus one, and
 the Action records their rows: a point each of them fixes is fixed by
 every acting element, so fixed_points reads those rows alone.  A table
 that fails is rescanned element by element, so its error names the same
-first witness as a check of every element would.  Tables are validated in
-place, in their own integer dtype, and never copied; each pass over them,
-the fixed points' too, reads at most CHECK_CELLS entries at a time: whole
-rows while they fit, and a longer row a range of columns at a time.
+first witness as a check of every element would; both read the law
+through group.law_break.  Tables are validated in place, in their own
+integer dtype, and never copied, and every pass over them reads the
+slices of group.blocks.
 
 The counting results: the orbit of a point has the same size as the index
 of its stabilizer, hence divides the acting order; and when the acting
@@ -55,7 +55,7 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import CHECK_CELLS, MAX_GROUP_ORDER, Group, conjugates, greedy_generators
+from .group import MAX_GROUP_ORDER, Group, blocks, conjugates, greedy_generators, law_break
 from .numutil import is_prime, padic_val
 from .report import Check, Clock
 from .subgroup import left_coset_roots, left_index, require_nested_subgroups, subgroup_set
@@ -121,14 +121,14 @@ def make_action(
 
     row = np.cumsum(h.mask()) - 1  # row[x] is x's row, for x in h
     gen_rows: list[int] = []
-    # the unit's row against the points a block at a time, in the table's
-    # dtype; one that stops short of the last point holds no identity row
+    # the unit's row must be the identity, read a block at a time in the table's dtype
+    # (too narrow a dtype holds none); the law then holds on it, so law_break skips it
     unit_row = table[row[g.unit]]
-    ok = s <= top and all((unit_row[i:i + CHECK_CELLS] == np.arange(
-        i, min(i + CHECK_CELLS, s), dtype=table.dtype)).all() for i in range(0, s, CHECK_CELLS))
+    ok = s <= top and all((unit_row[b] == np.arange(b.start, b.stop, dtype=table.dtype)).all()
+                          for b in blocks(s))
     for a in greedy_generators(g.mul, g.unit, h.bits) if ok else ():
         gen_rows.append(int(row[a]))
-        if not (ok := _composes(table[row[a]], table, row[g.mul[a, m]], row[g.unit])):
+        if not (ok := law_break(table[row[a]], table, row[g.mul[a, m]], row[g.unit]) is None):
             break
     if not ok:
         err = _first_action_violation(g, table, m, row)
@@ -139,27 +139,6 @@ def make_action(
 
     table.setflags(write=False)
     return Action(g, acting, points, table, tuple(gen_rows), point_labels)
-
-
-def _composes(ta: np.ndarray, table: np.ndarray, ay: np.ndarray, unit: int) -> bool:
-    """Whether a.(y.z) == (a*y).z for every acting y and point z, where ta
-    is the row of a and ay[i] the row of a*y for the y of row i.  The
-    unit's row is skipped: with the unit acting as the identity, the law
-    holds there by itself."""
-    s = table.shape[1]
-    step = max(1, CHECK_CELLS // max(s, 1))
-    for lo, hi in ((0, unit), (unit + 1, len(table))):
-        for i in range(lo, hi, step):
-            if step > 1:  # whole rows
-                j = min(i + step, hi)
-                if not (ta.take(table[i:j]) == table[ay[i:j]]).all():
-                    return False
-            else:  # one row, a range of columns at a time; a row is a view
-                for c in range(0, s, CHECK_CELLS):
-                    cols = slice(c, c + CHECK_CELLS)
-                    if not (ta.take(table[i, cols]) == table[ay[i], cols]).all():
-                        return False
-    return True
 
 
 def _first_action_violation(
@@ -174,11 +153,8 @@ def _first_action_violation(
         if not np.array_equal(np.sort(tx), pts):
             return NotBijective(int(x))
     for x, tx in zip(m, table):
-        lhs = table[row[g.mul[x, m]]]
-        rhs = tx[table]
-        if not np.array_equal(lhs, rhs):
-            yi, z = np.argwhere(lhs != rhs)[0]
-            return NotMorphism(int(x), int(m[yi]), int(z))
+        if (hit := law_break(tx, table, row[g.mul[x, m]])) is not None:
+            return NotMorphism(int(x), int(m[hit[0]]), hit[1])
     return None
 
 
@@ -198,15 +174,14 @@ def stabilizer(act: Action, a: int) -> ElemSet:
 
 def fixed_points(act: Action) -> ElemSet:
     """Points fixed by the entire acting subgroup, read from the generators'
-    rows in blocks of at most CHECK_CELLS points, compared in the table's
+    rows in the blocks of points group.blocks gives, compared in the table's
     dtype (which holds every point of a table make_action passed)."""
-    s = act.points.size
     fixed: list[int] = []
-    for i in range(0, s, CHECK_CELLS):
-        pts = np.arange(i, min(i + CHECK_CELLS, s), dtype=act.table.dtype)
+    for b in blocks(act.points.size):
+        pts = np.arange(b.start, b.stop, dtype=act.table.dtype)
         ok = np.ones(len(pts), dtype=bool)
         for r in act.gen_rows:
-            ok &= act.table[r, i:i + CHECK_CELLS] == pts
+            ok &= act.table[r, b] == pts
         fixed += pts[ok].tolist()
     return set_of(act.points, fixed)
 
@@ -233,7 +208,7 @@ def orbit_stabilizer_counts(act: Action) -> tuple[np.ndarray, ...]:
     m = act.acting.as_array()
     cols = np.sort(act.table, axis=0)
     orb = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
-    fixes = act.table == np.arange(act.points.size)
+    fixes = act.table == np.arange(act.points.size, dtype=act.table.dtype)
     keys = [col.tobytes() for col in fixes.T]
     index_of: dict[bytes, int] = {}
     for a, key in enumerate(keys):
@@ -284,9 +259,8 @@ def left_translation_action(g: Group, h: ElemSet, l: ElemSet, k: ElemSet) -> Act
 
 def conjugation_action(g: Group, h: ElemSet) -> Action:
     """H acting on the whole carrier by z -> x * z * x^-1.  (Conjugation
-    written with x^-1 on the left would compose contravariantly.)  The
-    table is cast to intp, the index dtype of numpy's gathers."""
-    table = conjugates(g, h.as_array(), np.arange(g.order)).astype(np.intp)
+    written with x^-1 on the left would compose contravariantly.)"""
+    table = conjugates(g, h.as_array(), np.arange(g.order))
     return make_action(g, h, g.carrier, table)
 
 

@@ -15,10 +15,10 @@ a with (x * a) * y == x * (a * y) for all x and y contain the unit and are
 closed under the product, so when every generator passes, every element
 does.  Generators are picked greedily, each the smallest element not yet
 reached, so a group needs at most log2(order) + 1 of them.  A table that
-fails the test is scanned row by row for its first violating triple.
-Each check, check_identities' laws too, reads the table in blocks of whole
-rows or columns, at most CHECK_CELLS entries each (one line at least), so
-none holds an n-by-n temporary.
+fails the test is scanned for its first violating triple by law_break,
+the one scan of the law x.(y.z) == (x*y).z (here t acting on itself by
+left multiplication).  Every check reads the table in the slices of
+blocks, whole rows or columns, so none holds an n-by-n temporary.
 All the usual right-sided laws are consequences; they are re-verified, not
 assumed, by check_identities.
 """
@@ -56,11 +56,8 @@ MAX_SYMMETRIC_DEGREE = 6
 # row scan, which takes order^3.
 MAX_GROUP_ORDER = 1024
 
-# Entries one block of a table check or build holds at once: whole rows or
-# columns of a Cayley table (at least one), for the axioms, the identity
-# laws and S_n's table; whole rows of an action table while they fit, else
-# a range of one row; a range of tuples of Cauchy's family, for one
-# coordinate (or, in the rotation's image check, for each of the p).
+# Entries one block of a table check or build holds at once; blocks, its
+# only reader, cuts every block loop of the library by it.
 CHECK_CELLS = 1 << 16
 
 # Products nest at most this deep, one level of parentheses each; the spec
@@ -157,19 +154,44 @@ def conjugates(g: Group, xs, ys) -> np.ndarray:
     return g.mul[g.mul[xs[:, None], ys], g.inv[xs][:, None]]
 
 
+def blocks(stop: int, line: int = 1, start: int = 0) -> list[slice]:
+    """Slices of the lines start..stop-1, of ``line`` entries each, in blocks
+    of as many whole lines as CHECK_CELLS entries hold, and one at least."""
+    step = CHECK_CELLS // line or 1
+    if start + step >= stop:  # one block or none, at a third of the comprehension's cost
+        return [slice(start, stop)] if start < stop else []
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def law_break(tx: np.ndarray, table: np.ndarray, ax: np.ndarray,
+              skip: int = -1) -> tuple[int, int] | None:
+    """The first (i, z) in row-major order where x.(y.z) != (x*y).z, that is
+    tx[table[i, z]] != table[ax[i], z], skipping row ``skip``, else None.
+    Whole rows are read while they fit in a block; a wider row is read
+    alone, a block of columns at a time, against views of the rows of x*y."""
+    spans = blocks(table.shape[1])
+    for lo, hi in ((0, skip), (skip + 1, len(table))):
+        if len(spans) == 1:
+            for b in blocks(hi, table.shape[1], lo):
+                bad = tx.take(table[b]) != table[ax[b]]
+                if bad.any():
+                    i, z = np.argwhere(bad)[0]
+                    return b.start + int(i), int(z)
+        else:
+            for i in range(lo, hi):
+                for c in spans:
+                    bad = tx.take(table[i, c]) != table[ax[i], c]
+                    if bad.any():
+                        return i, c.start + int(bad.argmax())
+    return None
+
+
 def _first_nonassociative(t: np.ndarray) -> tuple[int, int, int] | None:
-    """The lexicographically first triple breaking associativity, or None.
-    For fixed x1 and a block of x2, t[t[x1, x2]] holds (x1*x2)*x3 and
-    t[x1][t[x2]] holds x1*(x2*x3); blocks in order and row-major argwhere
-    keep the triple lexicographic."""
-    step = max(1, CHECK_CELLS // len(t))
+    """The lexicographically first triple breaking associativity, or None,
+    as the law of t acting on itself: the row of x1 * x2 is t[x1, x2]."""
     for x1 in range(len(t)):
-        for i in range(0, len(t), step):
-            lhs = t[t[x1, i:i + step]]
-            rhs = t[x1][t[i:i + step]]
-            if not np.array_equal(lhs, rhs):
-                x2, x3 = np.argwhere(lhs != rhs)[0]
-                return x1, i + int(x2), int(x3)
+        if (hit := law_break(t[x1], t, t[x1])) is not None:
+            return x1, *hit
     return None
 
 
@@ -207,8 +229,7 @@ def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryEr
     """(unit, inverses, t) for a table satisfying the group axioms, else
     the error naming the first one that fails."""
     n = len(t)
-    step = max(1, CHECK_CELLS // n)
-    blocks = range(0, n, step)
+    spans = blocks(n, n)
     # the unit is the first e whose row and column both read 0, 1, ..., n-1;
     # each such e has e * 0 == 0, so only those e are read
     idx = np.arange(n, dtype=TABLE_DTYPE)
@@ -218,10 +239,9 @@ def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryEr
         return NoIdentity("no two-sided identity in the table")
 
     # the left inverse of x is the first row holding the unit in column x,
-    # read in blocks of ``step`` columns; argmax gives row 0 to a column
+    # read in blocks of whole columns; argmax gives row 0 to a column
     # without one, which the check then finds
-    inv = np.concatenate([(t[:, i:i + step] == unit).argmax(axis=0) for i in blocks],
-                         dtype=TABLE_DTYPE)
+    inv = np.concatenate([(t[:, b] == unit).argmax(axis=0) for b in spans], dtype=TABLE_DTYPE)
     missing = np.flatnonzero(t[inv, idx] != unit)
     if missing.size:
         return NoInverse(int(missing[0]))
@@ -230,7 +250,7 @@ def _axioms(t: np.ndarray) -> tuple[int, np.ndarray, np.ndarray] | GroupTheoryEr
     # as it is picked, so a bad table stops at its first failing generator.
     # Row x of a block holds (x*a)*y, then x*(a*y), for every y.
     for a in greedy_generators(t, unit, (1 << n) - 1):
-        if not all((t[t[i:i + step, a]] == t[i:i + step, t[a]]).all() for i in blocks):
+        if not all((t[t[b, a]] == t[b, t[a]]).all() for b in spans):
             triple = _first_nonassociative(t)
             if triple is None:
                 return InternalInvariant(
@@ -302,12 +322,11 @@ def _symmetric_table(n: int) -> np.ndarray:
     rank = np.zeros(n ** n, dtype=TABLE_DTYPE)
     rank[perms @ n ** np.arange(n - 1, -1, -1)] = np.arange(len(perms))
     t = np.empty((len(perms), len(perms)), dtype=TABLE_DTYPE)
-    step = max(1, CHECK_CELLS // len(t))
-    for i in range(0, len(t), step):
-        codes = perms[i:i + step, perms[:, 0]]
+    for b in blocks(len(t), len(t)):
+        codes = perms[b, perms[:, 0]]
         for k in range(1, n):
-            codes = codes * n + perms[i:i + step, perms[:, k]]
-        rank.take(codes, out=t[i:i + step])
+            codes = codes * n + perms[b, perms[:, k]]
+        rank.take(codes, out=t[b])
     return t
 
 
@@ -438,8 +457,8 @@ def check_identities(g: Group) -> list[Check]:
 
     These are consequences, so on any validated group every check passes;
     running them is the point, since the construction never assumed them.
-    Each n-by-n law is computed at most CHECK_CELLS entries at a time, in
-    whole rows of its grid, or in whole columns for right_cancellation,
+    Each n-by-n law is computed a block at a time, in the whole rows of its
+    grid that blocks gives, or whole columns for right_cancellation,
     which sorts the table's columns; a witness is still the first failure
     in row-major order over the whole grid.  Each law's ms is the time
     taken to compute and tally that law alone.
@@ -448,8 +467,7 @@ def check_identities(g: Group) -> list[Check]:
     t = g.mul
     inv = g.inv
     idx = np.arange(n, dtype=TABLE_DTYPE)
-    step = max(1, CHECK_CELLS // n)
-    blocks = range(0, n, step)
+    spans = blocks(n, n)
     checks: list[Check] = []
     clock = Clock()
 
@@ -461,14 +479,14 @@ def check_identities(g: Group) -> list[Check]:
     law("right_inverse", [((0,), t[idx, inv] == g.unit)])
     law("inverse_involution", [((0,), inv[inv] == idx)])
     # (x2*x1)^-1 == x1^-1 * x2^-1, laid out over (x2, x1)
-    law("inverse_of_product", (((i, 0), inv[t[i:i + step]] == t[inv[:, None], inv[i:i + step]].T)
-                               for i in blocks))
-    law("left_cancellation", (((i, 0), np.sort(t[i:i + step], axis=1) == idx) for i in blocks))
-    law("right_cancellation", (((0, i), np.sort(t[:, i:i + step], axis=0) == idx[:, None])
-                               for i in blocks))
+    law("inverse_of_product", (((blk.start, 0), inv[t[blk]] == t[inv[:, None], inv[blk]].T)
+                               for blk in spans))
+    law("left_cancellation", (((blk.start, 0), np.sort(t[blk], axis=1) == idx) for blk in spans))
+    law("right_cancellation", (((0, blk.start), np.sort(t[:, blk], axis=0) == idx[:, None])
+                               for blk in spans))
     # (b * a^-1) * a == b and (b * a) * a^-1 == b, laid out over (a, b)
-    law("solve_right_inverse", (((i, 0), t[t[:, inv[i:i + step]].T, idx[i:i + step, None]] == idx)
-                                for i in blocks))
-    law("solve_right_multiply", (((i, 0), t[t[:, i:i + step].T, inv[i:i + step, None]] == idx)
-                                 for i in blocks))
+    law("solve_right_inverse", (((blk.start, 0), t[t[:, inv[blk]].T, idx[blk, None]] == idx)
+                                for blk in spans))
+    law("solve_right_multiply", (((blk.start, 0), t[t[:, blk].T, inv[blk, None]] == idx)
+                                 for blk in spans))
     return checks

@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedSpec,
     quote_input,
 )
-from .group import CHECK_CELLS, Group, GroupSpec, build
+from .group import Group, GroupSpec, blocks, build
 from .numutil import is_prime, padic_val
 from .report import Check, Clock
 from .subgroup import is_subgroup, require_nested_subgroups, subgroup_set
@@ -120,8 +120,8 @@ def product_one_tuples(g: Group, h: ElemSet, p: int) -> TupleCarrier:
         by_member = g.mul[:, mem].astype(dt)  # column k multiplies on the right by member k
         for _ in range(p - 2):
             prod = by_member.take(prod, axis=0).ravel()
-    for i in range(0, len(prod), CHECK_CELLS):
-        g.inv.take(prod[i:i + CHECK_CELLS], out=cols[0, i:i + CHECK_CELLS], mode="clip")
+    for b in blocks(len(prod)):
+        g.inv.take(prod[b], out=cols[0, b], mode="clip")
     return TupleCarrier(h.indices(), cols.T)
 
 
@@ -147,7 +147,7 @@ def rotation_action(tc: TupleCarrier) -> Action:
     temporary.  Lookup and table are int32, which holds any index under the
     tuple cap (10^6 at most; the environment can only lower it).  The head
     ranks are looked up, and each coordinate of the images under row 1 is
-    checked against the next of the tuples, CHECK_CELLS tuples at a time;
+    checked against the next of the tuples a block at a time (group.blocks);
     make_action's law then checks each row k + 1 against row 1 applied to
     row k."""
     cols = tc.tuples.T
@@ -157,9 +157,10 @@ def rotation_action(tc: TupleCarrier) -> Action:
     rank[list(tc.members)] = np.arange(m)
     table = np.empty((p, n), dtype=np.int32)
     # A head outside the members gets an in-range rank; the check fails.
-    for i in range(0, n, CHECK_CELLS):
-        table[0, i:i + CHECK_CELLS] = np.arange(i, min(i + CHECK_CELLS, n), dtype=np.int32)
-        rank.take(cols[0, i:i + CHECK_CELLS], out=table[1, i:i + CHECK_CELLS], mode="clip")
+    spans = blocks(n)
+    for b in spans:
+        table[0, b] = np.arange(b.start, b.stop, dtype=np.int32)
+        rank.take(cols[0, b], out=table[1, b], mode="clip")
     for k in range(p - 1, 0, -1):  # row 1 holds the head ranks until last
         np.multiply(table[1], m ** (k - 1), out=table[k])
         digits = table[k].reshape(m ** (k - 1), m, -1)  # (d_1..d_(k-1), d_k, the rest)
@@ -167,13 +168,12 @@ def rotation_action(tc: TupleCarrier) -> Action:
                                np.arange(0, n, m ** k, dtype=np.int32))[:, None]
     # one gather of every coordinate per block converts its index once; row
     # 1 is in range, so clip mode only spares a copy of the buffer
-    image = np.empty(p * min(n, CHECK_CELLS), dtype=cols.dtype)
-    for i in range(0, n, CHECK_CELLS):
-        sigma = table[1, i:i + CHECK_CELLS]
+    image = np.empty(p * spans[0].stop, dtype=cols.dtype)
+    for b in spans:
+        sigma = table[1, b]
         out = image[:p * len(sigma)].reshape(p, -1)
         cols.take(sigma, axis=1, out=out, mode="clip")
-        if not ((out[:-1] == cols[1:, i:i + CHECK_CELLS]).all()
-                and (out[-1] == cols[0, i:i + CHECK_CELLS]).all()):
+        if not ((out[:-1] == cols[1:, b]).all() and (out[-1] == cols[0, b]).all()):
             raise InternalInvariant("rotation left the product-one family")
     zp = cyclic_of_prime(p)
     return make_action(zp, zp.full_set(), Carrier(n), table)

@@ -35,6 +35,7 @@ from fingroups import (
     sylow_subgroup,
 )
 from fingroups import action as action_mod
+from fingroups import group as group_mod
 from fingroups.conjnormal import conjugacy_family
 from fingroups.group import greedy_generators
 from fingroups.numutil import prime_divisors
@@ -207,12 +208,12 @@ def test_trivial_acting_subgroup_checks_its_unit_row(s3, unit_row, verdict):
     assert assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table) == verdict
 
 
-@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 7, 1],
+@pytest.mark.parametrize("cells", [group_mod.CHECK_CELLS, 7, 1],
                          ids=["one_block", "cells7", "cells1"])
 def test_the_unit_row_is_checked_in_every_block(monkeypatch, s3, cells):
     # the unit alone acting leaves no generator whose law could catch a
     # unit row that swaps the last two of 20 points, in the last block
-    monkeypatch.setattr(action_mod, "CHECK_CELLS", cells)
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", cells)
     table = np.arange(20)[None]
     table[0, [18, 19]] = [19, 18]
     verdict = assert_verdict_matches_oracle(s3, singleton(s3.carrier, s3.unit), table)
@@ -240,6 +241,46 @@ def test_generator_failure_without_a_witness_is_an_internal_invariant(monkeypatc
     monkeypatch.setattr(action_mod, "_first_action_violation", lambda *args: None)
     with pytest.raises(InternalInvariant):
         make_action(s3, s3.full_set(), Carrier(3), np.zeros((6, 3), dtype=np.int64))
+
+
+def test_the_action_rescan_holds_less_than_the_table():
+    # C5xC5's rotation table, 390,625 points in int32, with the last two
+    # entries of row 3 swapped: row 3 is no generator's (Z5's one generator
+    # is 1), so the law fails at x = 1, y = 2, and the rescan reads each row
+    # a block of columns at a time, never a temporary the size of the table
+    g = build(GroupSpec.product(GroupSpec.cyclic(5), GroupSpec.cyclic(5)))
+    table = np.array(rotation_action(product_one_tuples(g, g.full_set(), 5)).table)
+    table[3, [-2, -1]] = table[3, [-1, -2]]
+    z5 = build(GroupSpec.cyclic(5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotMorphism) as exc:
+            make_action(z5, z5.full_set(), Carrier(table.shape[1]), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.triple == (1, 2, table.shape[1] - 2)
+    assert peak <= table.nbytes, peak / table.nbytes
+
+
+def test_conjugation_keeps_the_group_dtype_on_c1024():
+    # the table is g.mul's int32, 4 MiB: an intp cast (8 MiB) takes
+    # conjugation_action past its bound, and orbit_stabilizer_counts, whose
+    # column sort copies the table, past its own
+    g = build(GroupSpec.cyclic(1024))
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            return f(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    act, act_peak = peak(lambda: conjugation_action(g, g.full_set()))
+    (orb, _, _, ok), counts_peak = peak(lambda: orbit_stabilizer_counts(act))
+    assert act_peak <= 2.25 * g.mul.nbytes, act_peak / g.mul.nbytes
+    assert counts_peak <= 2.75 * g.mul.nbytes, counts_peak / g.mul.nbytes
+    assert act.table.dtype == g.mul.dtype and ok.all() and (orb == 1).all()
 
 
 def test_generators_come_from_the_acting_subgroup(z12):
@@ -275,7 +316,7 @@ def test_a_table_of_no_integer_dtype_is_refused(z2, table):
     assert table.flags.writeable
 
 
-@pytest.mark.parametrize("cells", [action_mod.CHECK_CELLS, 50, 7, 1],
+@pytest.mark.parametrize("cells", [group_mod.CHECK_CELLS, 50, 7, 1],
                          ids=["one_block", "blocks", "columns", "rows"])
 @pytest.mark.parametrize("spec", [GroupSpec.symmetric(4), GroupSpec.q8()],
                          ids=lambda spec: spec.describe())
@@ -285,7 +326,7 @@ def test_int32_and_int64_tables_get_the_same_verdict(monkeypatch, spec, cells):
     # checked in one block, in blocks of whole rows with a short last one,
     # in ranges of columns of each row wider than 7 points (24 on S4, 8 on
     # Q8, the last range short), or one entry at a time
-    monkeypatch.setattr(action_mod, "CHECK_CELLS", cells)
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", cells)
     g = build(spec)
     z2 = build(GroupSpec.cyclic(2))
     full = g.full_set()

@@ -110,6 +110,17 @@ def block_ends(monkeypatch, n: int, block_rows: int | None) -> list[int]:
     return [min(step, n) - 1, n - 1]
 
 
+def test_blocks_are_whole_lines_and_at_least_one(monkeypatch):
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", 7)
+    assert group_mod.blocks(10) == [slice(0, 7), slice(7, 10)]
+    assert group_mod.blocks(7) == [slice(0, 7)] and group_mod.blocks(9, 3, 7) == [slice(7, 9)]
+    assert group_mod.blocks(9, 3) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8),
+                                      slice(8, 9)]
+    assert group_mod.blocks(9, 3, 5) == [slice(5, 7), slice(7, 9)]
+    assert group_mod.blocks(3, 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert group_mod.blocks(4, 3, 4) == []
+
+
 # block_ends' block_rows: one row, five rows plus one entry, the default
 BLOCK_ROWS = [1, 5, None]
 SMALL_SPECS = pytest.mark.parametrize(
@@ -157,8 +168,13 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4,
 LOOP5_X_Z2 = [[LOOP5[a // 2][b // 2] * 2 + (a + b) % 2 for b in range(10)] for a in range(10)]
 
 
+@pytest.mark.parametrize("cells", [None, 3, 1], ids=["one_block", "cells3", "cells1"])
 @pytest.mark.parametrize("rows", [LOOP5, LOOP5_X_Z2], ids=["loop5", "loop5xz2"])
-def test_nonassociative_loop_reports_the_oracles_first_triple(rows):
+def test_nonassociative_loop_reports_the_oracles_first_triple(monkeypatch, rows, cells):
+    # in one block, and with blocks narrower than a row, so the row scan
+    # reads each row a range of columns at a time
+    if cells is not None:
+        monkeypatch.setattr(group_mod, "CHECK_CELLS", cells)
     with pytest.raises(NonAssociative) as exc:
         from_cayley_table(len(rows), rows)
     assert exc.value.triple == oracles.naive_first_nonassociative(rows)

@@ -30,6 +30,7 @@ from fingroups import (
     sylow_subgroup,
 )
 from fingroups import action as action_mod
+from fingroups import group as group_mod
 from fingroups import oracle as pkg_oracle
 from fingroups import sylow as sylow_mod
 from fingroups.action import mod_p_fixed_point_check
@@ -254,16 +255,15 @@ def test_rotation_rejects_a_corrupted_head(z6, head):
         rotation_action(TupleCarrier(tc.members, tuples))
 
 
-# CHECK_CELLS for the tuple route's passes and its action's checks: the
-# default (one block), blocks of 50 and 7 entries with a short last one,
-# and one entry a block
-ROUTE_CELLS = [sylow_mod.CHECK_CELLS, 50, 7, 1]
+# group.CHECK_CELLS, read by the tuple route's passes and its action's
+# checks alike: the default (one block), blocks of 50 and 7 entries with a
+# short last one, and one entry a block
+ROUTE_CELLS = [group_mod.CHECK_CELLS, 50, 7, 1]
 ROUTE_CELLS_IDS = ["one_block", "cells50", "cells7", "cells1"]
 
 
 def route_in_blocks(mp, cells):
-    for mod in (sylow_mod, action_mod):
-        mp.setattr(mod, "CHECK_CELLS", cells)
+    mp.setattr(group_mod, "CHECK_CELLS", cells)
 
 
 def tuple_route(g, h, p):
