@@ -34,7 +34,9 @@ route: translation_batch's index, orbit sizes, stabilizer orders and
 indices and fixed points against the single-instance functions'
 (left_index, left_translation_action, orbit_stabilizer_counts and
 fixed_points).  A disagreement, or an error the batch raises, fails the
-run.  A source tree without translation_batch is timed only.
+run.  batches records how many translation_batch calls the sample takes
+(sample_batches' runs).  A source tree without translation_batch is timed
+only.
 
 The default groups are S5xC2, D6xD6, D60, C120 and Q8xC2^5; naming refs
 replaces them.  Q8xC2^7, the largest sample within the order bound, runs
@@ -107,12 +109,18 @@ def routes_agree(g, sample) -> bool:
     )
     from fingroups.subgroup import left_index
 
+    import numpy as np
+
     full = g.full_set()
     batched = []
     for hs in sample_batches(g, sample):
         b = translation_batch(g, hs)
-        batched += zip(b.index.tolist(), b.orbit.tolist(), b.stab_order.tolist(),
-                       b.stab_index.tolist(), b.fixed.tolist())
+        per_point = (b.orbit, b.stab_order, b.stab_index)
+        if hasattr(b, "points"):  # laid end to end, b.points of them per subgroup
+            per_point = [np.split(v, np.cumsum(b.points)[:-1]) for v in per_point]
+        # else rows, from a tree whose batches hold one order
+        batched += zip(b.index.tolist(), *([p.tolist() for p in v] for v in per_point),
+                       b.fixed.tolist())
     for h, got in zip(sample, batched):
         act = left_translation_action(g, h, h, full)
         orb, stab_order, stab_index, _ = orbit_stabilizer_counts(act)
@@ -168,6 +176,7 @@ def main() -> int:
         label, g = resolve_group(ref)
         sample = subgroup_sample(g)
         agree = routes_agree(g, sample) if batched else None
+        batches = len(list(action.sample_batches(g, sample))) if batched else None
         if agree is False:
             print(f"FAIL {label}: the batched and single-instance routes disagree")
             return 1
@@ -200,7 +209,8 @@ def main() -> int:
               if c.name in ("lagrange", "orbit_stabilizer:translation",
                             "mod_p_fixed_points:translation")
               or c.name.startswith(("cauchy_order[", "sylow_order["))}
-        groups[ref] = {"order": g.order, "subgroups": len(sample), "routes_agree": agree,
+        groups[ref] = {"order": g.order, "subgroups": len(sample), "batches": batches,
+                       "routes_agree": agree,
                        "best_s": round(min(times), 4), "runs_s": [round(t, 4) for t in times],
                        "faults": faults,
                        "checks_ms": ms, "build_ms": build_ms, "validate_ms": validate_ms,
@@ -208,6 +218,7 @@ def main() -> int:
                        "peak_mib": [peak_mib], "rss_mib": [rss_mib],
                        "when": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
         print(f"{args.label:<8} {label[:48]:<48} order {g.order:>4} {len(sample):>6} subgroups "
+              f"{batches} batches "
               f"best {min(times):8.3f} s  build {min(build_ms):8.2f} ms  "
               f"validate {min(validate_ms):8.2f} ms  read {min(read_ms[ref]):8.2f} ms  "
               f"peak {peak_mib:7.2f} MiB  fresh {rss_mib:7.2f} MiB  "

@@ -29,16 +29,15 @@ order is a prime power p^a, the total point count is congruent mod p to the
 number of fixed points.  Both are computed from scratch on both sides, not
 assumed.
 
-translation_batch derives the same results for many subgroups of one order
-at once, each acting on its own left cosets, with the laws checked on the
-whole stacked table rather than on generators; a fault the theory rules
-out raises InternalInvariant, naming the first subgroup at fault.
+translation_batch derives the same results for many subgroups of any
+orders at once, each acting on its own left cosets, with the laws checked
+on every acting element rather than on generators; a fault the theory
+rules out raises InternalInvariant, naming the first subgroup at fault.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,16 +54,18 @@ from .errors import (
     NotPrime,
     PointOutOfRange,
 )
-from .group import MAX_GROUP_ORDER, Group, blocks, conjugates, greedy_generators, law_break
+from .group import Group, blocks, conjugates, greedy_generators, law_break
 from .numutil import is_prime, padic_val
 from .report import Check, Clock
 from .subgroup import left_coset_roots, left_index, require_nested_subgroups, subgroup_set
 
 
-# Entries the largest temporary of one translation_batch call may hold: a
-# subgroup of order k in a group of order n needs k * n of them, at most
-# MAX_GROUP_ORDER^2, so a batch of one subgroup always fits.
-BATCH_CELLS = MAX_GROUP_ORDER ** 2
+# Cells one translation_batch call holds, |H| * |G| summed over its
+# subgroups of any orders, and one subgroup at least (a subgroup alone holds
+# at most MAX_GROUP_ORDER^2).  Every catalog group but S5 fits one batch;
+# larger budgets were no faster over the large groups' samples, and took a
+# batch of S5 x C2's or D6 x D6's past 2.5 MiB at its traced peak.
+BATCH_CELLS = 1 << 17
 
 
 @dataclass(eq=False)
@@ -202,12 +203,14 @@ def orbit_stabilizer_ok(orb: np.ndarray, idx: np.ndarray, h: int) -> np.ndarray:
 def orbit_stabilizer_counts(act: Action) -> tuple[np.ndarray, ...]:
     """Arrays of every point's orbit size, stabilizer order, stabilizer
     index in the acting subgroup, and whether it passes.  Orbit sizes come
-    from one column sort, stabilizers from one comparison; each distinct
-    stabilizer gets one left_index, which counts coset roots and proves a
-    subgroup."""
+    from column sorts, a group.blocks range of columns at a time,
+    stabilizers from one comparison; each distinct stabilizer gets one
+    left_index, which counts coset roots and proves a subgroup."""
     m = act.acting.as_array()
-    cols = np.sort(act.table, axis=0)
-    orb = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
+    orb = np.empty(act.points.size, dtype=np.int64)
+    for b in blocks(act.points.size, len(act.table)):
+        cols = np.sort(act.table[:, b], axis=0)
+        orb[b] = 1 + np.count_nonzero(cols[1:] != cols[:-1], axis=0)
     fixes = act.table == np.arange(act.points.size, dtype=act.table.dtype)
     keys = [col.tobytes() for col in fixes.T]
     index_of: dict[bytes, int] = {}
@@ -291,14 +294,16 @@ def conjugation_action_on_subsets(
 
 @dataclass(eq=False)
 class TranslationBatch:
-    """What translation_batch counts for c subgroups H of one order, each
-    acting by translation on its s left cosets in G (the points, in
-    ascending order of their roots): each index [G : H], each point's
-    orbit size, stabilizer order and stabilizer index in H, as (c, s)
-    arrays, and the points each H fixes.  ``ms`` holds the laps spent on
-    the indices, on the actions and on the fixed points."""
+    """What translation_batch counts for c subgroups H of any orders, each
+    acting by translation on its left cosets in G (its points, in
+    ascending order of their roots): each index [G : H], its number of
+    points and the points it fixes, as (c,) arrays, and each point's orbit
+    size, stabilizer order and stabilizer index in H, flat in (subgroup,
+    point) order, ``points[i]`` of them for the i-th H.  ``ms`` holds the
+    laps spent on the indices, on the actions and on the fixed points."""
 
     index: np.ndarray
+    points: np.ndarray
     orbit: np.ndarray
     stab_order: np.ndarray
     stab_index: np.ndarray
@@ -307,117 +312,215 @@ class TranslationBatch:
 
 
 def sample_batches(g: Group, sample: Sequence[ElemSet]) -> Iterator[list[ElemSet]]:
-    """The subgroups in their given order, cut into runs of one order k of
-    at most BATCH_CELLS // (k * |G|) subgroups each (and at least one)."""
-    for k, run in groupby(sample, key=lambda h: h.card):
-        run = list(run)
-        step = max(1, BATCH_CELLS // (k * g.order))
-        for i in range(0, len(run), step):
-            yield run[i:i + step]
+    """The subgroups in their given order, cut into consecutive runs of any
+    orders while the runs' cells, the sum of |H| * |G|, stay within
+    BATCH_CELLS, each run of one subgroup at least."""
+    run: list[ElemSet] = []
+    cells = 0
+    for h in sample:
+        if run and cells + h.card * g.order > BATCH_CELLS:
+            yield run
+            run, cells = [], 0
+        run.append(h)
+        cells += h.card * g.order
+    if run:
+        yield run
 
 
-def _at(a: np.ndarray, i, j) -> np.ndarray:
-    """a[i, j] for a 2-D array a, as one gather from its flattened entries."""
-    return a.ravel()[i * a.shape[1] + j]
-
-
-def _require(ok: np.ndarray, hs: Sequence[ElemSet], fact: str, of=None) -> None:
+def _require(ok: np.ndarray, hs: Sequence[ElemSet], fact: str, of) -> None:
     """InternalInvariant unless ok holds throughout, naming fact and the
-    members of the subgroup of its first failing row r: hs[r], or hs[of[r]]."""
+    members of hs[of(r)], r the first place where ok fails."""
     if not ok.all():
-        r = int(np.argmin(ok.reshape(len(ok), -1).all(axis=1)))
-        h = hs[r if of is None else int(of[r])]
+        h = hs[int(of(int(np.argmin(ok))))]
         raise InternalInvariant(f"{fact} fails for the subgroup {list(h.indices())}")
+
+
+def _spread(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """values[i] repeated lengths[i] times, laid end to end, and each
+    place's offset within its run."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(values, lengths),
+            np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - lengths, lengths))
+
+
+def _pair_rows(g: Group, m: np.ndarray, own: np.ndarray, first: np.ndarray,
+               row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every pair (a, b) of members of one H, the members m laid end to
+    end with own[a] their H and first[h] where H_h's start: the rows in H
+    (row[h * |G| + x] that of x) of m_a * m_b^-1 and of m_a * m_b, -1
+    outside H, and m_a * m_b itself, laid end to end a-major.  Read a block
+    of members a at a time."""
+    n, mul = g.order, g.mul.ravel()
+    ka = np.bincount(own)[own]  # each member's pairs
+    end = np.cumsum(ka)
+    shift = end - ka - first[own]  # a pair's place less its b's place among the members
+    quo, ab, prod = np.empty((3, end[-1]), dtype=np.int16)  # all below MAX_GROUP_ORDER
+    for bl in blocks(len(m), ka):
+        kb = ka[bl]
+        p = slice(end[bl.start] - kb[0], end[bl.stop - 1])
+        y = m.take(np.arange(p.start, p.stop) - np.repeat(shift[bl], kb))  # m_b
+        x, base = np.repeat(m[bl] * n, kb), np.repeat(own[bl] * n, kb)
+        quo[p] = row.take(base + mul.take(x + g.inv.take(y)))
+        prod[p] = xy = mul.take(x + y)
+        ab[p] = row.take(base + xy)
+    return quo, ab, prod
+
+
+def _law(t: np.ndarray, lifted: np.ndarray, hs: Sequence[ElemSet]) -> None:
+    """(m_a * m_b).z == m_a.(m_b.z) over one run of subgroups hs of order k,
+    t[h] the (k, s) table of the h-th and lifted[h, a, b] the row of
+    m_a * m_b there: one gather per subgroup, per acting row a or per point
+    z, whichever are fewest, over blocks of rows or of subgroups."""
+    c, k, s = t.shape
+    if c <= min(k, s):
+        for h in range(c):
+            for bl in blocks(k, k * s):
+                _require(t[h].take(lifted[h, bl], axis=0) == t[h, bl].take(t[h], axis=1), hs,
+                         "(x*y).z == x.(y.z)", lambda r: h)
+        return
+    if k <= s:
+        for bl in blocks(c, k * s):
+            tb = t[bl]
+            stacked = tb.reshape(-1, s)
+            lift = lifted[bl] + (np.arange(len(tb)) * k)[:, None, None]  # rows of the stack
+            inner = tb + (np.arange(len(tb)) * s)[:, None, None]  # m_b.z among the (h, s) of one m_a
+            for a in range(k):
+                _require(stacked.take(lift[:, a], axis=0) == tb[:, a].ravel().take(inner), hs,
+                         "(x*y).z == x.(y.z)", lambda r: bl.start + r // (k * s))
+        return
+    for bl in blocks(c, k * k):
+        tb = t[bl]
+        lift = lifted[bl] + (np.arange(len(tb)) * k)[:, None, None]  # rows of the stack
+        starts = (np.arange(len(tb) * k) * s).reshape(-1, k, 1)  # where the row of each m_a starts
+        for z in range(s):
+            _require(tb[:, :, z].ravel().take(lift) == tb.ravel().take(starts + tb[:, None, :, z]),
+                     hs, "(x*y).z == x.(y.z)", lambda r: bl.start + r // (k * k))
 
 
 def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     """Lagrange, orbit-stabilizer and the fixed points for each of the
-    nonempty subsets hs of one order k, each acting on its own left cosets
-    in G, from a few gathers over their stacked members m (c, k).
+    nonempty subsets hs, of any orders, each acting on its own left cosets
+    in G.  Their members, the pairs of members of one H and the entries of
+    the actions' rows are laid end to end, H by H; the cosets are read
+    over blocks of subgroups, their members padded with the unit to the
+    largest order in the block, and the law and the stabilizers over each
+    run of subgroups of one order.  Every pass reads group.blocks.
 
     Each H is proven a subgroup (the unit and y * x^-1 for members x, y);
-    [G : H] counts the x that are the least of x * H; the table of the
-    action passes make_action's laws on every acting element (each image a
-    coset, the unit's row the identity, (x*y).z == x.(y.z), so each row is
-    onto by the law at y = x^-1); an orbit's size counts the points whose
-    column has the same least entry; and each distinct stabilizer column is
-    proven a subgroup and its index in H counted by coset roots, as
-    orbit_stabilizer_counts does.  Every temporary holds at most c * k * |G|
-    entries.  A set that is no subgroup raises InvalidSubgroup; indices
-    that differ, a table that breaks a law or a stabilizer that is no
-    subgroup raise InternalInvariant."""
+    [G : H] counts the x that are the least of x * H, and must equal that
+    count taken on the table for the first subgroup of its order in hs.
+    The table of the action passes make_action's laws on every acting
+    element (each image a coset, the unit's row the identity,
+    (x*y).z == x.(y.z), so each row is onto by the law at y = x^-1); an
+    orbit's size counts the points whose column has the same least entry;
+    and each point's stabilizer is proven a subgroup and its index in H
+    counted by coset roots, as orbit_stabilizer_counts does.  A set that
+    is no subgroup raises InvalidSubgroup; indices that differ, a table
+    that breaks a law or a stabilizer that is no subgroup raise
+    InternalInvariant, naming the first subgroup at fault."""
     clock = Clock()
-    n, k, c = g.order, hs[0].card, len(hs)
-    if any(h.carrier != g.carrier for h in hs):
+    n, c = g.order, len(hs)
+    if any(h.carrier is not g.carrier and h.carrier != g.carrier for h in hs):
         raise CarrierMismatch("set does not live on the group's carrier")
-    if any(h.card != k for h in hs):
-        raise ValueError("the subgroups of a batch must have one order")
-    dt = g.mul.dtype
     mask = membership_grid((h.bits for h in hs), n)
-    ci = np.arange(c)[:, None]
-    m = (np.flatnonzero(mask).reshape(c, k) - ci * n).astype(dt)  # members, ascending
-    cj = ci[..., None]
-    row = np.full((c, n), -1, dtype=dt)  # row[i, x]: the row of x in H_i, -1 outside
-    row[ci, m] = np.arange(k, dtype=dt)
-    quo = _at(row, cj, _at(g.mul, m[:, :, None], g.inv[m][:, None, :]))  # of m_a * m_b^-1
-    if not mask[:, g.unit].all() or (quo < 0).any():
+    if not mask[:, g.unit].all():
+        raise InvalidSubgroup("h must be a subgroup")
+    dt, mul = g.mul.dtype, g.mul.ravel()
+    cell = np.flatnonzero(mask)  # i * n + x for each member x of H_i, in order
+    own, m = np.divmod(cell, n)  # the members laid end to end, each with its H
+    m = m.astype(dt)
+    k = np.bincount(own, minlength=c)
+    first = np.cumsum(k) - k  # where the members of each H start
+    pair = np.cumsum(k[own]) - k[own]  # where the pairs (a, b) of each member a start
+    row = np.full(c * n, -1, dtype=dt)  # row[i * n + x]: x's row in H_i, -1 outside it
+    row[cell] = np.arange(len(m)) - first[own]
+    quo, ab, prod = _pair_rows(g, m, own, first, row)
+    if (quo < 0).any():
         raise InvalidSubgroup("h must be a subgroup")
     g._subgroup_bits.update(h.bits for h in hs)
+    unit = row[np.arange(c) * n + g.unit]  # the unit's row in each H
+    del row
 
-    root = g.columns()[m].min(axis=1)  # root[i, x]: the least of x * H_i
-    own = root == np.arange(n, dtype=dt)
-    index = own.sum(axis=1)
-    s = int(np.count_nonzero(g.mul[:, m[0]].min(axis=1) == np.arange(n)))  # from the table
-    _require(index == s, hs, f"[G : H] == {s}, the table's count, on the cached columns")
+    # each H's members padded with the unit to the largest order
+    pad = np.arange(int(k.max()))
+    mp = np.where(pad < k[:, None], m.take(np.minimum(first[:, None] + pad, len(m) - 1)), g.unit)
+    cols, pts = g.columns(), np.arange(n, dtype=dt)
+    root = np.empty((c, n), dtype=dt)  # root[i, x]: the least of x * H_i, on the cached columns
+    for bl in blocks(c, k * n):
+        root[bl] = cols.take(mp[bl, :k[bl].max()], axis=0).min(axis=1)
+    index = (root == pts).sum(axis=1)
+    # the same count on the table, for the first subgroup of each order
+    top: dict[int, int] = {}
+    for i, kk in enumerate(k.tolist()):
+        top.setdefault(kk, i)
+    orders = sorted(top)
+    firsts = np.array([top[kk] for kk in orders])
+    count = np.empty(len(firsts), dtype=np.int64)
+    for bl in blocks(len(firsts), k[firsts] * n):
+        least = g.mul.take(mp[firsts[bl], :k[firsts[bl]].max()], axis=1).min(axis=2)
+        count[bl] = (least == pts[:, None]).sum(axis=0)
+    want = count[np.searchsorted(orders, k)]
+    same = index == want
+    _require(same, hs, f"[G : H] == {want[np.argmin(same)]}, the table's count, on the cached "
+             "columns", lambda r: r)
     laps = [clock.lap()]
 
-    roots = np.flatnonzero(own).reshape(c, s) - ci * n
-    number = np.full((c, n), s, dtype=dt)  # number[i, r]: the point of the root r, s if none
-    number[ci, roots] = np.arange(s, dtype=dt)
-    table = _at(number, cj, _at(root, cj, _at(g.mul, m[:, :, None], roots[:, None, :])))
-    pts = np.arange(s, dtype=dt)
-    unit = row[:, g.unit]
-    _require(table < s, hs, "each acting element permutes the cosets")
-    _require(table[ci[:, 0], unit] == pts, hs, "the unit acts as the identity")
-    prod = _at(g.mul, m[:, :, None], m[:, None, :])  # the element m_a * m_b
-    lifted = _at(row, cj, prod) + cj * k  # its row in the stacked (c * k, s) table
-    stacked = table.reshape(c * k, s)
-    # (m_a * m_b).z == m_a.(m_b.z), one gather per acting m_a or per point
-    # z, whichever are fewer
-    if k <= s:
-        inner = cj * s + table  # m_b.z as a position in the (c, s) slice of one m_a
-        for a in range(k):
-            _require(stacked[lifted[:, a]] == table[:, a].ravel()[inner], hs, "(x*y).z == x.(y.z)")
-    else:
-        starts = (cj * k + np.arange(k)[:, None]) * s  # where the row of m_a starts
-        for z in range(s):
-            _require(stacked[:, z][lifted] == table.ravel()[starts + table[:, None, :, z]],
-                     hs, "(x*y).z == x.(y.z)")
-
+    roots = np.flatnonzero(root == pts)  # i * n + r for each root r of H_i: its points, in order
+    pown = roots // n
+    start = np.cumsum(index) - index  # where the points of each H start
+    number = np.full(c * n, -1, dtype=dt)  # number[i * n + r]: the point of the root r, or -1
+    number[roots] = np.arange(len(roots)) - start[pown]
+    roots -= pown * n
+    # the entries (a, z) of the actions' rows, a-major, and the point of each, flat
+    sa = index[own]
+    pe, ez = _spread(start[own], sa)
+    pe += ez
+    at = np.repeat(own * n, sa)
+    table = number.take(at + root.ravel().take(at + mul.take(np.repeat(m * n, sa) + roots.take(pe))))
+    del root, number, at
+    _require(table >= 0, hs, "each acting element permutes the cosets", lambda r: pown[pe[r]])
+    fixes = table == ez
+    del ez
+    entry = np.cumsum(sa) - sa  # where the row of each member starts
+    u, z = _spread(entry[first + unit], index)
+    _require(table.take(u + z) == z, hs, "the unit acts as the identity", lambda r: pown[r])
     # each orbit is one set of points with the same least image, as the
-    # laws just checked make the orbits a partition
-    low = ci * s + table.min(axis=1)
-    orbit = np.bincount(low.ravel(), minlength=c * s)[low]
-    fixes = table == pts
-    # the distinct stabilizer columns of each H, keyed by their bits, 62 to a word
-    bit = (1 << np.arange(k) % 62)[:, None]
-    keys = [(fixes[:, j:j + 62] * bit[j:j + 62]).sum(axis=1).ravel() for j in range(0, k, 62)]
-    keys.append(np.repeat(np.arange(c), s))
-    order = np.lexsort(keys)
-    new = np.ones(c * s, dtype=bool)
-    new[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
-    which = np.empty(c * s, dtype=np.int64)
-    which[order] = np.cumsum(new) - 1
-    rc, rz = np.divmod(order[new], s)
-    stab = fixes[rc, :, rz]  # each distinct stabilizer as a mask over the rows of its H
-    ri = np.arange(len(rc))[:, None, None]
-    # each holds the unit, whose row is the identity, and must be closed
-    closed = stab[ri, quo[rc]] | ~(stab[:, :, None] & stab[:, None, :])
-    _require(closed, hs, "each stabilizer is a subgroup", rc)
-    least = np.where(stab[:, None, :], prod[rc], n).min(axis=2)  # x's root modulo it
-    stab_index = (least == m[rc]).sum(axis=1)[which].reshape(c, s)
+    # laws checked below make the orbits a partition
+    low = np.full(len(roots), n, dtype=dt)
+    np.minimum.at(low, pe, table)
+    low = start[pown] + low
+    orbit = np.bincount(low, minlength=len(roots))[low]
+    stab_order = np.bincount(pe[fixes], minlength=len(roots))
+    del pe, low, u, z
+
+    # per run of subgroups of one order, each H's table as (row, point):
+    # the law, then every point's stabilizer, proven a subgroup (it holds
+    # the unit, whose row is the identity, and is closed under y * x^-1),
+    # and its index in H, counted as the x with no member y of it for
+    # which x * y < x, the roots of its left cosets (those y counted by a
+    # float32 product of 0/1 grids, exact below 2^24)
+    stab_index = np.empty(len(roots), dtype=np.int64)
+    edge = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+    for i0, i1 in zip([0, *edge], [*edge, c]):
+        kk, s, p0, cr = int(k[i0]), int(index[i0]), int(first[i0]), i1 - i0
+        e0, q0, z0 = int(entry[p0]), int(pair[p0]), int(start[i0])
+        t = table[e0:e0 + cr * kk * s].reshape(cr, kk, s)
+        pairs = slice(q0, q0 + cr * kk * kk)
+        _law(t, ab[pairs].reshape(cr, kk, kk), hs[i0:i1])
+        f = fixes[e0:e0 + cr * kk * s].reshape(cr, kk, s)
+        quo_r = quo[pairs].reshape(cr, kk, kk) + (np.arange(cr) * kk)[:, None, None]
+        below = (prod[pairs].reshape(cr, kk, kk) < m[p0:p0 + cr * kk].reshape(cr, kk, 1)
+                 ).astype(np.float32)
+        for bl in blocks(cr, kk * kk * s):
+            fb = f[bl]
+            both = fb[:, :, None, :] & fb[:, None, :, :]  # (H, a, b, point): a and b fix it
+            closed = f.reshape(-1, s).take(quo_r[bl], axis=0) | ~both
+            _require(closed, hs, "each stabilizer is a subgroup",
+                     lambda r: i0 + bl.start + r // closed[0].size)
+            roots_of = np.matmul(below[bl], fb.astype(np.float32)) == 0  # (H, x, point)
+            stab_index[z0 + bl.start * s:z0 + bl.stop * s] = roots_of.sum(axis=1).ravel()
     laps.append(clock.lap())
 
-    fixed = fixes.all(axis=1).sum(axis=1)
-    return TranslationBatch(index, orbit, fixes.sum(axis=1), stab_index, fixed,
+    fixed = np.bincount(pown[stab_order == k[pown]], minlength=c)
+    return TranslationBatch(index, index.copy(), orbit, stab_order, stab_index, fixed,
                             (*laps, clock.lap()))

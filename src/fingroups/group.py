@@ -154,9 +154,21 @@ def conjugates(g: Group, xs, ys) -> np.ndarray:
     return g.mul[g.mul[xs[:, None], ys], g.inv[xs][:, None]]
 
 
-def blocks(stop: int, line: int = 1, start: int = 0) -> list[slice]:
+def blocks(stop: int, line: int | np.ndarray = 1, start: int = 0) -> list[slice]:
     """Slices of the lines start..stop-1, of ``line`` entries each, in blocks
-    of as many whole lines as CHECK_CELLS entries hold, and one at least."""
+    of as many whole lines as CHECK_CELLS entries hold, and one at least.
+    Given an array, line i has line[i] entries, and a block holds each of
+    its lines as wide as its widest, as a grid padded to it would."""
+    if isinstance(line, np.ndarray):
+        if start >= stop or (stop - start) * line[start:stop].max() <= CHECK_CELLS:
+            return [slice(start, stop)] if start < stop else []
+        cuts = [start]
+        while cuts[-1] < stop:
+            i = cuts[-1]
+            held = np.maximum.accumulate(line[i:min(stop, i + CHECK_CELLS)])
+            held *= np.arange(1, len(held) + 1)
+            cuts.append(i + max(1, int(np.searchsorted(held, CHECK_CELLS, "right"))))
+        return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
     step = CHECK_CELLS // line or 1
     if start + step >= stop:  # one block or none, at a third of the comprehension's cost
         return [slice(start, stop)] if start < stop else []

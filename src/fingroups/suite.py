@@ -10,12 +10,13 @@ instances, and a witness for the first failure only) so reports stay
 readable; the per-instance loops live in the test suite.
 
 Lagrange, translation and the congruence run over the sample in batches:
-the sample is sorted by order and membership, so each order is one
-contiguous run, cut into chunks by action.sample_batches, and each chunk
-is one action.translation_batch.  The verdicts keep the sample's order,
-so the first failure's witness is the first failing subgroup's.  A set
-that is no subgroup raises InvalidSubgroup, and a fault the theory rules
-out (in the table, its cached columns or the batch) InternalInvariant.
+action.sample_batches cuts the sample, sorted by order and membership,
+into consecutive runs of any orders, and each run is one
+action.translation_batch.  The verdicts keep the sample's order, each
+subgroup's points laid end to end, so the first failure's witness is the
+first failing subgroup's (and point's).  A set that is no subgroup raises
+InvalidSubgroup, and a fault the theory rules out (in the table, its
+cached columns or the batch) InternalInvariant.
 """
 
 from __future__ import annotations
@@ -75,22 +76,19 @@ def catalog() -> list[tuple[str, Group]]:
     return [(spec.describe(), build(spec)) for spec in catalog_specs()]
 
 
-def _aggregate(name: str, blocks: list[tuple[list, np.ndarray]]) -> Check:
-    """The tally over blocks of (subgroups, verdicts), in order: one verdict
-    per subgroup, or a row of one per point.  A failure's witness is its
-    subgroup's members, then its point."""
+def _aggregate(name: str, hs: list, ok: np.ndarray, points: np.ndarray | None = None) -> Check:
+    """The tally of ok, one verdict per subgroup of hs, or with ``points``
+    the verdicts of each subgroup's points laid end to end, points[i] of
+    them for hs[i].  A failure's witness is its subgroup's members, then
+    its point."""
     def witness(i: int) -> dict:
-        for hs, ok in blocks:  # the block of instance i, then its place there
-            if i < ok.size:
-                r, z = divmod(i, ok.size // len(ok))
-                found = {"subgroup": list(hs[r].indices())}
-                if ok.ndim > 1:
-                    found["point"] = z
-                return found
-            i -= ok.size
+        if points is None:
+            return {"subgroup": list(hs[i].indices())}
+        ends = np.cumsum(points)
+        r = int(np.searchsorted(ends, i, side="right"))
+        return {"subgroup": list(hs[r].indices()), "point": i - int(ends[r] - points[r])}
 
-    return tally(name, np.concatenate([np.ones(0, bool), *(ok.ravel() for _, ok in blocks)]),
-                 witness)
+    return tally(name, ok, witness)
 
 
 def verify_group(g: Group, label: str) -> Report:
@@ -112,22 +110,24 @@ def verify_group(g: Group, label: str) -> Report:
         roundtrip = Check("table_roundtrip", False, 0, 1, str(e))
     rep.checks += clock.stamp(roundtrip)
 
-    # Lagrange, translation and the congruence over the sample in batches of
-    # one order, each timed by its part of every batch, lagrange with the sample.
-    blocks: list[list] = [[], [], []]
-    ms = [0.0, 0.0, 0.0]
-    for hs in sample_batches(g, subgroup_sample(g)):
-        n, k = g.order, hs[0].card
-        b = translation_batch(g, hs)
-        blocks[0].append((hs, (k * b.index == n) & (n % k == 0)))
-        blocks[1].append((hs, orbit_stabilizer_ok(b.orbit, b.stab_index, k)))
-        p = prime_power_base(k)
-        if p:
-            blocks[2].append((hs, b.orbit.shape[1] % p == b.fixed % p))
-        ms = [t + dt for t, dt in zip(ms, b.ms)]
-    names = ("lagrange", "orbit_stabilizer:translation", "mod_p_fixed_points:translation")
-    lagrange, trans, congruence = (_aggregate(*nb) for nb in zip(names, blocks))
-    lagrange.ms, trans.ms, congruence.ms = ms
+    # Lagrange, translation and the congruence over the sample in batches,
+    # each timed by its part of every batch, lagrange with the sample.
+    sample = subgroup_sample(g)
+    batches = [translation_batch(g, hs) for hs in sample_batches(g, sample)]
+    index, points, orbit, stab_index, fixed = (
+        np.concatenate([getattr(b, f) for b in batches])
+        for f in ("index", "points", "orbit", "stab_index", "fixed"))
+    n, k = g.order, np.array([h.card for h in sample])
+    lagrange = _aggregate("lagrange", sample, (k * index == n) & (n % k == 0))
+    trans = _aggregate("orbit_stabilizer:translation", sample,
+                       orbit_stabilizer_ok(orbit, stab_index, np.repeat(k, points)), points)
+    base = {x: prime_power_base(x) or 0 for x in set(k.tolist())}  # 0 unless a p-power
+    p = np.array([base[x] for x in k.tolist()], dtype=np.int64)
+    at = p > 0
+    congruence = _aggregate("mod_p_fixed_points:translation",
+                            [h for h, q in zip(sample, at) if q],
+                            points[at] % p[at] == fixed[at] % p[at])
+    lagrange.ms, trans.ms, congruence.ms = (sum(b.ms[i] for b in batches) for i in range(3))
     clock.stamp(lagrange, trans, congruence)
     rep.checks.append(lagrange)
 

@@ -283,6 +283,21 @@ def test_conjugation_keeps_the_group_dtype_on_c1024():
     assert act.table.dtype == g.mul.dtype and ok.all() and (orb == 1).all()
 
 
+def test_orbit_counts_sort_a_block_of_columns_at_a_time():
+    # a sorted copy of C1024's whole conjugation table took the counts to
+    # 10.2 MiB at their traced peak
+    g = build(GroupSpec.cyclic(1024))
+    act = conjugation_action(g, g.full_set())
+    tracemalloc.start()
+    try:
+        orb, _, _, ok = orbit_stabilizer_counts(act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g.mul.nbytes, peak / g.mul.nbytes
+    assert ok.all() and (orb == 1).all()
+
+
 def test_generators_come_from_the_acting_subgroup(z12):
     # 1 and 2 lie outside H = {0, 3, 6, 9}; the pick takes 3, which
     # generates H, and the rows of 6 and 9 (rows 2 and 3) are still
@@ -733,12 +748,19 @@ def single_counts(g, h):
             fixed_points(act).card)
 
 
+def split_counts(b):
+    """A batch's counts as one (index, orbits, stabilizer orders, stabilizer
+    indices, fixed points) per subgroup, the points' lists cut by b.points."""
+    cut = np.cumsum(b.points)[:-1]
+    return list(zip(b.index.tolist(), *([part.tolist() for part in np.split(v, cut)]
+                                        for v in (b.orbit, b.stab_order, b.stab_index)),
+                    b.fixed.tolist()))
+
+
 def batched_counts(g, sample):
     out = []
     for hs in action_mod.sample_batches(g, sample):
-        b = action_mod.translation_batch(g, hs)
-        out += zip(b.index.tolist(), b.orbit.tolist(), b.stab_order.tolist(),
-                   b.stab_index.tolist(), b.fixed.tolist())
+        out += split_counts(action_mod.translation_batch(g, hs))
     return out
 
 
@@ -757,6 +779,14 @@ def test_batch_matches_the_single_instance_route_on_the_catalog():
         assert batched_counts(g, sample) == [single_counts(g, h) for h in sample], label
 
 
+def test_batch_matches_the_single_instance_route_in_tiny_batches_and_blocks(monkeypatch):
+    # 64-cell batches hold several orders of the smallest groups and cut
+    # the classes of the others; 7-entry blocks cut every pass
+    monkeypatch.setattr(action_mod, "BATCH_CELLS", 64)
+    monkeypatch.setattr(group_mod, "CHECK_CELLS", 7)
+    test_batch_matches_the_single_instance_route_on_the_catalog()
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("spec", [GroupSpec.symmetric(4),
                                   GroupSpec.product(GroupSpec.dihedral(4), GroupSpec.cyclic(2))],
@@ -765,6 +795,7 @@ def test_batch_matches_the_single_instance_route_on_the_catalog():
 def test_batch_matches_the_single_instance_route_on_relabelings(monkeypatch, spec, seed, budget):
     if budget is not None:
         monkeypatch.setattr(action_mod, "BATCH_CELLS", budget)
+        monkeypatch.setattr(group_mod, "CHECK_CELLS", 7)
     g = relabeled(spec, seed)
     sample = subgroup_sample(g)
     assert batched_counts(g, sample) == [single_counts(g, h) for h in sample]
@@ -780,8 +811,11 @@ def test_batch_refuses_what_it_cannot_prove(s3, s4):
         action_mod.translation_batch(s4, twos + [not_closed])
     with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
         action_mod.translation_batch(s4, [no_unit] + twos)
-    with pytest.raises(ValueError, match="one order"):
-        action_mod.translation_batch(s4, twos + [sample[-1]])
+    # a batch of several orders counts what its batches of one order count
+    mixed = twos + [sample[-1]] + [h for h in sample if h.card == 4]
+    by_order = [[h for h in mixed if h.card == k] for k in (2, s4.order, 4)]
+    assert split_counts(action_mod.translation_batch(s4, mixed)) == sum(
+        (split_counts(action_mod.translation_batch(s4, hs)) for hs in by_order), [])
     with pytest.raises(CarrierMismatch):
         action_mod.translation_batch(s4, twos + [members(s3, [0, 1])])
     assert len(action_mod.translation_batch(s4, twos).index) == len(twos)
@@ -823,6 +857,19 @@ def test_a_corrupted_column_cache_never_passes_unnoticed(monkeypatch, s4):
     assert faults == {"[G : H]", "each acting element permutes the cosets", "(x*y).z"}
 
 
+def test_the_stabilizer_trap_stands_without_the_law(monkeypatch, s4):
+    # with the law's check patched out, S4's column cache corrupted at seed
+    # 5 still maps each row into the cosets, keeps the unit's row the
+    # identity and the indices right: the stabilizers' closure catches it
+    sample = subgroup_sample(s4)
+    monkeypatch.setattr(action_mod, "_law", lambda *args: None)
+    monkeypatch.setattr(s4, "_columns", corrupted_columns(s4.columns(), 5, False))
+    with pytest.raises(InternalInvariant, match="each stabilizer is a subgroup fails") as err:
+        action_mod.translation_batch(s4, sample)
+    named = str(err.value).partition(" fails for the subgroup ")[2]
+    assert named in [str(list(h.indices())) for h in sample]
+
+
 def test_a_batch_of_one_subgroup_counts_its_index_on_the_table(monkeypatch, s4):
     # a batch of one subgroup has no second index in its chunk to compare
     # with: a corrupted column cache must raise, or leave the index right
@@ -862,7 +909,29 @@ def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
     batches = list(action_mod.sample_batches(g, sample))
     assert sum(batches, []) == sample
     for hs in batches:
-        assert len(hs) * hs[0].card * g.order <= budget
+        assert sum(h.card for h in hs) * g.order <= budget
         assert peak(hs) <= bound, (hs[0].card, len(hs))
     # the measure sees a class gathered whole
     assert peak([h for h in sample if h.card == 8]) > bound
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.product(GroupSpec.dihedral(6), GroupSpec.dihedral(6)),
+                                  GroupSpec.product(GroupSpec.symmetric(5), GroupSpec.cyclic(2))],
+                         ids=["d6xd6", "s5xc2"])
+def test_merged_batches_stay_small(spec):
+    # the sample's batches hold several orders each, and each stays within
+    # 2.5 MiB at its traced peak
+    g = build(spec)
+    sample = subgroup_sample(g)
+    g.columns()
+    batches = list(action_mod.sample_batches(g, sample))
+    assert sum(batches, []) == sample
+    assert max(len({h.card for h in hs}) for hs in batches) > 2
+    for hs in batches:
+        tracemalloc.start()
+        try:
+            action_mod.translation_batch(g, hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20, ([h.card for h in hs], peak / 2 ** 20)

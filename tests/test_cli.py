@@ -426,16 +426,17 @@ def test_aggregate_names_the_first_failure_of_a_later_block():
     c = Carrier(6)
     first = [set_of(c, [0]), set_of(c, [1])]
     later = [set_of(c, [0, 2]), set_of(c, [0, 3]), set_of(c, [0, 4])]
-    # blocks of rows 4 and 3 points wide; the later one fails at (1, 2) and (2, 0)
+    # subgroups of 4 and 3 points, laid end to end; the later ones fail at
+    # their (1, 2) and (2, 0)
     ok = np.ones((3, 3), dtype=bool)
     ok[1, 2] = ok[2, 0] = False
-    got = suite_mod._aggregate("a", [(first, np.ones((2, 4), dtype=bool)), (later, ok)])
+    got = suite_mod._aggregate("a", first + later, np.append(np.ones(8, dtype=bool), ok),
+                               np.array([4, 4, 3, 3, 3]))
     assert got == Check("a", False, 15, 17, {"subgroup": [0, 3], "point": 2})
     # one verdict per subgroup: the witness is the subgroup alone
-    got = suite_mod._aggregate("a", [(first, np.array([True, True])),
-                                     (later, np.array([True, False, False]))])
+    got = suite_mod._aggregate("a", first + later, np.array([True, True, True, False, False]))
     assert got == Check("a", False, 3, 5, {"subgroup": [0, 3]})
-    assert suite_mod._aggregate("a", []) == Check("a", True, 0, 0)
+    assert suite_mod._aggregate("a", [], np.ones(0, dtype=bool)) == Check("a", True, 0, 0)
 
 
 def test_verify_group_all_pass(q8):
@@ -461,11 +462,12 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
     real_batch = suite_mod.translation_batch
 
     def batch_failing_at_order_4(g, hs):
+        # only the order-4 subgroups' entries of a batch of any orders
         b = real_batch(g, hs)
-        if hs[0].card == 4:
-            b.index = b.index + 1
-            b.stab_index = b.stab_index + (b.stab_order == 1)
-            b.fixed = b.fixed + 1
+        four = np.array([h.card == 4 for h in hs])
+        b.index = b.index + four
+        b.stab_index = b.stab_index + (np.repeat(four, b.points) & (b.stab_order == 1))
+        b.fixed = b.fixed + four
         return b
 
     monkeypatch.setattr(suite_mod, "translation_batch", batch_failing_at_order_4)

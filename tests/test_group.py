@@ -119,6 +119,12 @@ def test_blocks_are_whole_lines_and_at_least_one(monkeypatch):
     assert group_mod.blocks(9, 3, 5) == [slice(5, 7), slice(7, 9)]
     assert group_mod.blocks(3, 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     assert group_mod.blocks(4, 3, 4) == []
+    # lines of their own widths, each held as wide as the widest of its block
+    widths = np.array([1, 2, 3, 1, 1, 8, 2])
+    assert group_mod.blocks(7, widths) == [slice(0, 2), slice(2, 4), slice(4, 5), slice(5, 6),
+                                          slice(6, 7)]
+    assert group_mod.blocks(5, widths, 3) == [slice(3, 5)]
+    assert group_mod.blocks(3, widths, 3) == []
 
 
 # block_ends' block_rows: one row, five rows plus one entry, the default
