@@ -116,8 +116,8 @@ def routes_agree(g, sample) -> bool:
     for hs in sample_batches(g, sample):
         b = translation_batch(g, hs)
         per_point = (b.orbit, b.stab_order, b.stab_index)
-        if hasattr(b, "points"):  # laid end to end, b.points of them per subgroup
-            per_point = [np.split(v, np.cumsum(b.points)[:-1]) for v in per_point]
+        if b.orbit.ndim == 1:  # laid end to end, b.index of them per subgroup
+            per_point = [np.split(v, np.cumsum(b.index)[:-1]) for v in per_point]
         # else rows, from a tree whose batches hold one order
         batched += zip(b.index.tolist(), *([p.tolist() for p in v] for v in per_point),
                        b.fixed.tolist())

@@ -53,6 +53,7 @@ from .errors import (
     NotPPower,
     NotPrime,
     PointOutOfRange,
+    quote_input,
 )
 from .group import Group, blocks, conjugates, greedy_generators, law_break
 from .numutil import is_prime, padic_val
@@ -237,7 +238,7 @@ def mod_p_fixed_point_check(act: Action, p: int, fixed: ElemSet | None = None) -
     modulo p.  Both counts are computed outright; a caller that already
     holds fixed_points(act) passes it as ``fixed``."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{quote_input(p)} is not prime")
     if act.acting.card != p ** padic_val(p, act.acting.card):
         raise NotPPower(f"acting order {act.acting.card} is not a power of {p}")
     s = act.points.size
@@ -296,14 +297,13 @@ def conjugation_action_on_subsets(
 class TranslationBatch:
     """What translation_batch counts for c subgroups H of any orders, each
     acting by translation on its left cosets in G (its points, in
-    ascending order of their roots): each index [G : H], its number of
-    points and the points it fixes, as (c,) arrays, and each point's orbit
+    ascending order of their roots): each index [G : H], which counts its
+    points, and the points it fixes, as (c,) arrays, and each point's orbit
     size, stabilizer order and stabilizer index in H, flat in (subgroup,
-    point) order, ``points[i]`` of them for the i-th H.  ``ms`` holds the
+    point) order, ``index[i]`` of them for the i-th H.  ``ms`` holds the
     laps spent on the indices, on the actions and on the fixed points."""
 
     index: np.ndarray
-    points: np.ndarray
     orbit: np.ndarray
     stab_order: np.ndarray
     stab_index: np.ndarray
@@ -344,56 +344,51 @@ def _spread(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _pair_rows(g: Group, m: np.ndarray, own: np.ndarray, first: np.ndarray,
-               row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               row: np.ndarray) -> np.ndarray:
     """For every pair (a, b) of members of one H, the members m laid end to
-    end with own[a] their H and first[h] where H_h's start: the rows in H
-    (row[h * |G| + x] that of x) of m_a * m_b^-1 and of m_a * m_b, -1
-    outside H, and m_a * m_b itself, laid end to end a-major.  Read a block
-    of members a at a time."""
+    end with own[a] their H and first[h] where H_h's start: the row in H
+    (row[h * |G| + x] that of x) of m_a * m_b, -1 outside H, laid end to
+    end a-major.  Read a block of members a at a time."""
     n, mul = g.order, g.mul.ravel()
     ka = np.bincount(own)[own]  # each member's pairs
     end = np.cumsum(ka)
     shift = end - ka - first[own]  # a pair's place less its b's place among the members
-    quo, ab, prod = np.empty((3, end[-1]), dtype=np.int16)  # all below MAX_GROUP_ORDER
+    ab = np.empty(end[-1], dtype=np.int16)  # all below MAX_GROUP_ORDER
     for bl in blocks(len(m), ka):
         kb = ka[bl]
         p = slice(end[bl.start] - kb[0], end[bl.stop - 1])
         y = m.take(np.arange(p.start, p.stop) - np.repeat(shift[bl], kb))  # m_b
-        x, base = np.repeat(m[bl] * n, kb), np.repeat(own[bl] * n, kb)
-        quo[p] = row.take(base + mul.take(x + g.inv.take(y)))
-        prod[p] = xy = mul.take(x + y)
-        ab[p] = row.take(base + xy)
-    return quo, ab, prod
+        ab[p] = row.take(np.repeat(own[bl] * n, kb) + mul.take(np.repeat(m[bl] * n, kb) + y))
+    return ab
 
 
-def _law(t: np.ndarray, lifted: np.ndarray, hs: Sequence[ElemSet]) -> None:
+def _law(t: np.ndarray, lift: np.ndarray, hs: Sequence[ElemSet]) -> None:
     """(m_a * m_b).z == m_a.(m_b.z) over one run of subgroups hs of order k,
-    t[h] the (k, s) table of the h-th and lifted[h, a, b] the row of
-    m_a * m_b there: one gather per subgroup, per acting row a or per point
-    z, whichever are fewest, over blocks of rows or of subgroups."""
+    t[h] the (k, s) table of the h-th and lift[h, a, b] the row of
+    m_a * m_b among the run's stacked rows t.reshape(-1, s): one gather per
+    subgroup, per acting row a or per point z, whichever are fewest, over
+    blocks of rows or of subgroups."""
     c, k, s = t.shape
+    stacked = t.reshape(-1, s)
     if c <= min(k, s):
         for h in range(c):
             for bl in blocks(k, k * s):
-                _require(t[h].take(lifted[h, bl], axis=0) == t[h, bl].take(t[h], axis=1), hs,
+                _require(stacked.take(lift[h, bl], axis=0) == t[h, bl].take(t[h], axis=1), hs,
                          "(x*y).z == x.(y.z)", lambda r: h)
         return
     if k <= s:
         for bl in blocks(c, k * s):
             tb = t[bl]
-            stacked = tb.reshape(-1, s)
-            lift = lifted[bl] + (np.arange(len(tb)) * k)[:, None, None]  # rows of the stack
             inner = tb + (np.arange(len(tb)) * s)[:, None, None]  # m_b.z among the (h, s) of one m_a
             for a in range(k):
-                _require(stacked.take(lift[:, a], axis=0) == tb[:, a].ravel().take(inner), hs,
+                _require(stacked.take(lift[bl, a], axis=0) == tb[:, a].ravel().take(inner), hs,
                          "(x*y).z == x.(y.z)", lambda r: bl.start + r // (k * s))
         return
     for bl in blocks(c, k * k):
         tb = t[bl]
-        lift = lifted[bl] + (np.arange(len(tb)) * k)[:, None, None]  # rows of the stack
         starts = (np.arange(len(tb) * k) * s).reshape(-1, k, 1)  # where the row of each m_a starts
         for z in range(s):
-            _require(tb[:, :, z].ravel().take(lift) == tb.ravel().take(starts + tb[:, None, :, z]),
+            _require(stacked[:, z].take(lift[bl]) == tb.ravel().take(starts + tb[:, None, :, z]),
                      hs, "(x*y).z == x.(y.z)", lambda r: bl.start + r // (k * k))
 
 
@@ -406,7 +401,7 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     largest order in the block, and the law and the stabilizers over each
     run of subgroups of one order.  Every pass reads group.blocks.
 
-    Each H is proven a subgroup (the unit and y * x^-1 for members x, y);
+    Each H is proven a subgroup as is_subgroup does (the unit and x * y);
     [G : H] counts the x that are the least of x * H, and must equal that
     count taken on the table for the first subgroup of its order in hs.
     The table of the action passes make_action's laws on every acting
@@ -434,8 +429,8 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     pair = np.cumsum(k[own]) - k[own]  # where the pairs (a, b) of each member a start
     row = np.full(c * n, -1, dtype=dt)  # row[i * n + x]: x's row in H_i, -1 outside it
     row[cell] = np.arange(len(m)) - first[own]
-    quo, ab, prod = _pair_rows(g, m, own, first, row)
-    if (quo < 0).any():
+    ab = _pair_rows(g, m, own, first, row)
+    if (ab < 0).any():
         raise InvalidSubgroup("h must be a subgroup")
     g._subgroup_bits.update(h.bits for h in hs)
     unit = row[np.arange(c) * n + g.unit]  # the unit's row in each H
@@ -495,26 +490,25 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
 
     # per run of subgroups of one order, each H's table as (row, point):
     # the law, then every point's stabilizer, proven a subgroup (it holds
-    # the unit, whose row is the identity, and is closed under y * x^-1),
-    # and its index in H, counted as the x with no member y of it for
-    # which x * y < x, the roots of its left cosets (those y counted by a
-    # float32 product of 0/1 grids, exact below 2^24)
+    # the unit, whose row is the identity, and is closed under x * y), and
+    # its index in H, counted as the x with no member y of it for which
+    # x * y < x, the row of x * y below x's, the roots of its left cosets
+    # (those y counted by a float32 product of 0/1 grids, exact below 2^24)
     stab_index = np.empty(len(roots), dtype=np.int64)
     edge = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
     for i0, i1 in zip([0, *edge], [*edge, c]):
         kk, s, p0, cr = int(k[i0]), int(index[i0]), int(first[i0]), i1 - i0
         e0, q0, z0 = int(entry[p0]), int(pair[p0]), int(start[i0])
         t = table[e0:e0 + cr * kk * s].reshape(cr, kk, s)
-        pairs = slice(q0, q0 + cr * kk * kk)
-        _law(t, ab[pairs].reshape(cr, kk, kk), hs[i0:i1])
+        xy = ab[q0:q0 + cr * kk * kk].reshape(cr, kk, kk)  # xy[h, a, b]: m_a * m_b's row in H_h
+        lift = xy + (np.arange(cr) * kk)[:, None, None]  # its row in the run's stacked tables
+        _law(t, lift, hs[i0:i1])
         f = fixes[e0:e0 + cr * kk * s].reshape(cr, kk, s)
-        quo_r = quo[pairs].reshape(cr, kk, kk) + (np.arange(cr) * kk)[:, None, None]
-        below = (prod[pairs].reshape(cr, kk, kk) < m[p0:p0 + cr * kk].reshape(cr, kk, 1)
-                 ).astype(np.float32)
+        below = (xy < np.arange(kk)[:, None]).astype(np.float32)
         for bl in blocks(cr, kk * kk * s):
             fb = f[bl]
             both = fb[:, :, None, :] & fb[:, None, :, :]  # (H, a, b, point): a and b fix it
-            closed = f.reshape(-1, s).take(quo_r[bl], axis=0) | ~both
+            closed = f.reshape(-1, s).take(lift[bl], axis=0) | ~both
             _require(closed, hs, "each stabilizer is a subgroup",
                      lambda r: i0 + bl.start + r // closed[0].size)
             roots_of = np.matmul(below[bl], fb.astype(np.float32)) == 0  # (H, x, point)
@@ -522,5 +516,4 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     laps.append(clock.lap())
 
     fixed = np.bincount(pown[stab_order == k[pown]], minlength=c)
-    return TranslationBatch(index, index.copy(), orbit, stab_order, stab_index, fixed,
-                            (*laps, clock.lap()))
+    return TranslationBatch(index, orbit, stab_order, stab_index, fixed, (*laps, clock.lap()))

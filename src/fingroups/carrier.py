@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CarrierMismatch, PointOutOfRange
+from .errors import CarrierMismatch, PointOutOfRange, quote_input
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Carrier:
 
     def check_point(self, i: int) -> None:
         if not 0 <= i < self.size:
-            raise PointOutOfRange(f"point {i} outside carrier of size {self.size}")
+            raise PointOutOfRange(f"point {quote_input(i)} outside carrier of size {self.size}")
 
 
 @dataclass(frozen=True)

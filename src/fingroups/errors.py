@@ -9,12 +9,14 @@ the caller.
 from __future__ import annotations
 
 
-def quote_input(text: str) -> str:
-    """Outside input quoted for an error message: its repr, cut to the
-    first 40 characters and its length when longer."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+def quote_input(text: str | int) -> str:
+    """Outside input quoted for an error message: a string's repr or a
+    number's digits, cut to the first 40 characters and its length when
+    longer."""
+    s, quote = str(text), repr if isinstance(text, str) else str
+    if len(s) <= 40:
+        return quote(text)
+    return f"{quote(s[:40])}... ({len(s)} characters)"
 
 
 class GroupTheoryError(Exception):

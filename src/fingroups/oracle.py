@@ -11,7 +11,7 @@ exponentialish, so it is capped by group order.
 from __future__ import annotations
 
 from .carrier import ElemSet
-from .errors import UnsupportedSpec
+from .errors import UnsupportedSpec, quote_input
 from .group import Group
 from .numutil import is_prime, padic_val
 
@@ -71,6 +71,6 @@ def sylow_family_bruteforce(g: Group, k: ElemSet, p: int) -> list[ElemSet]:
     """All subgroups of K of maximal p-power order, straight off the
     subgroup lattice."""
     if not is_prime(p):
-        raise UnsupportedSpec(f"{p} is not prime")
+        raise UnsupportedSpec(f"{quote_input(p)} is not prime")
     target = p ** padic_val(p, k.card)
     return [s for s in all_subgroups(g) if s.card == target and s.issubset(k)]

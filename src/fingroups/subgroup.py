@@ -1,8 +1,9 @@
 """Subgroups as carrier subsets, cosets, and the counting form of Lagrange.
 
-A subgroup is just an ElemSet that happens to contain the unit and be
-closed under y * x^-1.  Cosets are sets too; the index of H in K is the
-number of distinct minimum-index coset representatives found inside K.
+A subgroup is just an ElemSet that holds the unit and is closed under
+the product: being finite, it holds a member's powers, its inverse among
+them.  Cosets are sets too; the index of H in K is the number of
+distinct minimum-index coset representatives found inside K.
 It is never computed by dividing cardinalities, so lagrange_check remains
 a falsifiable statement rather than a restatement of its own definition.
 """
@@ -23,17 +24,16 @@ def _require_same_carrier(g: Group, s: ElemSet) -> None:
 
 
 def is_subgroup(g: Group, h: ElemSet) -> bool:
-    """Unit membership plus closure under y * x^-1 for members x, y.  A
-    proof is recorded on the group, so a set is checked only once there;
-    a refusal is not recorded."""
+    """Unit membership plus closure under x * y for members x, y, which
+    makes a finite set a subgroup.  A proof is recorded on the group, so a
+    set is checked only once there; a refusal is not recorded."""
     _require_same_carrier(g, h)
     if h.bits in g._subgroup_bits:
         return True
     if g.unit not in h:
         return False
     m = h.as_array()
-    prods = g.mul[np.ix_(m, g.inv[m])]
-    if not h.mask()[prods].all():
+    if not h.mask()[g.mul[np.ix_(m, m)]].all():
         return False
     g._subgroup_bits.add(h.bits)
     return True

@@ -114,19 +114,19 @@ def verify_group(g: Group, label: str) -> Report:
     # each timed by its part of every batch, lagrange with the sample.
     sample = subgroup_sample(g)
     batches = [translation_batch(g, hs) for hs in sample_batches(g, sample)]
-    index, points, orbit, stab_index, fixed = (
+    index, orbit, stab_index, fixed = (
         np.concatenate([getattr(b, f) for b in batches])
-        for f in ("index", "points", "orbit", "stab_index", "fixed"))
+        for f in ("index", "orbit", "stab_index", "fixed"))
     n, k = g.order, np.array([h.card for h in sample])
     lagrange = _aggregate("lagrange", sample, (k * index == n) & (n % k == 0))
     trans = _aggregate("orbit_stabilizer:translation", sample,
-                       orbit_stabilizer_ok(orbit, stab_index, np.repeat(k, points)), points)
+                       orbit_stabilizer_ok(orbit, stab_index, np.repeat(k, index)), index)
     base = {x: prime_power_base(x) or 0 for x in set(k.tolist())}  # 0 unless a p-power
     p = np.array([base[x] for x in k.tolist()], dtype=np.int64)
     at = p > 0
     congruence = _aggregate("mod_p_fixed_points:translation",
                             [h for h, q in zip(sample, at) if q],
-                            points[at] % p[at] == fixed[at] % p[at])
+                            index[at] % p[at] == fixed[at] % p[at])
     lagrange.ms, trans.ms, congruence.ms = (sum(b.ms[i] for b in batches) for i in range(3))
     clock.stamp(lagrange, trans, congruence)
     rep.checks.append(lagrange)

@@ -186,12 +186,12 @@ def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None)
     smallest-index qualifying element, so the answer does not depend on
     the route taken."""
     if p > h.card:  # before the trial-division primality test
-        raise DoesNotDivide(f"{p} does not divide the subgroup order {h.card}")
+        raise DoesNotDivide(f"{quote_input(p)} does not divide the subgroup order {h.card}")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{quote_input(p)} is not prime")
     subgroup_set(g, h)
     if h.card % p != 0:
-        raise DoesNotDivide(f"{p} does not divide the subgroup order {h.card}")
+        raise DoesNotDivide(f"{quote_input(p)} does not divide the subgroup order {h.card}")
 
     family_size = h.card ** (p - 1)
     cap = tuple_cap()
@@ -234,7 +234,7 @@ def cauchy_element(g: Group, h: ElemSet, p: int, trace: list[str] | None = None)
 def is_sylow(g: Group, k: ElemSet, p: int, h: ElemSet) -> bool:
     """H is a subgroup of K of order exactly p^(val_p |K|)."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{quote_input(p)} is not prime")
     subgroup_set(g, k)
     n = padic_val(p, k.card)
     return is_subgroup(g, h) and h.issubset(k) and h.card == p**n
@@ -316,13 +316,13 @@ def extend_p_subgroup(
 def sylow_subgroup(g: Group, k: ElemSet, p: int) -> SylowCertificate:
     """Construct a Sylow p-subgroup of K with a step-by-step certificate."""
     if p > k.card:  # before the trial-division primality test
-        raise PDoesNotDivide(f"{p} does not divide the group order {k.card}")
+        raise PDoesNotDivide(f"{quote_input(p)} does not divide the group order {k.card}")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{quote_input(p)} is not prime")
     subgroup_set(g, k)
     n = padic_val(p, k.card)
     if n == 0:
-        raise PDoesNotDivide(f"{p} does not divide the group order {k.card}")
+        raise PDoesNotDivide(f"{quote_input(p)} does not divide the group order {k.card}")
 
     trace: list[str] = []
     a = cauchy_element(g, k, p, trace)
@@ -347,7 +347,7 @@ def sylow_conjugator(g: Group, k: ElemSet, p: int, h: ElemSet, l: ElemSet) -> in
     coset is fixed, and its minimum-index root is the conjugator.
     """
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{quote_input(p)} is not prime")
     require_nested_subgroups(g, h, k)
     if h.card != p ** padic_val(p, h.card):
         raise NotPPower(f"h has order {h.card}, not a power of {p}")

@@ -750,8 +750,8 @@ def single_counts(g, h):
 
 def split_counts(b):
     """A batch's counts as one (index, orbits, stabilizer orders, stabilizer
-    indices, fixed points) per subgroup, the points' lists cut by b.points."""
-    cut = np.cumsum(b.points)[:-1]
+    indices, fixed points) per subgroup, the points' lists cut by b.index."""
+    cut = np.cumsum(b.index)[:-1]
     return list(zip(b.index.tolist(), *([part.tolist() for part in np.split(v, cut)]
                                         for v in (b.orbit, b.stab_order, b.stab_index)),
                     b.fixed.tolist()))
@@ -821,6 +821,37 @@ def test_batch_refuses_what_it_cannot_prove(s3, s4):
     assert len(action_mod.translation_batch(s4, twos).index) == len(twos)
 
 
+@pytest.mark.parametrize("spec", [GroupSpec.symmetric(3), GroupSpec.dihedral(4),
+                                  GroupSpec.symmetric(4)], ids=["s3", "d4", "s4"])
+def test_a_batch_refuses_exactly_the_sets_the_naive_oracle_refuses(spec):
+    # every set holding the unit in S3 and D4; in S4, 200 seeded ones,
+    # each a sample subgroup with up to two other members toggled
+    g = build(spec)
+    rows = oracles.table_rows(g)
+    others = [x for x in g.elements() if x != g.unit]
+    if g.order < 24:
+        sets = [[x for j, x in enumerate(others) if bits >> j & 1]
+                for bits in range(1 << len(others))]
+    else:
+        rng, sample = np.random.default_rng(0), subgroup_sample(g)
+        sets = []
+        for _ in range(200):
+            pick = set(sample[rng.integers(len(sample))].indices())
+            pick ^= set(rng.choice(others, size=rng.integers(3), replace=False).tolist())
+            sets.append(sorted(pick - {g.unit}))
+    refusals = 0
+    for pts in sets:
+        h = members(g, [g.unit, *pts])
+        try:
+            action_mod.translation_batch(g, [h])
+            refused = False
+        except InvalidSubgroup:
+            refused = True
+        assert refused != oracles.naive_is_subgroup(rows, g.unit, frozenset(h.indices())), pts
+        refusals += refused
+    assert 0 < refusals < len(sets)
+
+
 def corrupted_columns(columns, seed, swap):
     """A copy of a group's transposed table with, seeded, one entry
     overwritten or (swap) two columns exchanged, which keeps every row a
@@ -887,6 +918,16 @@ def test_a_batch_of_one_subgroup_counts_its_index_on_the_table(monkeypatch, s4):
                 assert index == [s4.order // h.card], (seed, swap, h.card)
 
 
+def batch_peak(g, hs):
+    """The traced peak of translation_batch(g, hs), in bytes."""
+    tracemalloc.start()
+    try:
+        action_mod.translation_batch(g, hs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
     spec = GroupSpec.q8()
     for _ in range(5):
@@ -896,23 +937,14 @@ def test_no_batch_temporary_exceeds_the_cell_budget(monkeypatch):
     monkeypatch.setattr(action_mod, "BATCH_CELLS", budget)
     sample = subgroup_sample(g)
     g.columns()
-
-    def peak(hs):
-        tracemalloc.start()
-        try:
-            action_mod.translation_batch(g, hs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     bound = 8 * 8 * budget  # eight int64 arrays the size of the budget
     batches = list(action_mod.sample_batches(g, sample))
     assert sum(batches, []) == sample
     for hs in batches:
         assert sum(h.card for h in hs) * g.order <= budget
-        assert peak(hs) <= bound, (hs[0].card, len(hs))
+        assert batch_peak(g, hs) <= bound, (hs[0].card, len(hs))
     # the measure sees a class gathered whole
-    assert peak([h for h in sample if h.card == 8]) > bound
+    assert batch_peak(g, [h for h in sample if h.card == 8]) > bound
 
 
 @pytest.mark.parametrize("spec", [GroupSpec.product(GroupSpec.dihedral(6), GroupSpec.dihedral(6)),
@@ -928,10 +960,16 @@ def test_merged_batches_stay_small(spec):
     assert sum(batches, []) == sample
     assert max(len({h.card for h in hs}) for hs in batches) > 2
     for hs in batches:
-        tracemalloc.start()
-        try:
-            action_mod.translation_batch(g, hs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = batch_peak(g, hs)
         assert peak <= 2.5 * 2 ** 20, ([h.card for h in hs], peak / 2 ** 20)
+
+
+def test_no_batch_at_the_order_bound_peaks_past_18_mib():
+    # C1024's sample: the whole group's batch, one subgroup of 1,024
+    # members and 2^20 pairs, sets the peak
+    g = build(GroupSpec.cyclic(1024))
+    sample = subgroup_sample(g)
+    g.columns()
+    for hs in action_mod.sample_batches(g, sample):
+        peak = batch_peak(g, hs)
+        assert peak <= 18 * 2 ** 20, ([h.card for h in hs], peak / 2 ** 20)

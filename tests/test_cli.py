@@ -462,12 +462,17 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
     real_batch = suite_mod.translation_batch
 
     def batch_failing_at_order_4(g, hs):
-        # only the order-4 subgroups' entries of a batch of any orders
+        # only the order-4 subgroups' entries of a batch of any orders; each
+        # loses its last point, so that its index, the count of its points,
+        # is one short
         b = real_batch(g, hs)
         four = np.array([h.card == 4 for h in hs])
-        b.index = b.index + four
-        b.stab_index = b.stab_index + (np.repeat(four, b.points) & (b.stab_order == 1))
-        b.fixed = b.fixed + four
+        b.stab_index = b.stab_index + (np.repeat(four, b.index) & (b.stab_order == 1))
+        keep = np.ones(len(b.orbit), dtype=bool)
+        keep[(np.cumsum(b.index) - 1)[four]] = False
+        b.orbit, b.stab_order, b.stab_index = (v[keep] for v in (b.orbit, b.stab_order,
+                                                                 b.stab_index))
+        b.index = b.index - four
         return b
 
     monkeypatch.setattr(suite_mod, "translation_batch", batch_failing_at_order_4)
@@ -477,7 +482,7 @@ def test_an_injected_failure_names_the_first_failing_witness(monkeypatch, s4):
     assert failed == {
         "lagrange": (23, 30, v4),
         "orbit_stabilizer:conjugation": (12, 24, {"point": 1}),
-        "orbit_stabilizer:translation": (210, 234, {**v4, "point": 1}),
+        "orbit_stabilizer:translation": (207, 227, {**v4, "point": 1}),
         "mod_p_fixed_points:translation": (16, 23, v4),
     }
     assert "witness={'subgroup': [0, 1, 6, 7], 'point': 1}" in rep.render_text()
@@ -611,13 +616,28 @@ def test_bad_tuple_cap_is_input_error(capsys, monkeypatch, cap):
         assert "'1" + "0" * 39 + "'... (4301 characters)" in err
 
 
-@pytest.mark.parametrize("argv", [["verify", "x" * 5000],
-                                  ["orbits", "z12", "--action", "translation", "--gens", "x" * 5000]],
-                         ids=["reference", "generator-list"])
-def test_refusals_quote_at_most_40_characters(capsys, argv):
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["verify", "x" * 5000], "'" + "x" * 40 + "'... (5000 characters)"),
+    (["orbits", "z12", "--action", "translation", "--gens", "x" * 5000],
+     "'" + "x" * 40 + "'... (5000 characters)"),
+    (["quotient", "s4", "--gens", NINES], "point " + "9" * 40 + "... (4000 characters) outside"),
+    (["sylow", "s4", "-p", NINES], "9" * 40 + "... (4000 characters) does not divide"),
+    (["cauchy", "s4", "-p", "-" + NINES], "-" + "9" * 39 + "... (4001 characters) is not prime"),
+    (["orbits", "s4", "--action", "translation", "--gens", "1", "--acting-gens", "-" + NINES],
+     "point -" + "9" * 39 + "... (4001 characters) outside"),
+    # numbers of at most 40 characters are printed whole
+    (["quotient", "s4", "--gens", "99"], "error: point 99 outside carrier of size 24\n"),
+    (["sylow", "s4", "-p", "5"], "error: 5 does not divide the group order 24\n"),
+    (["cauchy", "s4", "-p", "-" + "9" * 39], "error: -" + "9" * 39 + " is not prime\n"),
+], ids=["reference", "generator-list", "generator-point", "sylow-prime", "cauchy-prime",
+        "acting-point", "short-point", "short-sylow-prime", "short-cauchy-prime"])
+def test_refusals_quote_at_most_40_characters(capsys, argv, quoted):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert "'" + "x" * 40 + "'... (5000 characters)" in err and len(err) < 200
+    assert quoted in err and len(err) < 200
 
 
 @pytest.mark.parametrize("ref, message", [
