@@ -403,7 +403,7 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
 
     Each H is proven a subgroup as is_subgroup does (the unit and x * y);
     [G : H] counts the x that are the least of x * H, and must equal that
-    count taken on the table for the first subgroup of its order in hs.
+    count taken on the table for the first subgroup of its run.
     The table of the action passes make_action's laws on every acting
     element (each image a coset, the unit's row the identity,
     (x*y).z == x.(y.z), so each row is onto by the law at y = x^-1); an
@@ -444,20 +444,6 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     for bl in blocks(c, k * n):
         root[bl] = cols.take(mp[bl, :k[bl].max()], axis=0).min(axis=1)
     index = (root == pts).sum(axis=1)
-    # the same count on the table, for the first subgroup of each order
-    top: dict[int, int] = {}
-    for i, kk in enumerate(k.tolist()):
-        top.setdefault(kk, i)
-    orders = sorted(top)
-    firsts = np.array([top[kk] for kk in orders])
-    count = np.empty(len(firsts), dtype=np.int64)
-    for bl in blocks(len(firsts), k[firsts] * n):
-        least = g.mul.take(mp[firsts[bl], :k[firsts[bl]].max()], axis=1).min(axis=2)
-        count[bl] = (least == pts[:, None]).sum(axis=0)
-    want = count[np.searchsorted(orders, k)]
-    same = index == want
-    _require(same, hs, f"[G : H] == {want[np.argmin(same)]}, the table's count, on the cached "
-             "columns", lambda r: r)
     laps = [clock.lap()]
 
     roots = np.flatnonzero(root == pts)  # i * n + r for each root r of H_i: its points, in order
@@ -488,8 +474,9 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     stab_order = np.bincount(pe[fixes], minlength=len(roots))
     del pe, low, u, z
 
-    # per run of subgroups of one order, each H's table as (row, point):
-    # the law, then every point's stabilizer, proven a subgroup (it holds
+    # per run of subgroups of one order: each H's index against the count
+    # on the table for the run's first, then, each H's table as (row, point),
+    # the law and every point's stabilizer, proven a subgroup (it holds
     # the unit, whose row is the identity, and is closed under x * y), and
     # its index in H, counted as the x with no member y of it for which
     # x * y < x, the row of x * y below x's, the roots of its left cosets
@@ -499,6 +486,9 @@ def translation_batch(g: Group, hs: Sequence[ElemSet]) -> TranslationBatch:
     for i0, i1 in zip([0, *edge], [*edge, c]):
         kk, s, p0, cr = int(k[i0]), int(index[i0]), int(first[i0]), i1 - i0
         e0, q0, z0 = int(entry[p0]), int(pair[p0]), int(start[i0])
+        want = int((g.mul.take(m[p0:p0 + kk], axis=1).min(axis=1) == pts).sum())
+        _require(index[i0:i1] == want, hs, f"[G : H] == {want}, the table's count, on the cached "
+                 "columns", lambda r: i0 + r)
         t = table[e0:e0 + cr * kk * s].reshape(cr, kk, s)
         xy = ab[q0:q0 + cr * kk * kk].reshape(cr, kk, kk)  # xy[h, a, b]: m_a * m_b's row in H_h
         lift = xy + (np.arange(cr) * kk)[:, None, None]  # its row in the run's stacked tables

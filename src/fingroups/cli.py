@@ -441,6 +441,13 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # refused as argparse refuses an int, the text cut by quote_input
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote_input(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fingroups",
@@ -458,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sylow", help="construct a Sylow subgroup and count the family")
     common(sp)
-    sp.add_argument("-p", type=int, required=True, help="prime")
+    sp.add_argument("-p", type=_int_arg, required=True, help="prime")
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check the family against brute-force enumeration")
     sp.set_defaults(func=cmd_sylow)
 
     sp = sub.add_parser("cauchy", help="find an element of prime order")
     common(sp)
-    sp.add_argument("-p", type=int, required=True, help="prime")
+    sp.add_argument("-p", type=_int_arg, required=True, help="prime")
     sp.set_defaults(func=cmd_cauchy)
 
     sp = sub.add_parser("orbits", help="print an action's orbit partition")

@@ -11,12 +11,12 @@ readable; the per-instance loops live in the test suite.
 
 Lagrange, translation and the congruence run over the sample in batches:
 action.sample_batches cuts the sample, sorted by order and membership,
-into consecutive runs of any orders, and each run is one
-action.translation_batch.  The verdicts keep the sample's order, each
-subgroup's points laid end to end, so the first failure's witness is the
-first failing subgroup's (and point's).  A set that is no subgroup raises
-InvalidSubgroup, and a fault the theory rules out (in the table, its
-cached columns or the batch) InternalInvariant.
+into consecutive runs of any orders, each one action.translation_batch
+reduced as it is made to what the report reads: indices, fixed points,
+laps and each point's verdict, in the sample's order, so the first
+failure's witness is the first failing subgroup's (and point's).  A set
+that is no subgroup raises InvalidSubgroup, and a fault the theory rules
+out (in the table, its cached columns or the batch) InternalInvariant.
 """
 
 from __future__ import annotations
@@ -113,21 +113,23 @@ def verify_group(g: Group, label: str) -> Report:
     # Lagrange, translation and the congruence over the sample in batches,
     # each timed by its part of every batch, lagrange with the sample.
     sample = subgroup_sample(g)
-    batches = [translation_batch(g, hs) for hs in sample_batches(g, sample)]
-    index, orbit, stab_index, fixed = (
-        np.concatenate([getattr(b, f) for b in batches])
-        for f in ("index", "orbit", "stab_index", "fixed"))
+    parts = []  # each batch as its indices, fixed points, points' verdicts and laps
+    for hs in sample_batches(g, sample):
+        b = translation_batch(g, hs)
+        ok = orbit_stabilizer_ok(b.orbit, b.stab_index, np.repeat([h.card for h in hs], b.index))
+        parts.append((b.index, b.fixed, ok, b.ms))
+    index, fixed, ok, ms = (np.concatenate(v) for v in zip(*parts))
+    del parts  # the batches' pieces, now concatenated
     n, k = g.order, np.array([h.card for h in sample])
     lagrange = _aggregate("lagrange", sample, (k * index == n) & (n % k == 0))
-    trans = _aggregate("orbit_stabilizer:translation", sample,
-                       orbit_stabilizer_ok(orbit, stab_index, np.repeat(k, index)), index)
+    trans = _aggregate("orbit_stabilizer:translation", sample, ok, index)
     base = {x: prime_power_base(x) or 0 for x in set(k.tolist())}  # 0 unless a p-power
     p = np.array([base[x] for x in k.tolist()], dtype=np.int64)
     at = p > 0
     congruence = _aggregate("mod_p_fixed_points:translation",
                             [h for h, q in zip(sample, at) if q],
                             index[at] % p[at] == fixed[at] % p[at])
-    lagrange.ms, trans.ms, congruence.ms = (sum(b.ms[i] for b in batches) for i in range(3))
+    lagrange.ms, trans.ms, congruence.ms = ms.reshape(-1, 3).sum(axis=0).tolist()
     clock.stamp(lagrange, trans, congruence)
     rep.checks.append(lagrange)
 

@@ -811,11 +811,13 @@ def test_batch_refuses_what_it_cannot_prove(s3, s4):
         action_mod.translation_batch(s4, twos + [not_closed])
     with pytest.raises(InvalidSubgroup, match="h must be a subgroup"):
         action_mod.translation_batch(s4, [no_unit] + twos)
-    # a batch of several orders counts what its batches of one order count
-    mixed = twos + [sample[-1]] + [h for h in sample if h.card == 4]
-    by_order = [[h for h in mixed if h.card == k] for k in (2, s4.order, 4)]
-    assert split_counts(action_mod.translation_batch(s4, mixed)) == sum(
-        (split_counts(action_mod.translation_batch(s4, hs)) for hs in by_order), [])
+    # a batch of several orders counts what its runs of one order count
+    # alone, also where one order makes two runs, each checked against the
+    # table's count for its own first subgroup
+    fours = [h for h in sample if h.card == 4]
+    for runs in ([twos, [sample[-1]], fours], [twos[:2], fours, twos[2:]]):
+        assert split_counts(action_mod.translation_batch(s4, sum(runs, []))) == sum(
+            (split_counts(action_mod.translation_batch(s4, hs)) for hs in runs), [])
     with pytest.raises(CarrierMismatch):
         action_mod.translation_batch(s4, twos + [members(s3, [0, 1])])
     assert len(action_mod.translation_batch(s4, twos).index) == len(twos)
@@ -962,6 +964,23 @@ def test_merged_batches_stay_small(spec):
     for hs in batches:
         peak = batch_peak(g, hs)
         assert peak <= 2.5 * 2 ** 20, ([h.card for h in hs], peak / 2 ** 20)
+
+
+def test_verify_holds_one_batch_of_the_sample_at_a_time():
+    # Q8 x C2^5's sample takes 46 batches; verify reduces each to its
+    # verdicts as it is made, so a second verify stays within 4 MiB traced
+    spec = GroupSpec.q8()
+    for _ in range(5):
+        spec = GroupSpec.product(spec, GroupSpec.cyclic(2))
+    g = build(spec)
+    verify_group(g, "q8xc2^5")  # the group's caches are filled once
+    tracemalloc.start()
+    try:
+        assert verify_group(g, "q8xc2^5").ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
 
 def test_no_batch_at_the_order_bound_peaks_past_18_mib():

@@ -640,6 +640,17 @@ def test_refusals_quote_at_most_40_characters(capsys, argv, quoted):
     assert quoted in err and len(err) < 200
 
 
+@pytest.mark.parametrize("cmd", ["sylow", "cauchy"])
+@pytest.mark.parametrize("digit", ["9", "x"], ids=["nines", "letters"])
+def test_argparse_refuses_a_long_p_by_its_first_40_characters(capsys, cmd, digit):
+    # 5,000 nines pass int()'s 4,300-digit limit; argparse itself refuses the token
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "s4", "-p", digit * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.encode()) < 300
+    assert "argument -p: invalid int value: '" + digit * 40 + "'... (5000 characters)" in err
+
+
 @pytest.mark.parametrize("ref, message", [
     ("product:(" + "z2" * 2495 + ")", "product needs two comma-separated refs: 'product:(z2z2"),
     ("product:(z2," + "x" * 4988 + ")", "not catalog grammar: 'xxxx"),
